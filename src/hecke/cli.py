@@ -1,6 +1,7 @@
 """Command-line surface: enumeration, bijection maps, RSK, and verification.
 
 Every command is deterministic; identical inputs give byte-identical output.
+`verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
 or parse failure, 3 guard exceeded, 4 input outside M_mu or N_mu.
 Diagnostics go to stderr; results go to stdout or --output.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from hecke import decomp, oracle, rsk
 from hecke.gf import Field, enumerate_irreducibles, format_poly
@@ -156,6 +158,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     if args.check == "pieri":
         report = _verify_pieri(args)
     else:
@@ -178,24 +181,23 @@ def cmd_verify(args) -> int:
     print(json.dumps(report, indent=2, default=str), file=handle)
     if args.output:
         handle.close()
+    print(f"elapsed: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0 if report["pass"] else 1
 
 
 def _verify_pieri(args) -> dict:
     if args.nu is not None:
         nu = tuple(int(x) for x in args.nu.split(",")) if args.nu else ()
-        report = decomp.pieri_check(nu, args.add, args.vars)
-        return report
+        return decomp.pieri_check(nu, args.add, args.vars)
+    cases = [(nu, n) for size in range(5) for nu in partitions_of(size) for n in range(1, 4)]
+    for nu, n in cases:
+        decomp.check_pieri_input(nu, n, args.vars)
     subreports = []
     ok = True
-    for size in range(5):
-        for nu in partitions_of(size):
-            for n in range(1, 4):
-                rep = decomp.pieri_check(nu, n, args.vars)
-                ok = ok and rep["pass"]
-                subreports.append(
-                    {"nu": list(nu), "n": n, "pass": rep["pass"]}
-                )
+    for nu, n in cases:
+        rep = decomp.pieri_check(nu, n, args.vars)
+        ok = ok and rep["pass"]
+        subreports.append({"nu": list(nu), "n": n, "pass": rep["pass"]})
     return {"check": "pieri", "variables": args.vars, "cases": subreports, "pass": ok}
 
 

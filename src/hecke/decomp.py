@@ -3,21 +3,28 @@
 The irreducible-module index sets are label-indexed partition families
 ("label shapes"); their filling counts give module dimensions, the sum of
 squared counts recovers the basis size, and Levi weight-space dimensions
-come from per-label Kostka products.  Symmetric-function cross-checks
-expand Schur polynomials by the elementary-function determinant.
+come from per-label Kostka products.
+
+Symmetric-function cross-checks expand Schur polynomials by the
+elementary-function (dual Jacobi-Trudi) determinant: a Laplace expansion
+row by row, memoised over the set of used columns, over monomials whose
+exponent vectors are packed into single ints.  Each s_nu is computed once
+per (nu, m, packing width) and kept as an immutable tuple; Pieri checks
+compare both sides in packed form.  The tableau generating function in the
+tests is the independent witness.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from functools import lru_cache
+from math import inf, lgamma, log
 
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
 from hecke.hecke_index import enumerate_m_mu, enumerate_n, is_in_n_mu_fast
 from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
-from hecke.shapes import conjugate, kostka, partitions_of
+from hecke.shapes import conjugate, contains, enumerate_cst, kostka, partitions_of
 
 
 def shape_height(shape) -> int:
@@ -52,7 +59,6 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
     n = sum(mu)
     check_guard(n, 5, "n")
     check_guard(K.q, 4, "q")
-    start = time.perf_counter()
     n_mu_count = sum(1 for v in enumerate_n(K, n) if is_in_n_mu_fast(v, mu))
     m_mu_count = len(enumerate_m_mu(K, mu))
     table = h_hat(K, mu)
@@ -68,7 +74,6 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
             {"shape": shape_to_obj(K, shape), "count": count} for shape, count in table
         ],
         "pass": n_mu_count == m_mu_count == sum_of_squares,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
 
 
@@ -135,103 +140,153 @@ def weight_space_report(K: Field, lam, mu: tuple) -> dict:
 
 # -- symmetric-function cross-checks ---------------------------------------------
 #
-# Polynomials in m variables are dicts mapping exponent tuples to integer
-# coefficients; operations are exact.
+# Inside this section a polynomial in m variables maps packed exponents to
+# integer coefficients.  An exponent vector is packed into one int (Kronecker
+# substitution): variable i holds bits [i*width, (i+1)*width), so a monomial
+# product is one integer add.  A check of total degree d packs at
+# width = bit length of d.  No exponent it forms exceeds d: a minor on t rows
+# of the determinant below is a sum of products of t elementary polynomials,
+# so its exponents are at most t <= nu_1.  Hence no add carries from one
+# variable into the next.  Public functions speak dicts keyed by exponent
+# tuples.
+
+PIERI_GUARD = 500_000  # pieri_work, in monomials
 
 
-def mp_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = out.get(e, 0) + c
-        if not out[e]:
-            del out[e]
+def _width(degree: int) -> int:
+    """Bits per variable that hold every exponent up to `degree`."""
+    return max(degree, 1).bit_length()
+
+
+def _pack(e: tuple, width: int) -> int:
+    return sum(a << (width * i) for i, a in enumerate(e))
+
+
+def _unpack(key: int, m: int, width: int) -> tuple:
+    mask = (1 << width) - 1
+    return tuple(key >> (width * i) & mask for i in range(m))
+
+
+def _addmul(out: dict, f, g, sign: int = 1) -> dict:
+    """out += sign * f * g, with f and g given as (packed exponent, coefficient)
+    pairs; zero coefficients may remain in out."""
+    for e1, c1 in f:
+        c1 *= sign
+        for e2, c2 in g:
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
+def _nonzero(f: dict) -> dict:
+    return {e: c for e, c in f.items() if c}
+
+
+_ONE = ((0, 1),)
+
+
 def mp_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    """Product of two polynomials with nonnegative exponent tuples as keys."""
+    if not f or not g:
+        return {}
+    m = len(next(iter(f)))
+    width = _width(max(map(sum, f)) + max(map(sum, g)))
+    pf = [(_pack(e, width), c) for e, c in f.items()]
+    pg = [(_pack(e, width), c) for e, c in g.items()]
+    return {_unpack(e, m, width): c for e, c in _addmul({}, pf, pg).items() if c}
+
+
+def _elementary(r: int, m: int, width: int) -> tuple:
+    """e_r in m variables, packed; zero outside 0 <= r <= m."""
+    if not 0 <= r <= m:
+        return ()
+    return tuple(
+        (sum(1 << (width * i) for i in subset), 1)
+        for subset in itertools.combinations(range(m), r)
+    )
 
 
 @lru_cache(maxsize=None)
-def elementary_poly(r: int, m: int) -> tuple:
-    """e_r in m variables, as a sorted item tuple; zero outside 0 <= r <= m."""
-    if r < 0 or r > m:
-        return ()
-    if r == 0:
-        return (((0,) * m, 1),)
-    items = []
-    for subset in itertools.combinations(range(m), r):
-        e = tuple(1 if i in subset else 0 for i in range(m))
-        items.append((e, 1))
-    return tuple(items)
+def _schur_packed(nu: tuple, m: int, width: int) -> tuple:
+    """s_nu in m variables as det(e_(nu'_i - i + j)), packed at `width`.
+
+    The determinant is expanded row by row (Laplace).  After row i, each
+    minor on the first i+1 rows is kept once per set of columns it uses (a
+    bitmask), so the expansion makes at most nu_1 * 2^(nu_1 - 1) products."""
+    nuc = conjugate(nu)
+    e = [_elementary(r, m, width) for r in range(m + 1)]
+    minors = {0: {0: 1}}
+    for i, part in enumerate(nuc):
+        grown: dict = {}
+        for used, minor in minors.items():
+            for j in range(max(0, i - part), min(len(nuc), m + i - part + 1)):
+                if not used >> j & 1:
+                    sign = -1 if (used >> j).bit_count() & 1 else 1
+                    target = grown.setdefault(used | 1 << j, {})
+                    _addmul(target, minor.items(), e[part - i + j], sign)
+        minors = {used: f for used, g in grown.items() if (f := _nonzero(g))}
+    return tuple(minors.get((1 << len(nuc)) - 1, {}).items())
+
+
+def _check_partition(nu: tuple):
+    if any(part < 1 for part in nu) or any(a < b for a, b in zip(nu, nu[1:])):
+        raise ValueError(f"not a partition: {list(nu)}")
 
 
 def schur_jacobi_trudi(nu: tuple, m: int) -> dict:
     """The Schur polynomial in m variables as the determinant of elementary
     symmetric polynomials indexed by the conjugate partition, expanded over
-    the integers."""
+    the integers.  Returns a fresh dict on every call."""
+    nu = tuple(nu)
+    _check_partition(nu)
     if m < len(nu):
         raise ValueError("need at least as many variables as rows")
-    nuc = conjugate(nu)
-    size = len(nuc)  # = nu_1
-    if size == 0:
-        return {(0,) * m: 1}
-    grid = [
-        [dict(elementary_poly(nuc[i] - i + j, m)) for j in range(size)]
-        for i in range(size)
-    ]
-    total: dict = {}
-    for perm in itertools.permutations(range(size)):
-        sign = _perm_sign(perm)
-        term = {(0,) * m: sign}
-        for i in range(size):
-            term = mp_mul(term, grid[i][perm[i]])
-            if not term:
-                break
-        total = mp_add(total, term)
-    return total
+    width = _width(sum(nu))
+    return {_unpack(e, m, width): c for e, c in _schur_packed(nu, m, width)}
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
+def pieri_work(nu: tuple, n: int, m: int) -> float:
+    """Estimated work of pieri_check: 2^(nu_1+n) Laplace minors times the
+    C(d+m-1, m-1) monomials of degree d = |nu|+n in m variables.  Formed
+    through logarithms, so that an absurd input costs nothing to refuse."""
+    a = (nu[0] if nu else 0) + n
+    d = sum(nu) + n
+    try:
+        return round(2.0 ** (a + (lgamma(d + m) - lgamma(d + 1) - lgamma(m)) / log(2)))
+    except OverflowError:
+        return inf
+
+
+def check_pieri_input(nu: tuple, n: int, m: int):
+    """Refuse a Pieri case before any work: ValueError for malformed input,
+    GuardExceeded when pieri_work is over PIERI_GUARD."""
+    _check_partition(nu)
+    if n < 0:
+        raise ValueError(f"the added row must have nonnegative length, not {n}")
+    if m < len(nu) + 1:
+        raise ValueError("need at least len(nu)+1 variables")
+    check_guard(pieri_work(nu, n, m), PIERI_GUARD, "pieri work estimate (monomials)")
 
 
 def pieri_check(nu: tuple, n: int, m: int) -> dict:
     """s_nu * s_(n) against the sum of s_gamma over the shapes gamma obtained
-    from nu by adding n boxes with a weight-(n) skew filling."""
-    if m < len(nu) + 1:
-        raise ValueError("need at least len(nu)+1 variables")
-    from hecke.shapes import contains, enumerate_cst
-
-    lhs = mp_mul(schur_jacobi_trudi(nu, m), schur_jacobi_trudi((n,), m))
+    from nu by adding n boxes with a weight-(n) skew filling; both sides are
+    compared in packed form."""
+    nu = tuple(nu)
+    check_pieri_input(nu, n, m)
+    width = _width(sum(nu) + n)
+    lhs = _addmul({}, _schur_packed(nu, m, width), _schur_packed((n,) if n else (), m, width))
     rhs: dict = {}
     gammas = []
     for gamma in partitions_of(sum(nu) + n):
         if contains(gamma, nu) and enumerate_cst((gamma, nu), (n,)):
             gammas.append(gamma)
-            rhs = mp_add(rhs, schur_jacobi_trudi(gamma, m))
+            _addmul(rhs, _schur_packed(gamma, m, width), _ONE)
     return {
         "check": "pieri",
         "nu": list(nu),
         "n": n,
         "variables": m,
         "expansion": [list(g) for g in gammas],
-        "pass": lhs == rhs,
+        "pass": _nonzero(lhs) == _nonzero(rhs),
     }

@@ -10,7 +10,6 @@ column sums both equal mu.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import NamedTuple
 
 from hecke.gf import (
@@ -314,7 +313,6 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     definition over all of U."""
     mu = tuple(mu)
     n = sum(mu)
-    start = time.perf_counter()
     image = []
     roundtrip_ok = True
     membership_ok = True
@@ -346,7 +344,6 @@ def bijection_check(K: Field, mu: tuple) -> dict:
         "direct_test_checked": direct_checked,
         "direct_test_ok": direct_ok,
         "pass": membership_ok and roundtrip_ok and injective and surjective and direct_ok,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
 
 
@@ -357,11 +354,24 @@ def _entry_to_obj(K: Field, e: int):
     return e if K.k == 1 else list(K.coords(e))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _entry_from_obj(K: Field, obj) -> int:
-    if isinstance(obj, int):
+    if _is_int(obj):
         if not 0 <= obj < K.q:
             raise ValueError(f"entry {obj} out of range for q = {K.q}")
         return obj
+    if not (
+        isinstance(obj, list)
+        and len(obj) <= K.k
+        and all(_is_int(c) and 0 <= c < K.p for c in obj)
+    ):
+        raise ValueError(
+            f"entry {obj!r} is neither an integer below q = {K.q} nor a list of"
+            f" at most k = {K.k} coordinates below p = {K.p}"
+        )
     return K.from_coords(tuple(obj) + (0,) * (K.k - len(obj)))
 
 
@@ -373,6 +383,13 @@ def monomial_to_obj(K: Field, v: MonomialMatrix) -> dict:
 
 
 def monomial_from_obj(K: Field, obj: dict) -> MonomialMatrix:
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("perm"), list)
+        and isinstance(obj.get("entries"), list)
+        and all(_is_int(r) for r in obj["perm"])
+    ):
+        raise ValueError('a monomial matrix is {"perm": [integers], "entries": [entries]}')
     perm = tuple(r - 1 for r in obj["perm"])
     entries = tuple(_entry_from_obj(K, e) for e in obj["entries"])
     if sorted(perm) != list(range(len(perm))):
@@ -390,6 +407,19 @@ def polymatrix_to_obj(K: Field, a: PolyMatrix) -> dict:
 
 
 def polymatrix_from_obj(K: Field, obj: dict) -> PolyMatrix:
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("mu"), list)
+        and isinstance(obj.get("entries"), list)
+        and all(_is_int(part) for part in obj["mu"])
+        and all(
+            isinstance(row, list) and all(isinstance(f, str) for f in row)
+            for row in obj["entries"]
+        )
+    ):
+        raise ValueError(
+            'a polynomial matrix is {"mu": [integers], "entries": [[polynomial strings]]}'
+        )
     mu = tuple(obj["mu"])
     grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])
     return PolyMatrix(grid, mu)

@@ -10,7 +10,6 @@ by default (see hecke.guards).
 from __future__ import annotations
 
 import itertools
-import time
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -443,7 +442,6 @@ def basis_check(K: Field, mu: tuple) -> dict:
     matches |N_mu| (the dimension of e_mu CG e_mu)."""
     mu = tuple(mu)
     n = sum(mu)
-    start = time.perf_counter()
     e = e_mu(K, n, mu)
     idempotent = e * e == e
     mismatches = []
@@ -465,7 +463,6 @@ def basis_check(K: Field, mu: tuple) -> dict:
         "nonzero_t_v": nonzero,
         "n_mu_size": n_mu_size,
         "pass": idempotent and not mismatches and nonzero == n_mu_size,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
     if mismatches:
         report["counterexample"] = mismatches[0]
@@ -474,7 +471,6 @@ def basis_check(K: Field, mu: tuple) -> dict:
 
 def commutativity_check(K: Field, n: int) -> dict:
     """T_u T_v = T_v T_u for the one-part composition (Gelfand-Graev case)."""
-    start = time.perf_counter()
     mu = (n,)
     basis = enumerate_n_mu(K, mu)
     elems = [t_v(K, v, mu) for v in basis]
@@ -496,7 +492,6 @@ def commutativity_check(K: Field, n: int) -> dict:
         "mu": [n],
         "basis_size": len(basis),
         "pass": counterexample is None,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
     if counterexample:
         report["counterexample"] = counterexample
@@ -511,7 +506,6 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     entries 1; the check compares multiplication tables exactly.
     """
     mu = tuple(mu)
-    start = time.perf_counter()
     factor_sc = [structure_constants(K, (m,)) for m in mu]
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
@@ -561,7 +555,6 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
         "image_dim": len(set(images)),
         "injective": injective,
         "pass": injective and counterexample is None,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
     if counterexample:
         report["counterexample"] = counterexample
@@ -589,7 +582,6 @@ def double_coset_reps(K: Field, n: int) -> list:
 
 
 def coset_check(K: Field, n: int) -> dict:
-    start = time.perf_counter()
     try:
         reps = double_coset_reps(K, n)
         ok = True
@@ -604,7 +596,6 @@ def coset_check(K: Field, n: int) -> dict:
         "coset_sizes_sum": sum(size for _, size in reps),
         "group_order": gl_order(K.q, n),
         "pass": ok,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
     if detail:
         report["counterexample"] = detail

@@ -14,7 +14,6 @@ order, with empty tableaux omitted.
 from __future__ import annotations
 
 import itertools
-import time
 from bisect import bisect_left
 
 from hecke.gf import (
@@ -231,7 +230,6 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     mu = tuple(mu)
-    start = time.perf_counter()
     image = []
     weights_ok = True
     shapes_ok = True
@@ -254,7 +252,6 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
         "injective": injective,
         "image_equals_codomain": onto,
         "pass": shapes_ok and weights_ok and injective and onto,
-        "timings": {"seconds": round(time.perf_counter() - start, 3)},
     }
 
 

@@ -154,6 +154,24 @@ def test_map_parse_failure_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_map_v_to_a_string_entries_exits_2(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"perm": [1, 2], "entries": "ab"}))
+    code, _, err = run_cli(
+        capsys, "map", "v_to_a", "--p", "2", "--mu", "1,1", "--input", str(path)
+    )
+    assert code == 2
+    assert "error" in err
+
+
+def test_map_a_to_v_integer_entries_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"mu": [1], "entries": [[5]]}))
+    code, _, err = run_cli(capsys, "map", "a_to_v", "--p", "2", "--input", str(path))
+    assert code == 2
+    assert "polynomial" in err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -222,3 +240,51 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     lines = out_path.read_text().strip().splitlines()
     assert json.loads(lines[0]) == {"poly": "1+1*X^1"}
+
+
+def test_verify_stdout_byte_identical(capsys):
+    first = run_cli(capsys, "verify", "dim_identity", "--p", "2", "--mu", "2,1")
+    second = run_cli(capsys, "verify", "dim_identity", "--p", "2", "--mu", "2,1")
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert "timings" not in json.loads(first[1])
+    assert "elapsed" in first[2]
+
+
+def pieri_args(*extra):
+    return ("verify", "pieri", "--p", "2", *extra)
+
+
+def test_verify_pieri_not_a_partition_exits_2(capsys):
+    code, out, err = run_cli(capsys, *pieri_args("--nu", "1,2", "--add", "1", "--vars", "3"))
+    assert code == 2
+    assert out == ""
+    assert "partition" in err
+
+
+def test_verify_pieri_negative_add_exits_2(capsys):
+    code, out, err = run_cli(capsys, *pieri_args("--nu", "2,1", "--add", "-1", "--vars", "3"))
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_verify_pieri_no_variables_exits_2(capsys):
+    code, out, err = run_cli(capsys, *pieri_args("--nu", "", "--add", "1", "--vars", "0"))
+    assert code == 2
+    assert out == ""
+    assert "variables" in err
+
+
+def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):
+    from hecke import decomp
+
+    def refuse(*args):
+        raise AssertionError("a Schur polynomial was built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(decomp, "_schur_packed", refuse)
+    code, out, err = run_cli(capsys, *pieri_args("--vars", "1000"))
+    assert code == 3
+    assert out == ""
+    assert "pieri work estimate" in err

@@ -166,6 +166,21 @@ def test_schur_matches_tableau_generating_function():
                 assert schur_jacobi_trudi(nu, m) == tableau_generating_function(nu, m)
 
 
+def test_schur_matches_tableaux_at_pieri_grid_sizes():
+    for n in range(5, 8):
+        for nu in partitions_of(n):
+            for m in range(len(nu), 6):
+                assert schur_jacobi_trudi(nu, m) == tableau_generating_function(nu, m)
+
+
+def test_schur_result_is_a_fresh_dict():
+    first = schur_jacobi_trudi((2, 1), 3)
+    expected = dict(first)
+    first[(2, 1, 0)] = 99
+    first.clear()
+    assert schur_jacobi_trudi((2, 1), 3) == expected
+
+
 def test_schur_too_few_variables():
     with pytest.raises(ValueError):
         schur_jacobi_trudi((1, 1, 1), 2)
