@@ -1,5 +1,9 @@
 """Command-line surface: enumeration, bijection maps, RSK, and verification.
 
+Each enum kind, map direction and verify check has its own sub-parser that
+declares only the flags its driver reads, so argparse refuses a missing,
+malformed or unknown flag (exit 2) before any work is done.  `enum` streams:
+each record is written as the enumeration yields it, then a count footer.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
@@ -35,11 +39,21 @@ from hecke.shapes import partitions_of
 def _parse_mu(text: str) -> tuple:
     try:
         mu = tuple(int(part) for part in text.split(","))
-    except ValueError as err:
-        raise ValueError(f"cannot parse composition {text!r}") from err
-    if not mu or any(m < 1 for m in mu):
-        raise ValueError(f"composition parts must be positive: {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse composition {text!r}") from None
+    if any(m < 1 for m in mu):
+        raise argparse.ArgumentTypeError(f"composition parts must be positive: {text!r}")
     return mu
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return value
 
 
 def _field(args) -> Field:
@@ -48,8 +62,8 @@ def _field(args) -> Field:
 
 class _Writer:
     def __init__(self, args):
-        self.fmt = getattr(args, "format", "json")
-        self.path = getattr(args, "output", None)
+        self.fmt = args.format
+        self.path = args.output
         self.handle = open(self.path, "w") if self.path else sys.stdout
         self.header_done = False
 
@@ -82,26 +96,27 @@ class _Writer:
 # -- enum -----------------------------------------------------------------------
 
 
+ENUMS = {  # kind -> (flags it reads, driver returning a stream of records)
+    "n_mu": (("--mu",), lambda K, a: (monomial_to_obj(K, v) for v in enumerate_n_mu(K, a.mu))),
+    "m_mu": (("--mu",), lambda K, a: (polymatrix_to_obj(K, m) for m in enumerate_m_mu(K, a.mu))),
+    "irreducibles": (
+        ("--max-deg",),
+        lambda K, a: ({"poly": format_poly(K, f)} for f in enumerate_irreducibles(K, a.max_deg)),
+    ),
+    "pairs": (
+        ("--mu",),
+        lambda K, a: (rsk.pair_to_obj(K, pair) for pair in rsk.enumerate_pairs(K, a.mu)),
+    ),
+}
+
+
 def cmd_enum(args) -> int:
     K = _field(args)
     writer = _Writer(args)
     count = 0
-    if args.kind == "irreducibles":
-        for f in enumerate_irreducibles(K, args.max_deg):
-            writer.record({"poly": format_poly(K, f)})
-            count += 1
-    elif args.kind == "m_mu":
-        for a in enumerate_m_mu(K, _parse_mu(args.mu)):
-            writer.record(polymatrix_to_obj(K, a))
-            count += 1
-    elif args.kind == "n_mu":
-        for v in enumerate_n_mu(K, _parse_mu(args.mu)):
-            writer.record(monomial_to_obj(K, v))
-            count += 1
-    elif args.kind == "pairs":
-        for pair in rsk.enumerate_pairs(K, _parse_mu(args.mu)):
-            writer.record(rsk.pair_to_obj(K, pair))
-            count += 1
+    for record in args.driver(K, args):
+        writer.record(record)
+        count += 1
     writer.footer(count)
     writer.close()
     return 0
@@ -117,39 +132,48 @@ def _read_input(args):
     return json.load(sys.stdin)
 
 
+def _a_to_v(K: Field, data, args) -> dict:
+    a = polymatrix_from_obj(K, data)
+    return {"mu": list(a.mu), **monomial_to_obj(K, v_of_matrix(K, a))}
+
+
+def _v_to_a(K: Field, data, args) -> dict:
+    return polymatrix_to_obj(K, matrix_of_v(K, monomial_from_obj(K, data), args.mu))
+
+
+def _rsk(K: Field, data, args) -> dict:
+    b = data["b"] if isinstance(data, dict) else data
+    if not b or any(len(row) != len(b[0]) for row in b):
+        raise ValueError("b must be a rectangular matrix")
+    if any(not isinstance(x, int) or x < 0 for row in b for x in row):
+        raise ValueError("b must have nonnegative integer entries")
+    array = rsk.two_line_array(b)
+    P, Q = rsk.rsk_classical(b)
+    return {
+        "two_line": [[i for i, _ in array], [j for _, j in array]],
+        "P": [list(row) for row in P],
+        "Q": [list(row) for row in Q],
+    }
+
+
+def _rsk_general(K: Field, data, args) -> dict:
+    pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
+    return {**rsk.pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
+
+
+MAPS = {  # direction -> (flags it reads, driver returning one record)
+    "a_to_v": ((), _a_to_v),
+    "v_to_a": (("--mu",), _v_to_a),
+    "rsk": ((), _rsk),  # ignores K, but --p is still required and checked
+    "rsk_general": ((), _rsk_general),
+}
+
+
 def cmd_map(args) -> int:
     K = _field(args)
     data = _read_input(args)
     writer = _Writer(args)
-    if args.direction == "a_to_v":
-        a = polymatrix_from_obj(K, data)
-        v = v_of_matrix(K, a)
-        writer.record({"mu": list(a.mu), **monomial_to_obj(K, v)})
-    elif args.direction == "v_to_a":
-        mu = _parse_mu(args.mu)
-        v = monomial_from_obj(K, data)
-        writer.record(polymatrix_to_obj(K, matrix_of_v(K, v, mu)))
-    elif args.direction == "rsk":
-        b = data["b"] if isinstance(data, dict) else data
-        if not b or any(len(row) != len(b[0]) for row in b):
-            raise ValueError("b must be a rectangular matrix")
-        if any(not isinstance(x, int) or x < 0 for row in b for x in row):
-            raise ValueError("b must have nonnegative integer entries")
-        array = rsk.two_line_array(b)
-        P, Q = rsk.rsk_classical(b)
-        writer.record(
-            {
-                "two_line": [[i for i, _ in array], [j for _, j in array]],
-                "P": [list(row) for row in P],
-                "Q": [list(row) for row in Q],
-            }
-        )
-    elif args.direction == "rsk_general":
-        a = polymatrix_from_obj(K, data)
-        pair = rsk.rsk_generalized(K, a)
-        obj = rsk.pair_to_obj(K, pair)
-        obj["weight"] = list(rsk.family_weight(pair[0]))
-        writer.record(obj)
+    writer.record(args.driver(K, data, args))
     writer.close()
     return 0
 
@@ -157,38 +181,12 @@ def cmd_map(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
-    if args.check == "pieri":
-        report = _verify_pieri(args)
-    else:
-        K = _field(args)
-        if args.check == "bijection":
-            report = bijection_check(K, _parse_mu(args.mu))
-        elif args.check == "dim_identity":
-            report = decomp.dim_identity_check(K, _parse_mu(args.mu))
-        elif args.check == "rsk_bijectivity":
-            report = rsk.rsk_bijectivity_check(K, _parse_mu(args.mu))
-        elif args.check == "basis":
-            report = oracle.basis_check(K, _parse_mu(args.mu))
-        elif args.check == "commutativity":
-            report = oracle.commutativity_check(K, args.n)
-        elif args.check == "levi":
-            report = oracle.levi_embedding_check(K, _parse_mu(args.mu))
-        elif args.check == "cosets":
-            report = oracle.coset_check(K, args.n)
-    handle = open(args.output, "w") if args.output else sys.stdout
-    print(json.dumps(report, indent=2, default=str), file=handle)
-    if args.output:
-        handle.close()
-    print(f"elapsed: {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    return 0 if report["pass"] else 1
-
-
 def _verify_pieri(args) -> dict:
     if args.nu is not None:
         nu = tuple(int(x) for x in args.nu.split(",")) if args.nu else ()
-        return decomp.pieri_check(nu, args.add, args.vars)
+        return decomp.pieri_check(nu, 1 if args.add is None else args.add, args.vars)
+    if args.add is not None:
+        raise ValueError("--add needs --nu: the default grid sets its own row sizes")
     cases = [(nu, n) for size in range(5) for nu in partitions_of(size) for n in range(1, 4)]
     for nu, n in cases:
         decomp.check_pieri_input(nu, n, args.vars)
@@ -201,7 +199,45 @@ def _verify_pieri(args) -> dict:
     return {"check": "pieri", "variables": args.vars, "cases": subreports, "pass": ok}
 
 
+CHECKS = {  # check -> (flags it reads, driver returning the report)
+    "bijection": (("--mu",), lambda args: bijection_check(_field(args), args.mu)),
+    "dim_identity": (("--mu",), lambda args: decomp.dim_identity_check(_field(args), args.mu)),
+    "rsk_bijectivity": (("--mu",), lambda args: rsk.rsk_bijectivity_check(_field(args), args.mu)),
+    "basis": (("--mu",), lambda args: oracle.basis_check(_field(args), args.mu)),
+    "commutativity": (("--n",), lambda args: oracle.commutativity_check(_field(args), args.n)),
+    "levi": (("--mu",), lambda args: oracle.levi_embedding_check(_field(args), args.mu)),
+    "cosets": (("--n",), lambda args: oracle.coset_check(_field(args), args.n)),
+    # Builds no field; --p and --k are accepted and ignored.
+    "pieri": (("--nu", "--add", "--vars"), _verify_pieri),
+}
+
+
+def cmd_verify(args) -> int:
+    start = time.perf_counter()
+    report = args.driver(args)
+    handle = open(args.output, "w") if args.output else sys.stdout
+    print(json.dumps(report, indent=2, default=str), file=handle)
+    if args.output:
+        handle.close()
+    print(f"elapsed: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    return 0 if report["pass"] else 1
+
+
 # -- parser ----------------------------------------------------------------------
+
+FLAGS = {  # every flag a sub-parser can declare
+    "--p": dict(type=int, required=True, help="field characteristic"),
+    "--k": dict(type=int, default=1, help="extension degree (q = p^k)"),
+    "--mu": dict(type=_parse_mu, required=True, help="composition, comma-separated parts"),
+    "--n": dict(type=_positive, required=True, help="matrix rank"),
+    "--max-deg": dict(type=_positive, required=True, help="largest label degree"),
+    "--nu": dict(help="partition, comma-separated (may be empty); default: a fixed grid"),
+    "--add": dict(type=int, help="row size n in s_nu * s_(n); needs --nu (default 1)"),
+    "--vars": dict(type=int, default=5, help="variable count"),
+    "--input": dict(help="JSON input file (stdin when omitted)"),
+    "--format": dict(choices=("json", "tsv"), default="json"),
+    "--output": dict(help="write results to a file instead of stdout"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,72 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hecke",
         description="Unipotent Hecke algebra combinatorics for GL_n(F_q).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, mu=False, n=False):
-        p.add_argument("--p", type=int, required=True, help="field characteristic")
-        p.add_argument("--k", type=int, default=1, help="extension degree (q = p^k)")
-        if mu:
-            p.add_argument("--mu", help="composition, comma-separated parts")
-        if n:
-            p.add_argument("--n", type=int, help="matrix rank")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--output", help="write results to a file instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="reserved; unused by core math")
-
-    enum = sub.add_parser("enum", help="stream canonical enumerations")
-    enum.add_argument("kind", choices=("n_mu", "m_mu", "irreducibles", "pairs"))
-    add_common(enum, mu=True)
-    enum.add_argument("--max-deg", type=int, dest="max_deg", help="for irreducibles")
-    enum.set_defaults(func=cmd_enum)
-
-    mp = sub.add_parser("map", help="apply the bijections and RSK to one input")
-    mp.add_argument("direction", choices=("a_to_v", "v_to_a", "rsk", "rsk_general"))
-    add_common(mp, mu=True)
-    mp.add_argument("--input", help="JSON input file (stdin when omitted)")
-    mp.set_defaults(func=cmd_map)
-
-    ver = sub.add_parser("verify", help="run a verification driver")
-    ver.add_argument(
-        "check",
-        choices=(
-            "bijection",
-            "dim_identity",
-            "rsk_bijectivity",
-            "basis",
-            "commutativity",
-            "levi",
-            "cosets",
-            "pieri",
-        ),
-    )
-    add_common(ver, mu=True, n=True)
-    ver.add_argument("--nu", help="partition for pieri, comma-separated (may be empty)")
-    ver.add_argument("--add", type=int, default=1, help="row size n in s_nu * s_(n)")
-    ver.add_argument("--vars", type=int, default=5, help="variable count for pieri")
-    ver.set_defaults(func=cmd_verify)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, help_text, dest, jobs, shared, handler in (
+        ("enum", "stream canonical enumerations", "kind", ENUMS, ("--format",), cmd_enum),
+        ("map", "apply a bijection or RSK", "direction", MAPS, ("--input", "--format"), cmd_map),
+        ("verify", "run a verification driver", "check", CHECKS, (), cmd_verify),
+    ):
+        job_parsers = commands.add_parser(command, help=help_text).add_subparsers(
+            dest=dest, required=True
+        )
+        for job, (flags, driver) in jobs.items():
+            job_parser = job_parsers.add_parser(job)
+            for flag in ("--p", "--k", *flags, *shared, "--output"):
+                job_parser.add_argument(flag, **FLAGS[flag])
+            job_parser.set_defaults(func=handler, driver=driver)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        required_mu = (
-            args.command == "enum"
-            and args.kind in ("n_mu", "m_mu", "pairs")
-            or args.command == "map"
-            and args.direction == "v_to_a"
-            or args.command == "verify"
-            and args.check in ("bijection", "dim_identity", "rsk_bijectivity", "basis", "levi")
-        )
-        if required_mu and not getattr(args, "mu", None):
-            raise ValueError("--mu is required for this command")
-        if args.command == "enum" and args.kind == "irreducibles" and not args.max_deg:
-            raise ValueError("--max-deg is required for enum irreducibles")
-        if args.command == "verify" and args.check in ("commutativity", "cosets") and not args.n:
-            raise ValueError("--n is required for this check")
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
+        return err.code
+    try:
         return args.func(args)
     except GuardExceeded as err:
         print(f"guard exceeded: {err}", file=sys.stderr)

@@ -60,7 +60,7 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
     check_guard(n, 5, "n")
     check_guard(K.q, 4, "q")
     n_mu_count = sum(1 for v in enumerate_n(K, n) if is_in_n_mu_fast(v, mu))
-    m_mu_count = len(enumerate_m_mu(K, mu))
+    m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
     table = h_hat(K, mu)
     sum_of_squares = sum(count**2 for _, count in table)
     return {
@@ -117,25 +117,6 @@ def weight_space_dims(K: Field, lam, mu: tuple) -> tuple:
         if dim:
             out.append((gamma, dim))
     return tuple(out)
-
-
-def weight_space_report(K: Field, lam, mu: tuple) -> dict:
-    table = weight_space_dims(K, lam, mu)
-    total = sum(dim for _, dim in table)
-    expected = len(enumerate_phi_fillings(lam, tuple(mu)))
-    return {
-        "check": "weight_spaces",
-        "mu": list(mu),
-        "q": K.q,
-        "shape": shape_to_obj(K, lam),
-        "weights": [
-            {"gamma": [shape_to_obj(K, g) for g in gamma], "dim": dim}
-            for gamma, dim in table
-        ],
-        "sum": total,
-        "module_dim": expected,
-        "pass": total == expected,
-    }
 
 
 # -- symmetric-function cross-checks ---------------------------------------------

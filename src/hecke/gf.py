@@ -16,9 +16,13 @@ import itertools
 import re
 from functools import lru_cache
 
+from hecke.guards import check_guard
+
 Poly = tuple  # tuple of element codes, lowest degree first
 
 ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
+
+DEGREE_GUARD = 100_000  # largest degree parse_poly accepts
 
 
 def is_prime(n: int) -> bool:
@@ -230,14 +234,6 @@ def poly_add(K: Field, f: Poly, g: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_neg(K: Field, f: Poly) -> Poly:
-    return tuple(K.neg(c) for c in f)
-
-
-def poly_sub(K: Field, f: Poly, g: Poly) -> Poly:
-    return poly_add(K, f, poly_neg(K, g))
-
-
 def poly_mul(K: Field, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -393,8 +389,8 @@ def parse_coeff(K: Field, s: str) -> int:
     s = s.strip()
     if s.startswith("["):
         cs = [int(t) for t in s[1:-1].split(",")] if s[1:-1].strip() else []
-        if len(cs) > K.k:
-            raise ValueError(f"coordinate vector longer than k = {K.k}: {s!r}")
+        if len(cs) > K.k or any(not 0 <= c < K.p for c in cs):
+            raise ValueError(f"expected at most k = {K.k} coordinates in [0, {K.p}), not {s!r}")
         return K.from_coords(tuple(cs) + (0,) * (K.k - len(cs)))
     v = int(s)
     if not 0 <= v < K.q:
@@ -429,6 +425,7 @@ def parse_poly(K: Field, s: str) -> Poly:
         else:
             d = 1 if m.group("deg") is None else int(m.group("deg"))
         coeffs[d] = K.add(coeffs.get(d, 0), c)
+    check_guard(max(coeffs), DEGREE_GUARD, "polynomial degree")
     out = [0] * (max(coeffs) + 1)
     for d, c in coeffs.items():
         out[d] = c

@@ -10,7 +10,7 @@ column sums both equal mu.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from hecke.gf import (
     Field,
@@ -280,30 +280,27 @@ def degree_matrices(mu: tuple):
     yield from rec(0, tuple(mu))
 
 
-def enumerate_m_mu(K: Field, mu: tuple) -> list:
-    """All of M_mu, ordered by degree matrix then entrywise by polynomial."""
-    out = []
+def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
+    """Stream M_mu, ordered by degree matrix then entrywise by polynomial."""
+    l = len(mu)
     for d in degree_matrices(mu):
-        l = len(mu)
         per_entry = [enumerate_monic_units(K, d[i][j]) for i in range(l) for j in range(l)]
         for flat in itertools.product(*per_entry):
             grid = tuple(tuple(flat[i * l + j] for j in range(l)) for i in range(l))
-            out.append(PolyMatrix(grid, tuple(mu)))
-    return out
+            yield PolyMatrix(grid, tuple(mu))
 
 
-def enumerate_n(K: Field, n: int) -> list:
-    """All monomial matrices, in (permutation, entries) lexicographic order."""
-    return [
-        MonomialMatrix(perm, entries)
-        for perm in itertools.permutations(range(n))
-        for entries in itertools.product(K.units(), repeat=n)
-    ]
+def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
+    """Stream all monomial matrices, in (permutation, entries) lexicographic order."""
+    for perm in itertools.permutations(range(n)):
+        for entries in itertools.product(K.units(), repeat=n):
+            yield MonomialMatrix(perm, entries)
 
 
-def enumerate_n_mu(K: Field, mu: tuple) -> list:
-    """The basis index set N_mu in the canonical order inherited from M_mu."""
-    return [v_of_matrix(K, a) for a in enumerate_m_mu(K, mu)]
+def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
+    """Stream the basis index set N_mu in the canonical order inherited from M_mu."""
+    for a in enumerate_m_mu(K, mu):
+        yield v_of_matrix(K, a)
 
 
 def bijection_check(K: Field, mu: tuple) -> dict:

@@ -171,9 +171,6 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyclotomic({self.p}, {[str(c) for c in self.coords]})"
 
-    def to_obj(self) -> list:
-        return [str(c) for c in self.coords]
-
 
 # -- matrices over F_q ---------------------------------------------------------
 
@@ -275,11 +272,6 @@ def enumerate_gl(K: Field, n: int) -> list:
 
 
 # -- the character psi_mu and the idempotent e_mu -------------------------------
-
-
-def psi(K: Field, t: int) -> Cyclotomic:
-    """The fixed nontrivial additive character: zeta_p ** trace(t)."""
-    return Cyclotomic.root_power(K.p, K.trace(t))
 
 
 def psi_mu_eval(K: Field, u: tuple, mu: tuple) -> Cyclotomic:
@@ -421,22 +413,6 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     return StructureConstants(basis, table)
 
 
-def structure_constants_to_obj(K: Field, sc: StructureConstants) -> list:
-    out = []
-    for (i, j), terms in sorted(sc.table.items()):
-        out.append(
-            {
-                "u": monomial_to_obj(K, sc.basis[i]),
-                "v": monomial_to_obj(K, sc.basis[j]),
-                "terms": [
-                    {"w": monomial_to_obj(K, sc.basis[k]), "coeff": c.to_obj()}
-                    for k, c in terms
-                ],
-            }
-        )
-    return out
-
-
 def basis_check(K: Field, mu: tuple) -> dict:
     """T_v != 0 exactly on N_mu, e_mu is idempotent, and the nonzero count
     matches |N_mu| (the dimension of e_mu CG e_mu)."""
@@ -453,7 +429,7 @@ def basis_check(K: Field, mu: tuple) -> dict:
             nonzero += 1
         if expected != actual:
             mismatches.append(monomial_to_obj(K, v))
-    n_mu_size = len(enumerate_m_mu(K, mu))
+    n_mu_size = sum(1 for _ in enumerate_m_mu(K, mu))
     report = {
         "check": "basis",
         "n": n,
@@ -472,7 +448,7 @@ def basis_check(K: Field, mu: tuple) -> dict:
 def commutativity_check(K: Field, n: int) -> dict:
     """T_u T_v = T_v T_u for the one-part composition (Gelfand-Graev case)."""
     mu = (n,)
-    basis = enumerate_n_mu(K, mu)
+    basis = list(enumerate_n_mu(K, mu))
     elems = [t_v(K, v, mu) for v in basis]
     counterexample = None
     for i in range(len(basis)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from typing import Iterator
 
 from hecke.gf import (
     Field,
@@ -215,15 +216,13 @@ def _bounded_weights(total, bounds):
             yield (first,) + rest
 
 
-def enumerate_pairs(K: Field, mu: tuple) -> list:
-    """All pairs of label families with equal shape per label and
+def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
+    """Stream all pairs of label families with equal shape per label and
     degree-weighted weight mu on both sides; the certified codomain of the
     generalized correspondence."""
-    pairs = []
     for shape in enumerate_phi_shapes(K, sum(mu)):
         fillings = enumerate_phi_fillings(shape, mu)
-        pairs.extend(itertools.product(fillings, fillings))
-    return pairs
+        yield from itertools.product(fillings, fillings)
 
 
 def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
@@ -239,7 +238,7 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
         weights_ok = weights_ok and family_weight(p) == mu == family_weight(q)
         image.append((p, q))
     injective = len(set(image)) == len(image)
-    codomain = enumerate_pairs(K, mu)
+    codomain = list(enumerate_pairs(K, mu))
     onto = set(image) == set(codomain)
     return {
         "check": "rsk_bijectivity",

@@ -22,11 +22,6 @@ def is_partition(nu) -> bool:
     return is_composition(nu) and all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1))
 
 
-def size(shape) -> int:
-    outer, inner = _split_shape(shape)
-    return sum(outer) - sum(inner)
-
-
 def conjugate(nu: Partition) -> Partition:
     """Transpose of the diagram: nu'_i = #{j : nu_j >= i}."""
     if not nu:

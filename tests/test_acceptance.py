@@ -101,7 +101,7 @@ def test_criterion_4_bijection_suite():
     cases = 0
     for K in (F2, F3):
         for n in range(1, 5):
-            all_n = enumerate_n(K, n)
+            all_n = list(enumerate_n(K, n))
             for mu in compositions_of(n):
                 image = []
                 for a in enumerate_m_mu(K, mu):

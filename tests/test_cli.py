@@ -1,6 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
-from hecke.cli import main
+import pytest
+
+from hecke.cli import build_parser, main
+from hecke.gf import DEGREE_GUARD
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +77,35 @@ def test_enum_missing_mu_exits_2(capsys):
     code, _, err = run_cli(capsys, "enum", "m_mu", "--p", "2")
     assert code == 2
     assert "mu" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "basis", "--p", "2", "--mu", "2", "--n", "3"),
+        ("enum", "m_mu", "--p", "2", "--mu", "1", "--seed", "1"),
+        ("verify", "dim_identity", "--p", "2", "--mu", "2", "--format", "tsv"),
+    ],
+    ids=["verify_basis_n", "enum_seed", "verify_format"],
+)
+def test_flag_the_command_does_not_read_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hecke ")]
+    assert len(lines) >= 16
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 # -- map ----------------------------------------------------------------------
@@ -164,6 +198,16 @@ def test_map_v_to_a_string_entries_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_map_degree_guard_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"mu": [1], "entries": [[f"1+X^{DEGREE_GUARD + 1}"]]}))
+    code, out, err = run_cli(capsys, "map", "a_to_v", "--p", "2", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert "polynomial degree" in err
+
+
 def test_map_a_to_v_integer_entries_exits_2(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"mu": [1], "entries": [[5]]}))
@@ -189,6 +233,14 @@ def test_verify_commutativity(capsys):
     code, out, _ = run_cli(capsys, "verify", "commutativity", "--p", "2", "--n", "3")
     assert code == 0
     assert json.loads(out)["pass"]
+
+
+def test_verify_commutativity_rank_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "commutativity", "--p", "2", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "positive integer" in err
+    assert "required" not in err
 
 
 def test_verify_bijection(capsys):
@@ -274,6 +326,16 @@ def test_verify_pieri_no_variables_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "variables" in err
+
+
+def test_verify_pieri_add_needs_nu(capsys):
+    code, out, err = run_cli(capsys, *pieri_args("--add", "7", "--vars", "5"))
+    assert code == 2
+    assert out == ""
+    assert "--add needs --nu" in err
+    code, out, _ = run_cli(capsys, *pieri_args("--nu", "2,1", "--vars", "4"))
+    assert code == 0
+    assert json.loads(out)["n"] == 1
 
 
 def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from hecke.gf import (
+    DEGREE_GUARD,
     enumerate_irreducibles,
     enumerate_monic,
     enumerate_monic_units,
@@ -19,6 +20,7 @@ from hecke.gf import (
     poly_pow,
     poly_scale,
 )
+from hecke.guards import GuardExceeded
 
 F2 = field_build(2)
 F3 = field_build(3)
@@ -268,3 +270,16 @@ def test_parse_rejects_garbage():
         parse_poly(F2, "1+Y^2")
     with pytest.raises(ValueError):
         parse_poly(F2, "5*X")
+
+
+@pytest.mark.parametrize("text", ["[1,5]+X", "[1,-1]+X"], ids=["above_p", "negative"])
+def test_parse_rejects_coordinate_outside_prime_field(text):
+    with pytest.raises(ValueError, match="coordinates"):
+        parse_poly(F4, text)
+
+
+def test_parse_guards_degree(monkeypatch):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    assert len(parse_poly(F2, f"1+X^{DEGREE_GUARD}")) == DEGREE_GUARD + 1
+    with pytest.raises(GuardExceeded, match="polynomial degree"):
+        parse_poly(F2, f"1+X^{DEGREE_GUARD + 1}")

@@ -1,5 +1,6 @@
 import pytest
 
+from hecke import hecke_index
 from hecke.gf import field_build, poly_mul
 from hecke.hecke_index import (
     MembershipError,
@@ -143,10 +144,10 @@ def test_degree_matrices_small():
 
 
 def test_enumerate_m_mu_examples():
-    assert len(enumerate_m_mu(F2, (1, 1))) == 2
+    assert len(list(enumerate_m_mu(F2, (1, 1)))) == 2
     for q, K in [(2, F2), (3, F3)]:
         for n in range(1, 4):
-            assert len(enumerate_m_mu(K, (n,))) == (q - 1) * q ** (n - 1)
+            assert len(list(enumerate_m_mu(K, (n,)))) == (q - 1) * q ** (n - 1)
 
 
 def test_n_enumeration_size():
@@ -154,7 +155,7 @@ def test_n_enumeration_size():
         for n in range(1, 4):
             import math
 
-            assert len(enumerate_n(K, n)) == math.factorial(n) * (q - 1) ** n
+            assert len(list(enumerate_n(K, n))) == math.factorial(n) * (q - 1) ** n
 
 
 def test_yokonuma_case_accepts_everything():
@@ -171,7 +172,7 @@ def test_yokonuma_case_accepts_everything():
 def test_pinning_invariants(K, nmax):
     """Membership, roundtrip, and surjectivity of a -> v_a at small rank."""
     for n in range(1, nmax + 1):
-        all_n = enumerate_n(K, n)
+        all_n = list(enumerate_n(K, n))
         for mu in compositions_of(n):
             image = []
             for a in enumerate_m_mu(K, mu):
@@ -200,8 +201,21 @@ def test_gelfand_graev_count():
 
 
 def test_canonical_n_mu_matches_filter():
-    vs = enumerate_n_mu(F2, (2, 1))
+    vs = list(enumerate_n_mu(F2, (2, 1)))
     assert len(vs) == len(set(vs)) == 3
+
+
+def test_enumerate_n_mu_streams(monkeypatch):
+    calls = []
+
+    def counting_v_of_matrix(K, a):
+        calls.append(a)
+        return v_of_matrix(K, a)
+
+    monkeypatch.setattr(hecke_index, "v_of_matrix", counting_v_of_matrix)
+    first = next(enumerate_n_mu(F2, (2, 1)))
+    assert len(calls) == 1
+    assert first == v_of_matrix(F2, calls[0])
 
 
 # -- serialization ---------------------------------------------------------------
@@ -211,7 +225,7 @@ def test_monomial_serialization_roundtrip():
     for v in enumerate_n(F3, 2):
         obj = monomial_to_obj(F3, v)
         assert monomial_from_obj(F3, obj) == v
-    v = enumerate_n(F3, 2)[3]
+    v = list(enumerate_n(F3, 2))[3]
     assert set(monomial_to_obj(F3, v)) == {"perm", "entries"}
 
 

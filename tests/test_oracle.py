@@ -24,7 +24,6 @@ from hecke.oracle import (
     mat_mul,
     psi_mu_eval,
     structure_constants,
-    structure_constants_to_obj,
     t_v,
 )
 from hecke.shapes import compositions_of
@@ -259,13 +258,6 @@ def test_structure_constants_symmetric_for_gelfand_graev():
     for i, j in itertools.product(range(len(sc.basis)), repeat=2):
         assert sc.table[(i, j)] == sc.table[(j, i)]
     assert_table_associative(F2, sc)
-
-
-def test_structure_constants_serialization():
-    sc = structure_constants(F2, (1, 1))
-    obj = structure_constants_to_obj(F2, sc)
-    assert len(obj) == 4
-    assert all(set(rec) == {"u", "v", "terms"} for rec in obj)
 
 
 # -- top-level checks ----------------------------------------------------------------

@@ -202,11 +202,11 @@ def test_rsk_generalized_single_cell():
 
 
 def test_enumerate_pairs_examples():
-    assert len(enumerate_pairs(F2, (1,))) == 1
+    assert len(list(enumerate_pairs(F2, (1,)))) == 1
     ((p, q),) = enumerate_pairs(F2, (1,))
     assert p == q == (((1, 1), ((1,),)),)
-    assert len(enumerate_pairs(F3, (1,))) == 2
-    assert len(enumerate_pairs(F2, (1, 1))) == 2
+    assert len(list(enumerate_pairs(F3, (1,)))) == 2
+    assert len(list(enumerate_pairs(F2, (1, 1)))) == 2
 
 
 def test_phi_shapes_small():
@@ -234,7 +234,7 @@ def test_generalized_rsk_bijectivity_small(K):
         for mu in compositions_of(n):
             image = [rsk_generalized(K, a) for a in enumerate_m_mu(K, mu)]
             assert len(set(image)) == len(image)
-            codomain = enumerate_pairs(K, mu)
+            codomain = list(enumerate_pairs(K, mu))
             assert len(set(codomain)) == len(codomain)
             assert set(image) == set(codomain)
 
