@@ -57,7 +57,8 @@ def _positive(text: str) -> int:
 
 
 def _field(args) -> Field:
-    return Field(args.p, args.k)
+    # `map rsk` declares no --k: it builds F_p only to check --p.
+    return Field(args.p, getattr(args, "k", 1))
 
 
 class _Writer:
@@ -97,14 +98,20 @@ class _Writer:
 
 
 ENUMS = {  # kind -> (flags it reads, driver returning a stream of records)
-    "n_mu": (("--mu",), lambda K, a: (monomial_to_obj(K, v) for v in enumerate_n_mu(K, a.mu))),
-    "m_mu": (("--mu",), lambda K, a: (polymatrix_to_obj(K, m) for m in enumerate_m_mu(K, a.mu))),
+    "n_mu": (
+        ("--k", "--mu"),
+        lambda K, a: (monomial_to_obj(K, v) for v in enumerate_n_mu(K, a.mu)),
+    ),
+    "m_mu": (
+        ("--k", "--mu"),
+        lambda K, a: (polymatrix_to_obj(K, m) for m in enumerate_m_mu(K, a.mu)),
+    ),
     "irreducibles": (
-        ("--max-deg",),
+        ("--k", "--max-deg"),
         lambda K, a: ({"poly": format_poly(K, f)} for f in enumerate_irreducibles(K, a.max_deg)),
     ),
     "pairs": (
-        ("--mu",),
+        ("--k", "--mu"),
         lambda K, a: (rsk.pair_to_obj(K, pair) for pair in rsk.enumerate_pairs(K, a.mu)),
     ),
 }
@@ -162,10 +169,10 @@ def _rsk_general(K: Field, data, args) -> dict:
 
 
 MAPS = {  # direction -> (flags it reads, driver returning one record)
-    "a_to_v": ((), _a_to_v),
-    "v_to_a": (("--mu",), _v_to_a),
+    "a_to_v": (("--k",), _a_to_v),
+    "v_to_a": (("--k", "--mu"), _v_to_a),
     "rsk": ((), _rsk),  # ignores K, but --p is still required and checked
-    "rsk_general": ((), _rsk_general),
+    "rsk_general": (("--k",), _rsk_general),
 }
 
 
@@ -200,14 +207,14 @@ def _verify_pieri(args) -> dict:
 
 
 CHECKS = {  # check -> (flags it reads, driver returning the report)
-    "bijection": (("--mu",), lambda args: bijection_check(_field(args), args.mu)),
-    "dim_identity": (("--mu",), lambda args: decomp.dim_identity_check(_field(args), args.mu)),
-    "rsk_bijectivity": (("--mu",), lambda args: rsk.rsk_bijectivity_check(_field(args), args.mu)),
-    "basis": (("--mu",), lambda args: oracle.basis_check(_field(args), args.mu)),
-    "commutativity": (("--n",), lambda args: oracle.commutativity_check(_field(args), args.n)),
-    "levi": (("--mu",), lambda args: oracle.levi_embedding_check(_field(args), args.mu)),
-    "cosets": (("--n",), lambda args: oracle.coset_check(_field(args), args.n)),
-    # Builds no field; --p and --k are accepted and ignored.
+    "bijection": (("--k", "--mu"), lambda a: bijection_check(_field(a), a.mu)),
+    "dim_identity": (("--k", "--mu"), lambda a: decomp.dim_identity_check(_field(a), a.mu)),
+    "rsk_bijectivity": (("--k", "--mu"), lambda a: rsk.rsk_bijectivity_check(_field(a), a.mu)),
+    "basis": (("--k", "--mu"), lambda a: oracle.basis_check(_field(a), a.mu)),
+    "commutativity": (("--k", "--n"), lambda a: oracle.commutativity_check(_field(a), a.n)),
+    "levi": (("--k", "--mu"), lambda a: oracle.levi_embedding_check(_field(a), a.mu)),
+    "cosets": (("--k", "--n"), lambda a: oracle.coset_check(_field(a), a.n)),
+    # Builds no field; --p is accepted and ignored.
     "pieri": (("--nu", "--add", "--vars"), _verify_pieri),
 }
 
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         for job, (flags, driver) in jobs.items():
             job_parser = job_parsers.add_parser(job)
-            for flag in ("--p", "--k", *flags, *shared, "--output"):
+            for flag in ("--p", *flags, *shared, "--output"):
                 job_parser.add_argument(flag, **FLAGS[flag])
             job_parser.set_defaults(func=handler, driver=driver)
     return parser

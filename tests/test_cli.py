@@ -85,8 +85,10 @@ def test_enum_missing_mu_exits_2(capsys):
         ("verify", "basis", "--p", "2", "--mu", "2", "--n", "3"),
         ("enum", "m_mu", "--p", "2", "--mu", "1", "--seed", "1"),
         ("verify", "dim_identity", "--p", "2", "--mu", "2", "--format", "tsv"),
+        ("verify", "pieri", "--p", "2", "--k", "2"),
+        ("map", "rsk", "--p", "2", "--k", "2"),
     ],
-    ids=["verify_basis_n", "enum_seed", "verify_format"],
+    ids=["verify_basis_n", "enum_seed", "verify_format", "verify_pieri_k", "map_rsk_k"],
 )
 def test_flag_the_command_does_not_read_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
