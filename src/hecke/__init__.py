@@ -7,6 +7,6 @@ its generalization (rsk), multiplicity combinatorics (decomp), and an exact
 group-algebra verification oracle (oracle).
 """
 
-from hecke.gf import Field, field_build
+from hecke.gf import Field
 
-__all__ = ["Field", "field_build"]
+__all__ = ["Field"]

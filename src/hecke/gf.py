@@ -13,6 +13,7 @@ trailing zeros.  The zero polynomial is the empty tuple and has degree -1.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ Poly = tuple  # tuple of element codes, lowest degree first
 ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
 
 DEGREE_GUARD = 100_000  # largest degree parse_poly accepts
+
+FIELD_GUARD = 1024  # largest q a Field builds tables for
 
 
 def is_prime(n: int) -> bool:
@@ -56,30 +59,25 @@ def _fp_poly_mulmod(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
 class Field:
     """The finite field F_q, q = p**k, with precomputed operation tables.
 
-    For k > 1 the defining modulus must be a monic irreducible of degree k
-    over F_p; ``field_build`` chooses one canonically.  Desk scale only:
-    tables are q-by-q.
+    For k > 1 the modulus is canonical: the lexicographically smallest monic
+    irreducible of degree k over F_p (coefficient tuples compared low degree
+    first).  Desk scale only: tables are q-by-q, so q is guarded.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: Poly | None = None):
-        if not is_prime(p):
+    def __init__(self, p: int, k: int = 1):
+        if p < 2:
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError(f"k = {k} must be positive")
+        # p**k has at most k * p.bit_length() bits: do not form a huge one.
+        q = p**k if k * p.bit_length() <= 4096 else math.inf
+        check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.k = k
-        self.q = p**k
-        if k == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = _smallest_irreducible(p, k)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not is_irreducible(Field(p), modulus):
-                raise ValueError("modulus is not irreducible over F_p")
-            self.modulus = modulus
+        self.q = q
+        self.modulus = None if k == 1 else _smallest_irreducible(p, k)
         self._build_tables()
 
     def _build_tables(self):
@@ -103,13 +101,7 @@ class Field:
                 for a in range(q)
             ]
         self._neg = tuple(self.from_coords(tuple((-x) % p for x in coords[a])) for a in range(q))
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = tuple(inv)
+        self._inv = (0,) + tuple(self.pow(a, q - 2) for a in range(1, q))
         # Tr(x) = x + x^p + ... + x^(p^(k-1)) lies in the prime subfield.
         trace = []
         for a in range(q):
@@ -188,13 +180,6 @@ class Field:
         if self.k == 1:
             return f"Field({self.p})"
         return f"Field({self.p}, {self.k})"
-
-
-def field_build(p: int, k: int = 1) -> Field:
-    """F_{p**k} with the canonical modulus: the lexicographically smallest
-    monic irreducible of degree k over F_p (coefficient tuples compared
-    low degree first)."""
-    return Field(p, k)
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple:
@@ -343,8 +328,10 @@ def factorize(K: Field, f: Poly) -> tuple:
     """Complete factorization f = unit * prod(g**m) into monic irreducibles.
 
     Returns (unit, factors) with factors a tuple of (g, multiplicity) pairs
-    in canonical order.  Trial division against the enumerated irreducibles;
-    fine for desk-scale degrees.
+    in canonical order.  Trial division by the irreducibles g in canonical
+    order stops once 2*deg(g) exceeds the degree of what remains: that
+    cofactor has no factor of degree <= half its own, so it is irreducible
+    (or 1), and it sorts after every g tried.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
@@ -352,8 +339,8 @@ def factorize(K: Field, f: Poly) -> tuple:
     if unit != 1:
         f = poly_scale(K, K.inv(unit), f)
     factors = []
-    for g in _irreducibles_through(K, poly_deg(f)):
-        if poly_deg(f) < 1:
+    for g in _irreducibles_through(K, poly_deg(f) // 2):
+        if 2 * poly_deg(g) > poly_deg(f):
             break
         m = 0
         while True:
@@ -363,7 +350,8 @@ def factorize(K: Field, f: Poly) -> tuple:
             f, m = quot, m + 1
         if m:
             factors.append((g, m))
-    assert f == (1,), "trial division left a nontrivial cofactor"
+    if poly_deg(f) >= 1:
+        factors.append((f, 1))
     return unit, tuple(factors)
 
 

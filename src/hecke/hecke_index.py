@@ -46,11 +46,6 @@ class PolyMatrix(NamedTuple):
         return tuple(tuple(poly_deg(f) for f in row) for row in self.entries)
 
 
-def reversal_perm(k: int) -> tuple:
-    """The permutation of the reversal matrix w_(k): column j hits row k-1-j."""
-    return tuple(k - 1 - j for j in range(k))
-
-
 def monomial_identity(n: int) -> MonomialMatrix:
     return MonomialMatrix(tuple(range(n)), (1,) * n)
 

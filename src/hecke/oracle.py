@@ -78,13 +78,6 @@ class Cyclotomic:
         self._check(other)
         return Cyclotomic(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.p, tuple(-a for a in self.coords))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.p, tuple(a * other for a in self.coords))
@@ -112,48 +105,6 @@ class Cyclotomic:
         return Cyclotomic(p, out)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Inverse via the extended Euclidean algorithm against the minimal
-        polynomial 1 + x + ... + x^(p-1) over Q."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        a = list(self.coords)
-        m = [Fraction(1)] * self.p
-        # xgcd over Q[x]: s*a + t*m = g, with g a nonzero constant.
-        r0, r1 = m, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(f):
-            d = len(f) - 1
-            while d >= 0 and f[d] == 0:
-                d -= 1
-            return d
-
-        def sub_scaled(f, g, c, shift):
-            out = list(f) + [Fraction(0)] * max(0, deg(g) + shift + 1 - len(f))
-            for i in range(deg(g) + 1):
-                out[i + shift] -= c * g[i]
-            return out
-
-        while deg(r1) > 0:
-            while deg(r0) >= deg(r1):
-                c = r0[deg(r0)] / r1[deg(r1)]
-                shift = deg(r0) - deg(r1)
-                r0 = sub_scaled(r0, r1, c, shift)
-                s0 = sub_scaled(s0, s1, c, shift)
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        g = r1[deg(r1)]
-        inv_coords = [c / g for c in s1]
-        inv_coords += [Fraction(0)] * (self.p - 1 - len(inv_coords))
-        result = Cyclotomic(self.p, inv_coords[: self.p - 1])
-        assert result * self == Cyclotomic.one(self.p)
-        return result
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
 
     def __eq__(self, other):
         return (
@@ -299,10 +250,6 @@ class AlgebraElement:
         self.terms = {g: c for g, c in terms.items() if c}
 
     @classmethod
-    def zero(cls, K: Field, n: int) -> "AlgebraElement":
-        return cls(K, n, {})
-
-    @classmethod
     def delta(cls, K: Field, g: tuple) -> "AlgebraElement":
         return cls(K, len(g), {g: Cyclotomic.one(K.p)})
 
@@ -384,16 +331,17 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     """Exact expansion T_u T_v = sum c_uv^w T_w over the N_mu basis.
 
     Coefficients are read off at each monomial matrix w (the supports of
-    distinct T_w lie in distinct double cosets) and the residual after
-    subtracting the expansion must vanish identically.
+    distinct T_w lie in distinct double cosets) and divided by T_w's own
+    coefficient at w, which is the positive rational |U ∩ wUw^-1| / |U|^2;
+    the residual after subtracting the expansion must vanish identically.
     """
     mu = tuple(mu)
     basis = tuple(enumerate_n_mu(K, mu))
     elems = [t_v(K, v, mu) for v in basis]
     mats = [monomial_to_matrix(K, v) for v in basis]
-    diag = [el.coeff(m) for el, m in zip(elems, mats)]
-    if not all(diag):
-        raise RuntimeError("a basis element vanishes at its own representative")
+    diag = [el.coeff(m).coords for el, m in zip(elems, mats)]
+    if not all(d[0] > 0 and not any(d[1:]) for d in diag):
+        raise RuntimeError("a basis element is not a positive rational at its representative")
     table = {}
     for i, j in itertools.product(range(len(basis)), repeat=2):
         prod = elems[i] * elems[j]
@@ -402,7 +350,7 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
         for k in range(len(basis)):
             c = prod.coeff(mats[k])
             if c:
-                c = c * diag[k].inverse()
+                c = c * (1 / diag[k][0])
                 expansion.append((k, c))
                 residual = residual - c * elems[k]
         if residual:
@@ -496,24 +444,22 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
         return index_of[v_of_matrix(K, PolyMatrix(grid, mu))]
 
     tensors = list(itertools.product(*[range(s) for s in factor_sizes]))
-    images = [embed(t) for t in tensors]
-    injective = len(set(images)) == len(images)
+    image_of = {t: embed(t) for t in tensors}
+    image_dim = len(set(image_of.values()))
+    injective = image_dim == len(tensors)
     counterexample = None
-    for xi, x in enumerate(tensors):
-        for yi, y in enumerate(tensors):
-            lhs = dict(full_sc.table[(images[xi], images[yi])])
+    for x in tensors:
+        for y in tensors:
+            lhs = dict(full_sc.table[(image_of[x], image_of[y])])
             rhs: dict = {}
-            for h in itertools.product(*[range(s) for s in factor_sizes]):
+            # One term of T_x T_y per choice of a term from each factor's expansion.
+            expansions = [sc.table[xy] for sc, xy in zip(factor_sc, zip(x, y))]
+            for terms in itertools.product(*expansions):
                 c = Cyclotomic.one(K.p)
-                for t in range(len(mu)):
-                    terms = dict(factor_sc[t].table[(x[t], y[t])])
-                    ct = terms.get(h[t])
-                    if ct is None:
-                        c = None
-                        break
+                for _, ct in terms:
                     c = c * ct
-                if c is not None and c:
-                    rhs[embed(h)] = c
+                if c:
+                    rhs[image_of[tuple(h for h, _ in terms)]] = c
             if {k: c for k, c in lhs.items() if c} != rhs:
                 counterexample = {
                     "x": [monomial_to_obj(K, factor_sc[t].basis[x[t]]) for t in range(len(mu))],
@@ -528,7 +474,7 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
         "q": K.q,
         "mu": list(mu),
         "tensor_dim": len(tensors),
-        "image_dim": len(set(images)),
+        "image_dim": image_dim,
         "injective": injective,
         "pass": injective and counterexample is None,
     }

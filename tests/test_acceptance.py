@@ -8,7 +8,7 @@ import itertools
 import time
 
 from hecke.decomp import dim_identity_check, h_hat, pieri_check, schur_jacobi_trudi, weight_space_dims
-from hecke.gf import field_build
+from hecke.gf import Field
 from hecke.hecke_index import (
     PolyMatrix,
     bijection_check,
@@ -35,9 +35,9 @@ from hecke.rsk import (
 )
 from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
 
-F2 = field_build(2)
-F3 = field_build(3)
-F5 = field_build(5)
+F2 = Field(2)
+F3 = Field(3)
+F5 = Field(5)
 
 
 def report(number, elapsed, limit, detail):

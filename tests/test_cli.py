@@ -277,6 +277,25 @@ def test_verify_guard_exits_3(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "field", [("--p", "2003"), ("--p", "2", "--k", "1000000000")], ids=["p2003", "k1e9"]
+)
+def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
+    from hecke import gf
+
+    def refuse(*args):
+        raise AssertionError("the field was tested or built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("is_prime", "_smallest_irreducible"):
+        monkeypatch.setattr(gf, name, refuse)
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    code, out, err = run_cli(capsys, "enum", "irreducibles", *field, "--max-deg", "1")
+    assert code == 3
+    assert out == ""
+    assert "field size" in err
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "out.jsonl"
     code, out, _ = run_cli(

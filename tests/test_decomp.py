@@ -10,13 +10,13 @@ from hecke.decomp import (
     shape_height,
     weight_space_dims,
 )
-from hecke.gf import field_build
+from hecke.gf import Field
 from hecke.guards import GuardExceeded
 from hecke.rsk import enumerate_pairs, family_shape
 from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
 
-F2 = field_build(2)
-F3 = field_build(3)
+F2 = Field(2)
+F3 = Field(3)
 
 X1 = (1, 1)  # X + 1 over F_2
 QUAD = (1, 1, 1)  # X^2 + X + 1 over F_2
@@ -92,7 +92,7 @@ def test_dim_identity_guard():
     with pytest.raises(GuardExceeded):
         dim_identity_check(F2, (6,))
     with pytest.raises(GuardExceeded):
-        dim_identity_check(field_build(5), (2,))
+        dim_identity_check(Field(5), (2,))
 
 
 # -- Levi weight spaces --------------------------------------------------------------

@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
+from hecke import gf
 from hecke.gf import (
     DEGREE_GUARD,
+    Field,
     enumerate_irreducibles,
     enumerate_monic,
     enumerate_monic_units,
     factorize,
-    field_build,
+    is_irreducible,
     format_poly,
     is_monic,
     parse_poly,
@@ -16,17 +18,18 @@ from hecke.gf import (
     poly_deg,
     poly_divrem,
     poly_eval,
+    poly_key,
     poly_mul,
     poly_pow,
     poly_scale,
 )
 from hecke.guards import GuardExceeded
 
-F2 = field_build(2)
-F3 = field_build(3)
-F4 = field_build(2, 2)
+F2 = Field(2)
+F3 = Field(3)
+F4 = Field(2, 2)
 
-SMALL_FIELDS = [F2, F3, F4, field_build(5), field_build(7), field_build(2, 3), field_build(3, 2)]
+SMALL_FIELDS = [F2, F3, F4, Field(5), Field(7), Field(2, 3), Field(3, 2)]
 
 
 def brute_has_proper_factor(K, f):
@@ -57,7 +60,7 @@ def test_field_build_f4_modulus():
 def test_field_build_f9_modulus():
     # Trial enumeration low-degree-first: X^2, X^2+X, X^2+2X are reducible,
     # X^2+1 is not (-1 is a non-square mod 3).
-    F9 = field_build(3, 2)
+    F9 = Field(3, 2)
     assert F9.modulus == (1, 0, 1)
     assert not brute_has_proper_factor(F3, (1, 0, 1))
     for low in [(0, 0), (0, 1), (0, 2)]:
@@ -66,9 +69,9 @@ def test_field_build_f9_modulus():
 
 def test_field_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        field_build(4)
+        Field(4)
     with pytest.raises(ValueError):
-        field_build(2, 0)
+        Field(2, 0)
 
 
 # -- field arithmetic ---------------------------------------------------------
@@ -198,6 +201,31 @@ def test_factorize_recombines_all_monic_units(K, nmax):
                 assert g in enumerate_irreducibles(K, max(poly_deg(f), 1))
                 prod = poly_mul(K, prod, poly_pow(K, g, m))
             assert prod == f
+            labels = [g for g, _ in factors]
+            assert labels == sorted(set(labels), key=poly_key)
+
+
+def test_factorize_trial_divides_through_half_the_degree(monkeypatch):
+    F31 = Field(31)
+    cubic = next(f for f in enumerate_monic_units(F31, 3) if is_irreducible(F31, f))
+    cases = [(1, 1, 1), cubic, poly_mul(F31, cubic, (2, 1)), poly_mul(F31, cubic, cubic)]
+    asked = []
+    original = gf._irreducibles_through
+
+    def recording(K, max_degree):
+        asked.append(max_degree)
+        return original(K, max_degree)
+
+    monkeypatch.setattr(gf, "_irreducibles_through", recording)
+    for f in cases:
+        asked.clear()
+        unit, factors = factorize(F31, f)
+        assert max(asked) <= poly_deg(f) // 2
+        prod = (unit,)
+        for g, m in factors:
+            prod = poly_mul(F31, prod, poly_pow(F31, g, m))
+        assert prod == f
+    assert factorize(F31, cubic)[1] == ((cubic, 1),)
 
 
 # -- enumerations -------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hecke.gf import field_build, poly_mul
+from hecke.gf import Field, poly_mul
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.rsk import (
     enumerate_pairs,
@@ -20,8 +20,8 @@ from hecke.rsk import (
 )
 from hecke.shapes import compositions_of, cst_check, cst_weight
 
-F2 = field_build(2)
-F3 = field_build(3)
+F2 = Field(2)
+F3 = Field(3)
 
 PAPER_B = ((1, 1, 0), (0, 0, 2), (0, 1, 0))
 
