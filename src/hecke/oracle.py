@@ -1,15 +1,29 @@
-"""Exact brute-force verification in the group algebra of GL_n(F_q).
+"""Exact verification in the group algebra of GL_n(F_q).
 
-Coefficients live in Q(zeta_p), represented on the power basis
-1, zeta, ..., zeta^(p-2) with Fraction coordinates, so every check is an
-exact equality.  Group elements are tuples of row tuples of field codes.
-All computations are desk-scale and guarded: |U| <= 4096 and |G| <= 200000
-by default (see hecke.guards).
+Coefficients live in Q(zeta_p): `Cyclotomic` values with Fraction
+coordinates on the power basis 1, zeta, ..., zeta^(p-2), so every check is
+an exact equality.  Inner loops count in integers instead: p counts, one
+per p-th root of unity, over one denominator; such a vector is zero exactly
+when all its counts are equal.  Group elements are tuples of row tuples.
+
+`AlgebraElement.__mul__` is the brute-force convolution that `basis_check`
+runs.  `structure_constants` forms no group-algebra element: e_mu x =
+x e_mu = psi(x) e_mu for x in U, so from the Bruhat decomposition
+u y v = x_y w_y z_y (Gaussian elimination, O(n^3)),
+T_u T_v = |U|^-1 sum_{y in U} psi(y)^-1 psi(x_y) psi(z_y) T_{w_y}, where
+T_w = 0 for w outside N_mu; the commutativity and Levi checks read its
+tables.  The tests compare the two paths wherever both reach.
+
+Guards (hecke.guards) refuse before e_mu, U or G is built: |U| <= 4096,
+|GL_n(F_q)| <= 200000, (|N| + 1) |U|^2 <= 10^6 group products in
+`basis_check`, and sum |N_mu|^2 |U| <= 10^6 eliminations over the tables
+a check builds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -19,6 +33,7 @@ from hecke.guards import check_guard
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
+    degree_matrices,
     enumerate_m_mu,
     enumerate_n,
     enumerate_n_mu,
@@ -30,6 +45,8 @@ from hecke.shapes import boundary_set
 
 U_GUARD = 4096
 G_GUARD = 200_000
+PRODUCT_GUARD = 1_000_000
+BRUHAT_GUARD = 1_000_000
 
 
 # -- exact cyclotomic rationals ------------------------------------------------
@@ -70,6 +87,24 @@ class Cyclotomic:
             return cls(p, tuple(Fraction(int(i == e)) for i in range(p - 1)))
         return cls(p, (Fraction(-1),) * (p - 1))
 
+    @classmethod
+    def from_counts(cls, p: int, counts, denom: int) -> "Cyclotomic":
+        """sum(counts[e] * zeta^e, e < p) / denom, for p integer counts."""
+        last = counts[p - 1]
+        return cls(p, tuple(Fraction(c - last, denom) for c in counts[:-1]))
+
+    def _denominator(self) -> int:
+        return math.lcm(*(c.denominator for c in self.coords))
+
+    def _sparse_counts(self, denom: int) -> tuple:
+        """self * denom as ((e, count), ...) over zeta^0, ..., zeta^(p-1),
+        for a denom that clears every denominator.  Adding one count to all
+        p roots changes nothing (their sum is 0), so the commonest count is
+        subtracted: zeta^(p-1) is one count, not p-1."""
+        counts = [c.numerator * (denom // c.denominator) for c in self.coords] + [0]
+        base = max(set(counts), key=counts.count)
+        return tuple((e, c - base) for e, c in enumerate(counts) if c != base)
+
     def _check(self, other: "Cyclotomic"):
         if self.p != other.p:
             raise ValueError("mixed cyclotomic orders")
@@ -85,24 +120,12 @@ class Cyclotomic:
             return NotImplemented
         self._check(other)
         p = self.p
-        conv = [Fraction(0)] * (2 * p - 3 if p > 2 else 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] += a * b
-        out = [Fraction(0)] * (p - 1)
-        carry = Fraction(0)
-        for e, c in enumerate(conv):
-            if c:
-                e %= p
-                if e == p - 1:
-                    carry += c
-                else:
-                    out[e] += c
-        if carry:
-            out = [c - carry for c in out]
-        return Cyclotomic(p, out)
+        denom_a, denom_b = self._denominator(), other._denominator()
+        counts = [0] * p
+        for e, x in self._sparse_counts(denom_a):
+            for f, y in other._sparse_counts(denom_b):
+                counts[(e + f) % p] += x * y
+        return Cyclotomic.from_counts(p, counts, denom_a * denom_b)
 
     __rmul__ = __mul__
 
@@ -191,6 +214,15 @@ def enumerate_u(K: Field, n: int) -> list:
     return out
 
 
+def _u_order(q: int, n: int) -> int:
+    """|U| = q^(n(n-1)/2), refused over the guard before U is enumerated
+    (and never formed when it is astronomically large)."""
+    e = n * (n - 1) // 2
+    size = q**e if e * q.bit_length() <= 4096 else math.inf
+    check_guard(size, U_GUARD, "|U|")
+    return size
+
+
 def gl_order(q: int, n: int) -> int:
     order = 1
     for i in range(n):
@@ -225,17 +257,19 @@ def enumerate_gl(K: Field, n: int) -> list:
 # -- the character psi_mu and the idempotent e_mu -------------------------------
 
 
+def _psi_columns(mu: tuple) -> frozenset:
+    """The columns j whose superdiagonal entry (j-1, j) psi_mu reads: the
+    rows j = 1..n-1 that are not partial sums of mu."""
+    boundary = set(boundary_set(mu))
+    return frozenset(j for j in range(1, sum(mu)) if j not in boundary)
+
+
 def psi_mu_eval(K: Field, u: tuple, mu: tuple) -> Cyclotomic:
     """psi_mu(u): the product of psi over the superdiagonal entries at rows
     not in the boundary set of mu."""
     if not is_unipotent_upper(u):
         raise ValueError("psi_mu is only defined on unipotent upper-triangular matrices")
-    n = len(u)
-    B = set(boundary_set(mu))
-    exponent = 0
-    for i in range(1, n):
-        if i not in B:
-            exponent += K.trace(u[i - 1][i])
+    exponent = sum(K.trace(u[j - 1][j]) for j in _psi_columns(mu))
     return Cyclotomic.root_power(K.p, exponent)
 
 
@@ -257,31 +291,36 @@ class AlgebraElement:
         if self.K != other.K or self.n != other.n:
             raise ValueError("mixed group algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms[g] + c if g in terms else c
-        return AlgebraElement(self.K, self.n, terms)
+    def _sparse_terms(self) -> tuple:
+        """(denom, [(g, sparse counts)]): every coefficient as integer counts
+        per root of unity over the one common denominator of all of them."""
+        denom = math.lcm(*(c._denominator() for c in self.terms.values()))
+        return denom, [(g, c._sparse_counts(denom)) for g, c in self.terms.items()]
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return AlgebraElement(self.K, self.n, {g: c * other for g, c in self.terms.items()})
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check(other)
-        terms: dict = {}
-        K = self.K
-        for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
+        K, p = self.K, self.K.p
+        denom_a, a = self._sparse_terms()
+        denom_b, b = other._sparse_terms()
+        acc: dict = {}  # g*h -> p integer counts over denom_a * denom_b
+        for g, cg in a:
+            for h, ch in b:
                 gh = mat_mul(K, g, h)
-                c = cg * ch
-                terms[gh] = terms[gh] + c if gh in terms else c
+                counts = acc.get(gh)
+                if counts is None:
+                    counts = acc[gh] = [0] * p
+                for e, x in cg:
+                    for f, y in ch:
+                        counts[(e + f) % p] += x * y
+        denom = denom_a * denom_b
+        terms = {
+            g: Cyclotomic.from_counts(p, counts, denom)
+            for g, counts in acc.items()
+            if len(set(counts)) > 1
+        }
         return AlgebraElement(K, self.n, terms)
-
-    def __rmul__(self, scalar):
-        return self * scalar
 
     def __eq__(self, other):
         return (
@@ -306,7 +345,7 @@ def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
     """The idempotent averaging psi_mu^(-1) over U."""
     if sum(mu) != n:
         raise ValueError(f"mu = {mu} is not a composition of {n}")
-    check_guard(K.q ** (n * (n - 1) // 2), U_GUARD, "|U|")
+    _u_order(K.q, n)
     U = enumerate_u(K, n)
     scale = Fraction(1, len(U))
     terms = {u: psi_mu_eval(K, mat_inv(K, u), mu) * scale for u in U}
@@ -317,6 +356,75 @@ def t_v(K: Field, v: MonomialMatrix, mu: tuple) -> AlgebraElement:
     """The double-coset element T_v = e_mu v e_mu; nonzero iff v is in N_mu."""
     e = e_mu(K, v.n, tuple(mu))
     return e * AlgebraElement.delta(K, monomial_to_matrix(K, v)) * e
+
+
+# -- Hecke products by the Bruhat decomposition ----------------------------------
+
+
+def _bruhat(K: Field, g) -> tuple:
+    """g = x w z with x, z in U and w monomial, by Gaussian elimination.
+
+    Column by column from the left, the lowest nonzero entry is the pivot:
+    adding multiples of its row to the rows above clears its column, then
+    adding multiples of its column to the columns on its right clears its
+    row.  Returns (x, w, z): w as a MonomialMatrix, x and z as lists of
+    factors (i, j, c), i < j, each the matrix 1 + c E_ij; x and z are the
+    products of their factors in list order.
+    """
+    n = len(g)
+    sub, mul, inv = K.sub, K.mul, K.inv
+    a = [list(row) for row in g]
+    x, z, perm, entries = [], [], [], []
+    for col in range(n):
+        r = next(i for i in reversed(range(n)) if a[i][col])
+        pivot_row = a[r]
+        s = inv(pivot_row[col])
+        for i in range(r):
+            row = a[i]
+            if row[col]:
+                c = mul(row[col], s)
+                for j in range(col + 1, n):
+                    if pivot_row[j]:
+                        row[j] = sub(row[j], mul(c, pivot_row[j]))
+                row[col] = 0
+                x.append((i, r, c))
+        for j in range(col + 1, n):
+            if pivot_row[j]:
+                z.append((col, j, mul(s, pivot_row[j])))
+                pivot_row[j] = 0
+        perm.append(r)
+        entries.append(pivot_row[col])
+    z.reverse()
+    return x, MonomialMatrix(tuple(perm), tuple(entries)), z
+
+
+def _sandwich(K: Field, u: MonomialMatrix, y: tuple, v: MonomialMatrix) -> list:
+    """u y v for monomial u and v: entry (u.perm[a], c) is
+    u.entries[a] * y[a][v.perm[c]] * v.entries[c]."""
+    mul = K.mul
+    rows = [None] * len(y)
+    for r, s, row in zip(u.perm, u.entries, y):
+        rows[r] = [mul(mul(s, row[b]), t) for b, t in zip(v.perm, v.entries)]
+    return rows
+
+
+def _n_mu_size(q: int, mu: tuple) -> int:
+    """|N_mu| = |M_mu| in closed form: over each degree matrix, the product
+    of the counts of monic degree-d polynomials with nonzero constant term."""
+    return sum(
+        math.prod((q - 1) * q ** (d - 1) for row in degrees for d in row if d)
+        for degrees in degree_matrices(mu)
+    )
+
+
+def _check_bruhat_work(q: int, mus) -> None:
+    """Refuse, before any U is built, tables whose eliminations
+    sum |N_mu|^2 |U| over mus exceed the guard."""
+    work = 0
+    for mu in mus:
+        size_u = _u_order(q, sum(mu))  # bounds the degree matrices counted next
+        work += _n_mu_size(q, mu) ** 2 * size_u
+    check_guard(work, BRUHAT_GUARD, "Bruhat eliminations sum |N_mu|^2 * |U|")
 
 
 # -- verification drivers --------------------------------------------------------
@@ -330,34 +438,38 @@ class StructureConstants(NamedTuple):
 def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     """Exact expansion T_u T_v = sum c_uv^w T_w over the N_mu basis.
 
-    Coefficients are read off at each monomial matrix w (the supports of
-    distinct T_w lie in distinct double cosets) and divided by T_w's own
-    coefficient at w, which is the positive rational |U ∩ wUw^-1| / |U|^2;
-    the residual after subtracting the expansion must vanish identically.
+    T_u T_v = |U|^-1 sum_{y in U} psi(y)^-1 psi(x_y) psi(z_y) T_{w_y} for the
+    Bruhat decomposition u y v = x_y w_y z_y; terms with w_y outside N_mu
+    vanish.  Each c_uv^w is counted as p integers, one per p-th root of
+    unity, over the single denominator |U|.
     """
     mu = tuple(mu)
+    _check_bruhat_work(K.q, [mu])
+    p, trace = K.p, K.trace
     basis = tuple(enumerate_n_mu(K, mu))
-    elems = [t_v(K, v, mu) for v in basis]
-    mats = [monomial_to_matrix(K, v) for v in basis]
-    diag = [el.coeff(m).coords for el, m in zip(elems, mats)]
-    if not all(d[0] > 0 and not any(d[1:]) for d in diag):
-        raise RuntimeError("a basis element is not a positive rational at its representative")
+    index = {v: k for k, v in enumerate(basis)}
+    cols = _psi_columns(mu)
+    U = enumerate_u(K, sum(mu))
+    # psi(y)^-1 as an exponent of zeta; psi is read off the superdiagonal.
+    inverse_psi = [-sum(trace(y[j - 1][j]) for j in cols) for y in U]
     table = {}
-    for i, j in itertools.product(range(len(basis)), repeat=2):
-        prod = elems[i] * elems[j]
-        expansion = []
-        residual = prod
-        for k in range(len(basis)):
-            c = prod.coeff(mats[k])
-            if c:
-                c = c * (1 / diag[k][0])
-                expansion.append((k, c))
-                residual = residual - c * elems[k]
-        if residual:
-            raise RuntimeError(
-                f"product T_{i} T_{j} does not lie in the span of the basis"
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            counts: dict = {}  # k -> p integer counts over |U|
+            for y, e in zip(U, inverse_psi):
+                x, w, z = _bruhat(K, _sandwich(K, u, y, v))
+                k = index.get(w)
+                if k is None:
+                    continue
+                for a, b, c in x + z:
+                    if b == a + 1 and b in cols:
+                        e += trace(c)
+                counts.setdefault(k, [0] * p)[e % p] += 1
+            table[(i, j)] = tuple(
+                (k, Cyclotomic.from_counts(p, counts[k], len(U)))
+                for k in sorted(counts)
+                if len(set(counts[k])) > 1
             )
-        table[(i, j)] = tuple(expansion)
     return StructureConstants(basis, table)
 
 
@@ -366,6 +478,10 @@ def basis_check(K: Field, mu: tuple) -> dict:
     matches |N_mu| (the dimension of e_mu CG e_mu)."""
     mu = tuple(mu)
     n = sum(mu)
+    size_u = _u_order(K.q, n)
+    # e_mu * e_mu, then e_mu * v * e_mu for each of the n! (q-1)^n monomial v.
+    products = (math.factorial(n) * (K.q - 1) ** n + 1) * size_u**2
+    check_guard(products, PRODUCT_GUARD, "group products (|N| + 1) * |U|^2")
     e = e_mu(K, n, mu)
     idempotent = e * e == e
     mismatches = []
@@ -395,26 +511,21 @@ def basis_check(K: Field, mu: tuple) -> dict:
 
 def commutativity_check(K: Field, n: int) -> dict:
     """T_u T_v = T_v T_u for the one-part composition (Gelfand-Graev case)."""
-    mu = (n,)
-    basis = list(enumerate_n_mu(K, mu))
-    elems = [t_v(K, v, mu) for v in basis]
+    sc = structure_constants(K, (n,))
     counterexample = None
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if elems[i] * elems[j] != elems[j] * elems[i]:
-                counterexample = {
-                    "u": monomial_to_obj(K, basis[i]),
-                    "v": monomial_to_obj(K, basis[j]),
-                }
-                break
-        if counterexample:
+    for i, j in itertools.combinations(range(len(sc.basis)), 2):
+        if sc.table[(i, j)] != sc.table[(j, i)]:
+            counterexample = {
+                "u": monomial_to_obj(K, sc.basis[i]),
+                "v": monomial_to_obj(K, sc.basis[j]),
+            }
             break
     report = {
         "check": "commutativity",
         "n": n,
         "q": K.q,
         "mu": [n],
-        "basis_size": len(basis),
+        "basis_size": len(sc.basis),
         "pass": counterexample is None,
     }
     if counterexample:
@@ -430,6 +541,7 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     entries 1; the check compares multiplication tables exactly.
     """
     mu = tuple(mu)
+    _check_bruhat_work(K.q, [(m,) for m in mu] + [mu])
     factor_sc = [structure_constants(K, (m,)) for m in mu]
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
@@ -483,9 +595,13 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     return report
 
 
+class CosetError(RuntimeError):
+    """The double cosets UvU over monomial v overlap or miss part of G."""
+
+
 def double_coset_reps(K: Field, n: int) -> list:
     """Confirms G = union of UvU over monomial v, returning (v, |UvU|) pairs."""
-    check_guard(K.q ** (n * (n - 1) // 2), U_GUARD, "|U|")
+    _u_order(K.q, n)
     G = enumerate_gl(K, n)
     U = enumerate_u(K, n)
     seen: set = set()
@@ -495,11 +611,11 @@ def double_coset_reps(K: Field, n: int) -> list:
         left = [mat_mul(K, u, vm) for u in U]
         coset = {mat_mul(K, x, u2) for x in left for u2 in U}
         if coset & seen:
-            raise RuntimeError("double cosets are not disjoint")
+            raise CosetError("double cosets are not disjoint")
         seen |= coset
         out.append((v, len(coset)))
     if len(seen) != len(G) or seen != set(G):
-        raise RuntimeError("double cosets do not cover the group")
+        raise CosetError("double cosets do not cover the group")
     return out
 
 
@@ -508,7 +624,7 @@ def coset_check(K: Field, n: int) -> dict:
         reps = double_coset_reps(K, n)
         ok = True
         detail = None
-    except RuntimeError as err:
+    except CosetError as err:
         reps, ok, detail = [], False, str(err)
     report = {
         "check": "cosets",

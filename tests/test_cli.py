@@ -296,6 +296,62 @@ def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
     assert "field size" in err
 
 
+def test_coset_guard_exits_3_not_a_counterexample(monkeypatch, capsys):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    code, out, err = run_cli(capsys, "verify", "cosets", "--p", "5", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "|GL_n(F_q)| = 1488000 exceeds the guard" in err
+
+
+ORACLE_REFUSALS = [
+    (
+        ("verify", "basis", "--p", "2", "--mu", "3,2"),
+        "group products (|N| + 1) * |U|^2 = 126877696 exceeds",
+    ),
+    (
+        ("verify", "commutativity", "--p", "3", "--n", "4"),
+        "Bruhat eliminations sum |N_mu|^2 * |U| = 2125764 exceeds",
+    ),
+    (("verify", "levi", "--p", "2", "--mu", "100000"), "|U| = inf exceeds"),
+]
+
+
+@pytest.mark.parametrize("argv,message", ORACLE_REFUSALS, ids=["basis", "commutativity", "levi"])
+def test_oracle_work_guards_exit_3_before_u_is_built(monkeypatch, capsys, argv, message):
+    from hecke import oracle
+
+    def refuse(*args):
+        raise AssertionError("U, e_mu or N_mu was built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_u", "e_mu", "enumerate_n_mu"):
+        monkeypatch.setattr(oracle, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in ORACLE_REFUSALS[:2]], ids=["basis", "commutativity"]
+)
+def test_guard_override_admits_oracle_work(monkeypatch, argv):
+    from hecke import oracle
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setenv("HECKE_GUARD_OVERRIDE", str(10**9))
+    for name in ("enumerate_u", "e_mu"):
+        monkeypatch.setattr(oracle, name, admitted)
+    with pytest.raises(Admitted):
+        main(list(argv))
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "out.jsonl"
     code, out, _ = run_cli(

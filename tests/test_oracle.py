@@ -9,6 +9,7 @@ from hecke.hecke_index import MonomialMatrix, enumerate_n_mu, monomial_identity
 from hecke.oracle import (
     AlgebraElement,
     Cyclotomic,
+    _bruhat,
     basis_check,
     commutativity_check,
     coset_check,
@@ -31,6 +32,7 @@ from hecke.shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)
+F4 = Field(2, 2)
 
 
 def x_elem(K, n, i, j, t):
@@ -266,17 +268,99 @@ def test_structure_constants_symmetric_for_gelfand_graev():
     assert_table_associative(F2, sc)
 
 
+@pytest.mark.parametrize("K,mu", [(F2, (2, 2)), (F3, (3,))], ids=["2-22", "3-3"])
+def test_structure_constants_associative_at_bruhat_sizes(K, mu):
+    assert_table_associative(K, structure_constants(K, mu))
+
+
+# -- the Bruhat path against brute force ---------------------------------------------
+
+
+def factor_product(K, n, factors):
+    """The product, in list order, of the elementary matrices 1 + c E_ij."""
+    out = identity_matrix(n)
+    for i, j, c in factors:
+        out = mat_mul(K, out, x_elem(K, n, i + 1, j + 1, c))
+    return out
+
+
+@pytest.mark.parametrize("K,n", [(F2, 3), (F3, 2), (F4, 2)], ids=["2-3", "3-2", "4-2"])
+def test_bruhat_decomposes_every_element(K, n):
+    for g in enumerate_gl(K, n):
+        x, w, z = _bruhat(K, g)
+        assert all(i < j for i, j, _ in x + z)
+        xm, zm = factor_product(K, n, x), factor_product(K, n, z)
+        assert is_unipotent_upper(xm) and is_unipotent_upper(zm)
+        assert sorted(w.perm) == list(range(n)) and all(w.entries)
+        assert mat_mul(K, mat_mul(K, xm, monomial_to_matrix(K, w)), zm) == g
+
+
+def test_e_mu_g_e_mu_is_psi_times_t_w():
+    # e g e = e x w z e = psi(x) psi(z) T_w: the term structure_constants sums.
+    n = 3
+    for mu in compositions_of(n):
+        e = e_mu(F2, n, mu)
+        t_of = {}
+        for g in enumerate_gl(F2, n):
+            x, w, z = _bruhat(F2, g)
+            if w not in t_of:
+                t_of[w] = t_v(F2, w, mu)
+            scale = psi_mu_eval(F2, factor_product(F2, n, x), mu) * psi_mu_eval(
+                F2, factor_product(F2, n, z), mu
+            )
+            lhs = e * AlgebraElement.delta(F2, g) * e
+            assert lhs.terms == {h: scale * c for h, c in t_of[w].terms.items()}
+
+
+def brute_force_table(K, mu):
+    """Structure constants by convolution in the group algebra: T_i T_j is
+    read off at each basis representative and divided by T_k's own
+    coefficient there (a positive rational); nothing may remain outside
+    the span of the expansion."""
+    basis = list(enumerate_n_mu(K, mu))
+    elems = [t_v(K, v, mu) for v in basis]
+    mats = [monomial_to_matrix(K, v) for v in basis]
+    scales = [1 / el.coeff(m).coords[0] for el, m in zip(elems, mats)]
+    zero = Cyclotomic.zero(K.p)
+    table = {}
+    for i, j in itertools.product(range(len(basis)), repeat=2):
+        prod = elems[i] * elems[j]
+        expansion = tuple(
+            (k, prod.coeff(m) * s) for k, (m, s) in enumerate(zip(mats, scales)) if prod.coeff(m)
+        )
+        span = {}
+        for k, c in expansion:
+            for g, t in elems[k].terms.items():
+                span[g] = span.get(g, zero) + c * t
+        assert {g: c for g, c in span.items() if c} == prod.terms
+        table[(i, j)] = expansion
+    return table
+
+
+@pytest.mark.parametrize(
+    "K,mu",
+    [(F2, (2, 1)), (F2, (1, 1, 1)), (F2, (3,)), (F3, (2,)), (F3, (1, 1)), (F4, (2,))],
+    ids=["2-21", "2-111", "2-3", "3-2", "3-11", "4-2"],
+)
+def test_structure_constants_match_brute_force(K, mu):
+    sc = structure_constants(K, mu)
+    assert sc.basis == tuple(enumerate_n_mu(K, mu))
+    assert sc.table == brute_force_table(K, mu)
+
+
 # -- top-level checks ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("K,n", [(F2, 2), (F3, 2), (F2, 3)], ids=["22", "23", "32"])
+@pytest.mark.parametrize(
+    "K,n", [(F2, 2), (F3, 2), (F2, 3), (F2, 4), (F3, 3)], ids=["22", "23", "32", "42", "33"]
+)
 def test_commutativity(K, n):
     report = commutativity_check(K, n)
     assert report["pass"], report
 
 
 def test_levi_embedding_small():
-    for K, mu in [(F2, (1, 1)), (F3, (1, 1)), (F2, (2, 1)), (F2, (1, 1, 1))]:
+    for K, mu in [(F2, (1, 1)), (F3, (1, 1)), (F2, (2, 1)), (F2, (1, 1, 1)), (F2, (2, 2))]:
         report = levi_embedding_check(K, mu)
         assert report["pass"], report
 
