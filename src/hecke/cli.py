@@ -57,7 +57,7 @@ def _positive(text: str) -> int:
 
 
 def _field(args) -> Field:
-    # `map rsk` declares no --k: it builds F_p only to check --p.
+    # `map rsk` and `verify pieri` declare no --k: they build F_p only to check --p.
     return Field(args.p, getattr(args, "k", 1))
 
 
@@ -189,6 +189,7 @@ def cmd_map(args) -> int:
 
 
 def _verify_pieri(args) -> dict:
+    _field(args)
     if args.nu is not None:
         nu = tuple(int(x) for x in args.nu.split(",")) if args.nu else ()
         return decomp.pieri_check(nu, 1 if args.add is None else args.add, args.vars)
@@ -214,7 +215,7 @@ CHECKS = {  # check -> (flags it reads, driver returning the report)
     "commutativity": (("--k", "--n"), lambda a: oracle.commutativity_check(_field(a), a.n)),
     "levi": (("--k", "--mu"), lambda a: oracle.levi_embedding_check(_field(a), a.mu)),
     "cosets": (("--k", "--n"), lambda a: oracle.coset_check(_field(a), a.n)),
-    # Builds no field; --p is accepted and ignored.
+    # Reads no field; --p is checked and otherwise ignored.
     "pieri": (("--nu", "--add", "--vars"), _verify_pieri),
 }
 

@@ -10,6 +10,7 @@ column sums both equal mu.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
 from hecke.gf import (
@@ -23,6 +24,8 @@ from hecke.gf import (
 )
 from hecke.guards import check_guard
 from hecke.shapes import boundary_set, weak_compositions
+
+N_GUARD = 1_000_000  # monomial matrices bijection_check enumerates
 
 
 class MembershipError(ValueError):
@@ -285,6 +288,14 @@ def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
             yield PolyMatrix(grid, tuple(mu))
 
 
+def monomial_count(q: int, n: int) -> int:
+    """|N| = n! (q-1)^n, or math.inf past 4096 bits, so an absurd n never
+    forms n!."""
+    if n * (n * (q - 1)).bit_length() > 4096:  # (n (q-1))^n bounds |N|
+        return math.inf
+    return math.factorial(n) * (q - 1) ** n
+
+
 def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
     """Stream all monomial matrices, in (permutation, entries) lexicographic order."""
     for perm in itertools.permutations(range(n)):
@@ -305,6 +316,7 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     definition over all of U."""
     mu = tuple(mu)
     n = sum(mu)
+    check_guard(monomial_count(K.q, n), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
     image = []
     roundtrip_ok = True
     membership_ok = True

@@ -1,10 +1,9 @@
 """Exact verification in the group algebra of GL_n(F_q).
 
-Coefficients live in Q(zeta_p): `Cyclotomic` values with Fraction
-coordinates on the power basis 1, zeta, ..., zeta^(p-2), so every check is
-an exact equality.  Inner loops count in integers instead: p counts, one
-per p-th root of unity, over one denominator; such a vector is zero exactly
-when all its counts are equal.  Group elements are tuples of row tuples.
+Coefficients live in Q(zeta_p) as integers: p counts, one per p-th root of
+unity, over one positive denominator (|U| for e_mu).  A `Cyclotomic` keeps
+them in lowest terms on the power basis 1, zeta, ..., zeta^(p-2), so every
+check is an exact equality.  Group elements are tuples of row tuples.
 
 `AlgebraElement.__mul__` is the brute-force convolution that `basis_check`
 runs.  `structure_constants` forms no group-algebra element: e_mu x =
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -38,6 +36,7 @@ from hecke.hecke_index import (
     enumerate_n,
     enumerate_n_mu,
     is_in_n_mu_fast,
+    monomial_count,
     monomial_to_obj,
     v_of_matrix,
 )
@@ -53,57 +52,41 @@ BRUHAT_GUARD = 1_000_000
 
 
 class Cyclotomic:
-    """An element of Q(zeta_p) as sum(coords[i] * zeta^i, i < p-1).
+    """An element of Q(zeta_p) as sum(nums[i] * zeta^i, i < p-1) / den.
 
-    The relation 1 + zeta + ... + zeta^(p-1) = 0 reduces everything to the
-    power basis, so equality is coordinatewise.  p = 2 is plain rationals.
+    Built from p integer counts, one per p-th root of unity, over a positive
+    denominator.  Since 1 + zeta + ... + zeta^(p-1) = 0, subtracting the
+    last count from every count leaves the power basis; dividing the
+    numerators and den by their gcd makes the form canonical, so equality
+    and hashing are structural.  p = 2 is plain rationals.
     """
 
-    __slots__ = ("p", "coords")
+    __slots__ = ("p", "nums", "den")
 
-    def __init__(self, p: int, coords):
+    def __init__(self, p: int, counts, den: int = 1):
+        if len(counts) != p or den < 1:
+            raise ValueError(f"need {p} counts and a positive denominator for p = {p}")
+        last = counts[-1]
+        nums = [c - last for c in counts[:-1]]
+        g = math.gcd(den, *nums)
         self.p = p
-        self.coords = tuple(Fraction(c) for c in coords)
-        if len(self.coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates for p = {p}")
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
 
     @classmethod
-    def zero(cls, p: int) -> "Cyclotomic":
-        return cls(p, (0,) * (p - 1))
+    def root_power(cls, p: int, e: int, den: int = 1) -> "Cyclotomic":
+        """zeta_p ** e / den."""
+        counts = [0] * p
+        counts[e % p] = 1
+        return cls(p, counts, den)
 
-    @classmethod
-    def one(cls, p: int) -> "Cyclotomic":
-        return cls.from_rational(p, 1)
-
-    @classmethod
-    def from_rational(cls, p: int, r) -> "Cyclotomic":
-        return cls(p, (Fraction(r),) + (Fraction(0),) * (p - 2))
-
-    @classmethod
-    def root_power(cls, p: int, e: int) -> "Cyclotomic":
-        """zeta_p ** e."""
-        e %= p
-        if e < p - 1:
-            return cls(p, tuple(Fraction(int(i == e)) for i in range(p - 1)))
-        return cls(p, (Fraction(-1),) * (p - 1))
-
-    @classmethod
-    def from_counts(cls, p: int, counts, denom: int) -> "Cyclotomic":
-        """sum(counts[e] * zeta^e, e < p) / denom, for p integer counts."""
-        last = counts[p - 1]
-        return cls(p, tuple(Fraction(c - last, denom) for c in counts[:-1]))
-
-    def _denominator(self) -> int:
-        return math.lcm(*(c.denominator for c in self.coords))
-
-    def _sparse_counts(self, denom: int) -> tuple:
-        """self * denom as ((e, count), ...) over zeta^0, ..., zeta^(p-1),
-        for a denom that clears every denominator.  Adding one count to all
-        p roots changes nothing (their sum is 0), so the commonest count is
-        subtracted: zeta^(p-1) is one count, not p-1."""
-        counts = [c.numerator * (denom // c.denominator) for c in self.coords] + [0]
+    def _sparse_counts(self, scale: int = 1) -> tuple:
+        """self * den * scale as ((e, count), ...) over zeta^0, ..., zeta^(p-1).
+        Adding one count to all p roots changes nothing (their sum is 0), so
+        the commonest count is subtracted: zeta^(p-1) is one count, not p-1."""
+        counts = self.nums + (0,)
         base = max(set(counts), key=counts.count)
-        return tuple((e, c - base) for e, c in enumerate(counts) if c != base)
+        return tuple((e, (c - base) * scale) for e, c in enumerate(counts) if c != base)
 
     def _check(self, other: "Cyclotomic"):
         if self.p != other.p:
@@ -111,21 +94,20 @@ class Cyclotomic:
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
-        return Cyclotomic(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        counts = [x * b + y * a for x, y in zip(self.nums, other.nums)]
+        return Cyclotomic(self.p, counts + [0], a * b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.p, tuple(a * other for a in self.coords))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check(other)
         p = self.p
-        denom_a, denom_b = self._denominator(), other._denominator()
         counts = [0] * p
-        for e, x in self._sparse_counts(denom_a):
-            for f, y in other._sparse_counts(denom_b):
+        for e, x in self._sparse_counts():
+            for f, y in other._sparse_counts():
                 counts[(e + f) % p] += x * y
-        return Cyclotomic.from_counts(p, counts, denom_a * denom_b)
+        return Cyclotomic(p, counts, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -133,17 +115,18 @@ class Cyclotomic:
         return (
             isinstance(other, Cyclotomic)
             and self.p == other.p
-            and self.coords == other.coords
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        return hash((self.p, self.nums, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __repr__(self):
-        return f"Cyclotomic({self.p}, {[str(c) for c in self.coords]})"
+        return f"Cyclotomic({self.p}, {self.nums + (0,)}, {self.den})"
 
 
 # -- matrices over F_q ---------------------------------------------------------
@@ -264,13 +247,18 @@ def _psi_columns(mu: tuple) -> frozenset:
     return frozenset(j for j in range(1, sum(mu)) if j not in boundary)
 
 
+def _psi_exponent(K: Field, u: tuple, cols: frozenset) -> int:
+    """psi_mu(u) = zeta_p ** exponent: the traces of the superdiagonal
+    entries (j-1, j) of u over the columns j of _psi_columns(mu)."""
+    return sum(K.trace(u[j - 1][j]) for j in cols)
+
+
 def psi_mu_eval(K: Field, u: tuple, mu: tuple) -> Cyclotomic:
     """psi_mu(u): the product of psi over the superdiagonal entries at rows
     not in the boundary set of mu."""
     if not is_unipotent_upper(u):
         raise ValueError("psi_mu is only defined on unipotent upper-triangular matrices")
-    exponent = sum(K.trace(u[j - 1][j]) for j in _psi_columns(mu))
-    return Cyclotomic.root_power(K.p, exponent)
+    return Cyclotomic.root_power(K.p, _psi_exponent(K, u, _psi_columns(mu)))
 
 
 class AlgebraElement:
@@ -285,7 +273,7 @@ class AlgebraElement:
 
     @classmethod
     def delta(cls, K: Field, g: tuple) -> "AlgebraElement":
-        return cls(K, len(g), {g: Cyclotomic.one(K.p)})
+        return cls(K, len(g), {g: Cyclotomic.root_power(K.p, 0)})
 
     def _check(self, other: "AlgebraElement"):
         if self.K != other.K or self.n != other.n:
@@ -294,8 +282,8 @@ class AlgebraElement:
     def _sparse_terms(self) -> tuple:
         """(denom, [(g, sparse counts)]): every coefficient as integer counts
         per root of unity over the one common denominator of all of them."""
-        denom = math.lcm(*(c._denominator() for c in self.terms.values()))
-        return denom, [(g, c._sparse_counts(denom)) for g, c in self.terms.items()]
+        denom = math.lcm(*(c.den for c in self.terms.values()))
+        return denom, [(g, c._sparse_counts(denom // c.den)) for g, c in self.terms.items()]
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -315,11 +303,7 @@ class AlgebraElement:
                     for f, y in ch:
                         counts[(e + f) % p] += x * y
         denom = denom_a * denom_b
-        terms = {
-            g: Cyclotomic.from_counts(p, counts, denom)
-            for g, counts in acc.items()
-            if len(set(counts)) > 1
-        }
+        terms = {g: Cyclotomic(p, counts, denom) for g, counts in acc.items()}
         return AlgebraElement(K, self.n, terms)
 
     def __eq__(self, other):
@@ -334,7 +318,7 @@ class AlgebraElement:
         return bool(self.terms)
 
     def coeff(self, g: tuple) -> Cyclotomic:
-        return self.terms.get(g, Cyclotomic.zero(self.K.p))
+        return self.terms.get(g, Cyclotomic(self.K.p, (0,) * self.K.p))
 
     def __repr__(self):
         return f"AlgebraElement(n={self.n}, support={len(self.terms)})"
@@ -342,13 +326,13 @@ class AlgebraElement:
 
 @lru_cache(maxsize=None)
 def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
-    """The idempotent averaging psi_mu^(-1) over U."""
+    """The idempotent averaging psi_mu^(-1) over U: psi_mu(u)^-1 / |U| at each u."""
     if sum(mu) != n:
         raise ValueError(f"mu = {mu} is not a composition of {n}")
     _u_order(K.q, n)
     U = enumerate_u(K, n)
-    scale = Fraction(1, len(U))
-    terms = {u: psi_mu_eval(K, mat_inv(K, u), mu) * scale for u in U}
+    cols = _psi_columns(mu)
+    terms = {u: Cyclotomic.root_power(K.p, -_psi_exponent(K, u, cols), len(U)) for u in U}
     return AlgebraElement(K, n, terms)
 
 
@@ -450,8 +434,7 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     index = {v: k for k, v in enumerate(basis)}
     cols = _psi_columns(mu)
     U = enumerate_u(K, sum(mu))
-    # psi(y)^-1 as an exponent of zeta; psi is read off the superdiagonal.
-    inverse_psi = [-sum(trace(y[j - 1][j]) for j in cols) for y in U]
+    inverse_psi = [-_psi_exponent(K, y, cols) for y in U]  # psi(y)^-1 = zeta^e
     table = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
@@ -465,11 +448,8 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
                     if b == a + 1 and b in cols:
                         e += trace(c)
                 counts.setdefault(k, [0] * p)[e % p] += 1
-            table[(i, j)] = tuple(
-                (k, Cyclotomic.from_counts(p, counts[k], len(U)))
-                for k in sorted(counts)
-                if len(set(counts[k])) > 1
-            )
+            entries = ((k, Cyclotomic(p, counts[k], len(U))) for k in sorted(counts))
+            table[(i, j)] = tuple((k, c) for k, c in entries if c)
     return StructureConstants(basis, table)
 
 
@@ -479,8 +459,8 @@ def basis_check(K: Field, mu: tuple) -> dict:
     mu = tuple(mu)
     n = sum(mu)
     size_u = _u_order(K.q, n)
-    # e_mu * e_mu, then e_mu * v * e_mu for each of the n! (q-1)^n monomial v.
-    products = (math.factorial(n) * (K.q - 1) ** n + 1) * size_u**2
+    # e_mu * e_mu, then e_mu * v * e_mu for each monomial matrix v.
+    products = (monomial_count(K.q, n) + 1) * size_u**2
     check_guard(products, PRODUCT_GUARD, "group products (|N| + 1) * |U|^2")
     e = e_mu(K, n, mu)
     idempotent = e * e == e
@@ -567,9 +547,7 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
             # One term of T_x T_y per choice of a term from each factor's expansion.
             expansions = [sc.table[xy] for sc, xy in zip(factor_sc, zip(x, y))]
             for terms in itertools.product(*expansions):
-                c = Cyclotomic.one(K.p)
-                for _, ct in terms:
-                    c = c * ct
+                c = math.prod((ct for _, ct in terms), start=Cyclotomic.root_power(K.p, 0))
                 if c:
                     rhs[image_of[tuple(h for h, _ in terms)]] = c
             if {k: c for k, c in lhs.items() if c} != rhs:

@@ -162,20 +162,21 @@ def enumerate_phi_shapes(K: Field, n: int) -> list:
     labels = enumerate_irreducibles(K, n)
     out: list = []
 
-    def rec(idx, remaining, acc):
+    def rec(start, remaining, acc):
         if remaining == 0:
             out.append(tuple(acc))
             return
-        if idx == len(labels):
-            return
-        g = labels[idx]
-        d = poly_deg(g)
-        rec(idx + 1, remaining, acc)
-        for boxes in range(1, remaining // d + 1):
-            for lam in partitions_of(boxes):
-                acc.append((g, lam))
-                rec(idx + 1, remaining - d * boxes, acc)
-                acc.pop()
+        # One level per label used, so the depth is at most n.  The later
+        # labels come first: every family that skips a label precedes every
+        # family that uses it.
+        for idx in reversed(range(start, len(labels))):
+            g = labels[idx]
+            d = poly_deg(g)
+            for boxes in range(1, remaining // d + 1):
+                for lam in partitions_of(boxes):
+                    acc.append((g, lam))
+                    rec(idx + 1, remaining - d * boxes, acc)
+                    acc.pop()
 
     rec(0, n, [])
     return [tuple(sorted(shape, key=lambda item: poly_key(item[0]))) for shape in out]

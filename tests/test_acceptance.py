@@ -34,6 +34,7 @@ from hecke.rsk import (
     two_line_array,
 )
 from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
+from test_oracle import assert_table_associative
 
 F2 = Field(2)
 F3 = Field(3)
@@ -142,29 +143,13 @@ def test_criterion_6_oracle_suite():
             rep = basis_check(K, mu)  # e_mu idempotent; T_v != 0 iff v in N_mu
             assert rep["pass"], rep
             sc = structure_constants(K, mu)  # Bruhat path; test_oracle checks it by brute force
-            _assert_associative(K, sc)
+            assert_table_associative(K, sc)
             levi = levi_embedding_check(K, mu)
             assert levi["pass"], levi
         comm = commutativity_check(K, n)
         assert comm["pass"], comm
         details.append(f"(n={n}, q={K.q})")
     report(6, time.perf_counter() - start, 600, "oracle checks for " + ", ".join(details))
-
-
-def _assert_associative(K, sc):
-    from hecke.oracle import Cyclotomic
-
-    size = len(sc.basis)
-    zero = Cyclotomic.zero(K.p)
-    for u, v, w in itertools.product(range(size), repeat=3):
-        lhs, rhs = {}, {}
-        for x, c in sc.table[(u, v)]:
-            for y, d in sc.table[(x, w)]:
-                lhs[y] = lhs.get(y, zero) + c * d
-        for z, c in sc.table[(v, w)]:
-            for y, d in sc.table[(u, z)]:
-                rhs[y] = rhs.get(y, zero) + c * d
-        assert {k: c for k, c in lhs.items() if c} == {k: c for k, c in rhs.items() if c}
 
 
 def test_criterion_7_weight_space_sum_rule():

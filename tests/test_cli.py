@@ -278,6 +278,39 @@ def test_verify_guard_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "mu,estimate", [("24", "620448401733239439360000"), ("10000000", "inf")], ids=["24", "1e7"]
+)
+def test_bijection_guard_exits_3_before_any_enumeration(monkeypatch, capsys, mu, estimate):
+    from hecke import hecke_index
+
+    def refuse(*args):
+        raise AssertionError("M_mu or N was enumerated before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_m_mu", "enumerate_n"):
+        monkeypatch.setattr(hecke_index, name, refuse)
+    code, out, err = run_cli(capsys, "verify", "bijection", "--p", "2", "--mu", mu)
+    assert code == 3
+    assert out == ""
+    assert f"|N| = n! (q-1)^n = {estimate} exceeds the guard (1000000)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("map", "rsk", "--p", "4"),
+        ("verify", "pieri", "--p", "4", "--nu", "1", "--add", "1", "--vars", "3"),
+    ],
+    ids=["map_rsk", "verify_pieri"],
+)
+def test_p_not_prime_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "p = 4 is not prime" in err
+
+
+@pytest.mark.parametrize(
     "field", [("--p", "2003"), ("--p", "2", "--k", "1000000000")], ids=["p2003", "k1e9"]
 )
 def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):

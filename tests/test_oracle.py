@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -46,23 +45,40 @@ def x_elem(K, n, i, j, t):
 
 def test_zeta_two_is_minus_one():
     z = Cyclotomic.root_power(2, 1)
-    assert z.coords == (Fraction(-1),)
-    assert z * z == Cyclotomic.one(2)
+    assert (z.nums, z.den) == ((-1,), 1)
+    assert z * z == Cyclotomic(2, (1, 0))
 
 
 def test_zeta_three_relations():
-    one = Cyclotomic.one(3)
+    one = Cyclotomic(3, (1, 0, 0))
     z = Cyclotomic.root_power(3, 1)
     z2 = Cyclotomic.root_power(3, 2)
     assert z * z == z2
     assert z * z2 == one
-    assert one + z + z2 == Cyclotomic.zero(3)
+    assert one + z + z2 == Cyclotomic(3, (0, 0, 0))
 
 
 def test_cyclotomic_scalars():
-    x = Cyclotomic(3, (2, 5))
-    assert x * 2 == Cyclotomic(3, (4, 10))
-    assert x * Fraction(1, 2) == Cyclotomic(3, (1, Fraction(5, 2)))
+    x = Cyclotomic(3, (2, 5, 0))
+    assert x * Cyclotomic(3, (2, 0, 0)) == Cyclotomic(3, (4, 10, 0))
+    assert x * Cyclotomic(3, (1, 0, 0), 2) == Cyclotomic(3, (2, 5, 0), 2)
+
+
+def test_cyclotomic_canonical_form():
+    # (2 + 4 zeta + 6 zeta^2) / 4 = (-4 - 2 zeta) / 4 = (-2 - zeta) / 2.
+    x = Cyclotomic(3, (2, 4, 6), 4)
+    assert (x.nums, x.den) == ((-2, -1), 2)
+    same = Cyclotomic(3, (-2, -1, 0), 2)
+    assert x == same and hash(x) == hash(same)
+    assert Cyclotomic.root_power(3, 1, 6) + Cyclotomic.root_power(3, 1, 3) == (
+        Cyclotomic.root_power(3, 1, 2)
+    )
+    zero = Cyclotomic(3, (5, 5, 5), 7)
+    assert (zero.nums, zero.den) == ((0, 0), 1)
+    assert not zero and zero == Cyclotomic(3, (0, 0, 0))
+    for counts, den in [((1, 0), 1), ((1, 0, 0, 0), 1), ((1, 0, 0), 0), ((1, 0, 0), -2)]:
+        with pytest.raises(ValueError):
+            Cyclotomic(3, counts, den)
 
 
 # -- matrices over F_q ------------------------------------------------------------
@@ -97,7 +113,7 @@ def test_unipotent_predicate():
 
 def test_psi_mu_identity_is_one():
     for mu in [(2,), (1, 1)]:
-        assert psi_mu_eval(F2, identity_matrix(2), mu) == Cyclotomic.one(2)
+        assert psi_mu_eval(F2, identity_matrix(2), mu) == Cyclotomic(2, (1, 0))
 
 
 def test_psi_mu_superdiagonal():
@@ -107,7 +123,7 @@ def test_psi_mu_superdiagonal():
 
 def test_psi_mu_trivial_for_unit_parts():
     for u in enumerate_u(F3, 3):
-        assert psi_mu_eval(F3, u, (1, 1, 1)) == Cyclotomic.one(3)
+        assert psi_mu_eval(F3, u, (1, 1, 1)) == Cyclotomic(3, (1, 0, 0))
 
 
 def test_psi_mu_is_multiplicative():
@@ -129,18 +145,18 @@ def test_psi_mu_rejects_non_unipotent():
 
 def test_e_mu_rank_one():
     e = e_mu(F3, 1, (1,))
-    assert e.terms == {identity_matrix(1): Cyclotomic.one(3)}
+    assert e.terms == {identity_matrix(1): Cyclotomic(3, (1, 0, 0))}
 
 
 def test_e_mu_rank_two_explicit():
     x = x_elem(F2, 2, 1, 2, 1)
-    half = Fraction(1, 2)
+    half = Cyclotomic(2, (1, 0), 2)
     e_triv = e_mu(F2, 2, (1, 1))
-    assert e_triv.coeff(identity_matrix(2)) == Cyclotomic.from_rational(2, half)
-    assert e_triv.coeff(x) == Cyclotomic.from_rational(2, half)
+    assert e_triv.coeff(identity_matrix(2)) == half
+    assert e_triv.coeff(x) == half
     e_gg = e_mu(F2, 2, (2,))
-    assert e_gg.coeff(identity_matrix(2)) == Cyclotomic.from_rational(2, half)
-    assert e_gg.coeff(x) == Cyclotomic.from_rational(2, -half)
+    assert e_gg.coeff(identity_matrix(2)) == half
+    assert e_gg.coeff(x) == Cyclotomic(2, (-1, 0), 2)
 
 
 @pytest.mark.parametrize("K,n", [(F2, 2), (F3, 2), (F2, 3)], ids=["22", "23", "32"])
@@ -223,7 +239,7 @@ def test_t_v_coefficient_at_v_is_a_positive_rational(K, mu):
         vm = monomial_to_matrix(K, v)
         vinv = mat_inv(K, vm)
         meet = sum(is_unipotent_upper(mat_mul(K, mat_mul(K, vinv, u), vm)) for u in U)
-        expected = Cyclotomic.from_rational(K.p, Fraction(meet, len(U) ** 2))
+        expected = Cyclotomic(K.p, (meet,) + (0,) * (K.p - 1), len(U) ** 2)
         assert t_v(K, v, mu).coeff(vm) == expected
 
 
@@ -233,7 +249,7 @@ def test_t_v_coefficient_at_v_is_a_positive_rational(K, mu):
 def test_unit_row_of_structure_constants():
     for mu in [(2,), (1, 1)]:
         sc = structure_constants(F2, mu)
-        one = Cyclotomic.one(2)
+        one = Cyclotomic(2, (1, 0))
         unit = sc.basis.index(monomial_identity(2))
         for j in range(len(sc.basis)):
             assert sc.table[(unit, j)] == ((j, one),)
@@ -242,7 +258,7 @@ def test_unit_row_of_structure_constants():
 
 def assert_table_associative(K, sc):
     size = len(sc.basis)
-    zero = Cyclotomic.zero(K.p)
+    zero = Cyclotomic(K.p, (0,) * K.p)
     for u, v, w in itertools.product(range(size), repeat=3):
         lhs = {}
         for x, c in sc.table[(u, v)]:
@@ -320,8 +336,11 @@ def brute_force_table(K, mu):
     basis = list(enumerate_n_mu(K, mu))
     elems = [t_v(K, v, mu) for v in basis]
     mats = [monomial_to_matrix(K, v) for v in basis]
-    scales = [1 / el.coeff(m).coords[0] for el, m in zip(elems, mats)]
-    zero = Cyclotomic.zero(K.p)
+    # 1 / c for each rational c = nums[0] / den > 0.
+    coeffs = [el.coeff(m) for el, m in zip(elems, mats)]
+    assert all(c.nums[0] > 0 and not any(c.nums[1:]) for c in coeffs)
+    scales = [Cyclotomic(K.p, (c.den,) + (0,) * (K.p - 1), c.nums[0]) for c in coeffs]
+    zero = Cyclotomic(K.p, (0,) * K.p)
     table = {}
     for i, j in itertools.product(range(len(basis)), repeat=2):
         prod = elems[i] * elems[j]

@@ -209,6 +209,12 @@ def test_enumerate_pairs_examples():
     assert len(list(enumerate_pairs(F2, (1, 1)))) == 2
 
 
+def test_enumerate_pairs_recursion_depth_is_the_labels_used():
+    # 16 + 136 + 1632 labels of degree <= 3 over F_17, more than the default
+    # recursion limit of 1000; each of the 16 * 17^2 pairs uses at most 3.
+    assert sum(1 for _ in enumerate_pairs(Field(17), (3,))) == 16 * 17**2
+
+
 def test_phi_shapes_small():
     shapes = enumerate_phi_shapes(F2, 2)
     x1 = (1, 1)
