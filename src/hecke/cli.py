@@ -2,8 +2,10 @@
 
 Each enum kind, map direction and verify check has its own sub-parser that
 declares only the flags its driver reads, so argparse refuses a missing,
-malformed or unknown flag (exit 2) before any work is done.  `enum` streams:
-each record is written as the enumeration yields it, then a count footer.
+malformed or unknown flag (exit 2) before any work is done.  A driver
+imports the layer it calls (rsk, decomp, oracle) when it runs, so a command
+loads only the modules its job needs.  `enum` streams: each record is one
+write, made as the enumeration yields it, then a count footer.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
@@ -14,12 +16,12 @@ Diagnostics go to stderr; results go to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 
-from hecke import decomp, oracle, rsk
-from hecke.gf import Field, enumerate_irreducibles, format_poly
+from hecke.gf import Field, enumerate_irreducibles, field_order, format_poly
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
@@ -56,9 +58,18 @@ def _positive(text: str) -> int:
     return value
 
 
-def _field(args) -> Field:
-    # `map rsk` and `verify pieri` declare no --k: they build F_p only to check --p.
-    return Field(args.p, getattr(args, "k", 1))
+def _load(layer: str):
+    """The hecke module a driver calls, imported when the driver runs."""
+    return importlib.import_module(f"hecke.{layer}")
+
+
+def _field(args):
+    # A job that declares no --k (`map rsk`, `verify pieri`) reads no field:
+    # --p gets the checks a Field makes, and no table is built.
+    if not hasattr(args, "k"):
+        field_order(args.p)
+        return None
+    return Field(args.p, args.k)
 
 
 class _Writer:
@@ -69,25 +80,25 @@ class _Writer:
         self.header_done = False
 
     def record(self, obj: dict):
-        if self.fmt == "tsv":
-            if not self.header_done:
-                print("\t".join(obj), file=self.handle)
-                self.header_done = True
-            print(
-                "\t".join(
-                    v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))
-                    for v in obj.values()
-                ),
-                file=self.handle,
-            )
-        else:
-            print(json.dumps(obj, separators=(",", ":")), file=self.handle)
+        # One write call per record: on unbuffered stdout each call is one
+        # write(2) into the pipe.
+        if self.fmt == "json":
+            self.handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            return
+        row = "\t".join(
+            v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))
+            for v in obj.values()
+        )
+        if not self.header_done:
+            row = "\t".join(obj) + "\n" + row
+            self.header_done = True
+        self.handle.write(row + "\n")
 
     def footer(self, count: int):
         if self.fmt == "tsv":
-            print(f"# count={count}", file=self.handle)
+            self.handle.write(f"# count={count}\n")
         else:
-            print(json.dumps({"count": count}), file=self.handle)
+            self.handle.write(json.dumps({"count": count}) + "\n")
 
     def close(self):
         if self.path:
@@ -95,6 +106,11 @@ class _Writer:
 
 
 # -- enum -----------------------------------------------------------------------
+
+
+def _enum_pairs(K: Field, a):
+    rsk = _load("rsk")
+    return (rsk.pair_to_obj(K, pair) for pair in rsk.enumerate_pairs(K, a.mu))
 
 
 ENUMS = {  # kind -> (flags it reads, driver returning a stream of records)
@@ -110,10 +126,7 @@ ENUMS = {  # kind -> (flags it reads, driver returning a stream of records)
         ("--k", "--max-deg"),
         lambda K, a: ({"poly": format_poly(K, f)} for f in enumerate_irreducibles(K, a.max_deg)),
     ),
-    "pairs": (
-        ("--k", "--mu"),
-        lambda K, a: (rsk.pair_to_obj(K, pair) for pair in rsk.enumerate_pairs(K, a.mu)),
-    ),
+    "pairs": (("--k", "--mu"), _enum_pairs),
 }
 
 
@@ -154,6 +167,7 @@ def _rsk(K: Field, data, args) -> dict:
         raise ValueError("b must be a rectangular matrix")
     if any(not isinstance(x, int) or x < 0 for row in b for x in row):
         raise ValueError("b must have nonnegative integer entries")
+    rsk = _load("rsk")
     array = rsk.two_line_array(b)
     P, Q = rsk.rsk_classical(b)
     return {
@@ -164,6 +178,7 @@ def _rsk(K: Field, data, args) -> dict:
 
 
 def _rsk_general(K: Field, data, args) -> dict:
+    rsk = _load("rsk")
     pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
     return {**rsk.pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
 
@@ -171,7 +186,7 @@ def _rsk_general(K: Field, data, args) -> dict:
 MAPS = {  # direction -> (flags it reads, driver returning one record)
     "a_to_v": (("--k",), _a_to_v),
     "v_to_a": (("--k", "--mu"), _v_to_a),
-    "rsk": ((), _rsk),  # ignores K, but --p is still required and checked
+    "rsk": ((), _rsk),  # reads no field
     "rsk_general": (("--k",), _rsk_general),
 }
 
@@ -190,6 +205,7 @@ def cmd_map(args) -> int:
 
 def _verify_pieri(args) -> dict:
     _field(args)
+    decomp = _load("decomp")
     if args.nu is not None:
         nu = tuple(int(x) for x in args.nu.split(",")) if args.nu else ()
         return decomp.pieri_check(nu, 1 if args.add is None else args.add, args.vars)
@@ -209,14 +225,22 @@ def _verify_pieri(args) -> dict:
 
 CHECKS = {  # check -> (flags it reads, driver returning the report)
     "bijection": (("--k", "--mu"), lambda a: bijection_check(_field(a), a.mu)),
-    "dim_identity": (("--k", "--mu"), lambda a: decomp.dim_identity_check(_field(a), a.mu)),
-    "rsk_bijectivity": (("--k", "--mu"), lambda a: rsk.rsk_bijectivity_check(_field(a), a.mu)),
-    "basis": (("--k", "--mu"), lambda a: oracle.basis_check(_field(a), a.mu)),
-    "commutativity": (("--k", "--n"), lambda a: oracle.commutativity_check(_field(a), a.n)),
-    "levi": (("--k", "--mu"), lambda a: oracle.levi_embedding_check(_field(a), a.mu)),
-    "cosets": (("--k", "--n"), lambda a: oracle.coset_check(_field(a), a.n)),
-    # Reads no field; --p is checked and otherwise ignored.
-    "pieri": (("--nu", "--add", "--vars"), _verify_pieri),
+    "dim_identity": (
+        ("--k", "--mu"),
+        lambda a: _load("decomp").dim_identity_check(_field(a), a.mu),
+    ),
+    "rsk_bijectivity": (
+        ("--k", "--mu"),
+        lambda a: _load("rsk").rsk_bijectivity_check(_field(a), a.mu),
+    ),
+    "basis": (("--k", "--mu"), lambda a: _load("oracle").basis_check(_field(a), a.mu)),
+    "commutativity": (
+        ("--k", "--n"),
+        lambda a: _load("oracle").commutativity_check(_field(a), a.n),
+    ),
+    "levi": (("--k", "--mu"), lambda a: _load("oracle").levi_embedding_check(_field(a), a.mu)),
+    "cosets": (("--k", "--n"), lambda a: _load("oracle").coset_check(_field(a), a.n)),
+    "pieri": (("--nu", "--add", "--vars"), _verify_pieri),  # reads no field
 }
 
 
@@ -224,7 +248,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     report = args.driver(args)
     handle = open(args.output, "w") if args.output else sys.stdout
-    print(json.dumps(report, indent=2, default=str), file=handle)
+    handle.write(json.dumps(report, indent=2, default=str) + "\n")
     if args.output:
         handle.close()
     print(f"elapsed: {time.perf_counter() - start:.3f} s", file=sys.stderr)

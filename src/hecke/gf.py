@@ -56,6 +56,21 @@ def _fp_poly_mulmod(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
     return tuple(prod[:k]) + (0,) * (k - len(prod))
 
 
+def field_order(p: int, k: int = 1) -> int:
+    """q = p**k after every check a Field makes before it builds anything:
+    p >= 2 and k >= 1 (ValueError), the size guard, then p prime (ValueError)."""
+    if p < 2:
+        raise ValueError(f"p = {p} is not prime")
+    if k < 1:
+        raise ValueError(f"k = {k} must be positive")
+    # p**k has at most k * p.bit_length() bits: do not form a huge one.
+    q = p**k if k * p.bit_length() <= 4096 else math.inf
+    check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return q
+
+
 class Field:
     """The finite field F_q, q = p**k, with precomputed operation tables.
 
@@ -65,18 +80,9 @@ class Field:
     """
 
     def __init__(self, p: int, k: int = 1):
-        if p < 2:
-            raise ValueError(f"p = {p} is not prime")
-        if k < 1:
-            raise ValueError(f"k = {k} must be positive")
-        # p**k has at most k * p.bit_length() bits: do not form a huge one.
-        q = p**k if k * p.bit_length() <= 4096 else math.inf
-        check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.k = k
-        self.q = q
+        self.q = field_order(p, k)
         self.modulus = None if k == 1 else _smallest_irreducible(p, k)
         self._build_tables()
 

@@ -278,6 +278,15 @@ def degree_matrices(mu: tuple):
     yield from rec(0, tuple(mu))
 
 
+def m_mu_size(q: int, mu: tuple) -> int:
+    """|M_mu| = |N_mu| in closed form: over each degree matrix, the product
+    of the counts of monic degree-d polynomials with nonzero constant term."""
+    return sum(
+        math.prod((q - 1) * q ** (d - 1) for row in degrees for d in row if d)
+        for degrees in degree_matrices(mu)
+    )
+
+
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
     """Stream M_mu, ordered by degree matrix then entrywise by polynomial."""
     l = len(mu)

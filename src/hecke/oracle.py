@@ -31,11 +31,11 @@ from hecke.guards import check_guard
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
-    degree_matrices,
     enumerate_m_mu,
     enumerate_n,
     enumerate_n_mu,
     is_in_n_mu_fast,
+    m_mu_size,
     monomial_count,
     monomial_to_obj,
     v_of_matrix,
@@ -392,22 +392,13 @@ def _sandwich(K: Field, u: MonomialMatrix, y: tuple, v: MonomialMatrix) -> list:
     return rows
 
 
-def _n_mu_size(q: int, mu: tuple) -> int:
-    """|N_mu| = |M_mu| in closed form: over each degree matrix, the product
-    of the counts of monic degree-d polynomials with nonzero constant term."""
-    return sum(
-        math.prod((q - 1) * q ** (d - 1) for row in degrees for d in row if d)
-        for degrees in degree_matrices(mu)
-    )
-
-
 def _check_bruhat_work(q: int, mus) -> None:
     """Refuse, before any U is built, tables whose eliminations
     sum |N_mu|^2 |U| over mus exceed the guard."""
     work = 0
     for mu in mus:
         size_u = _u_order(q, sum(mu))  # bounds the degree matrices counted next
-        work += _n_mu_size(q, mu) ** 2 * size_u
+        work += m_mu_size(q, mu) ** 2 * size_u
     check_guard(work, BRUHAT_GUARD, "Bruhat eliminations sum |N_mu|^2 * |U|")
 
 

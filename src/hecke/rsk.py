@@ -14,7 +14,7 @@ order, with empty tableaux omitted.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from hecke.gf import (
@@ -26,8 +26,11 @@ from hecke.gf import (
     poly_deg,
     poly_key,
 )
-from hecke.hecke_index import PolyMatrix, enumerate_m_mu, validate_m_mu
+from hecke.guards import check_guard
+from hecke.hecke_index import PolyMatrix, enumerate_m_mu, m_mu_size, validate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of
+
+M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
 
 
 def _columns(rows) -> list:
@@ -160,6 +163,7 @@ def enumerate_phi_shapes(K: Field, n: int) -> list:
     if n == 0:
         return [()]
     labels = enumerate_irreducibles(K, n)
+    degrees = [poly_deg(g) for g in labels]  # nondecreasing: labels are in degree order
     out: list = []
 
     def rec(start, remaining, acc):
@@ -168,10 +172,9 @@ def enumerate_phi_shapes(K: Field, n: int) -> list:
             return
         # One level per label used, so the depth is at most n.  The later
         # labels come first: every family that skips a label precedes every
-        # family that uses it.
-        for idx in reversed(range(start, len(labels))):
-            g = labels[idx]
-            d = poly_deg(g)
+        # family that uses it.  Labels of degree above `remaining` fit no box.
+        for idx in reversed(range(start, bisect_right(degrees, remaining))):
+            g, d = labels[idx], degrees[idx]
             for boxes in range(1, remaining // d + 1):
                 for lam in partitions_of(boxes):
                     acc.append((g, lam))
@@ -230,6 +233,7 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     mu = tuple(mu)
+    check_guard(m_mu_size(K.q, mu), M_MU_GUARD, "|M_mu|")
     image = []
     weights_ok = True
     shapes_ok = True

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,42 @@ def test_enum_tsv_footer(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "poly"
     assert lines[-1] == "# count=2"
+
+
+class CountingHandle:
+    """A stdout stand-in that keeps each write call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+M_MU_21 = (  # the entries of the three elements of M_(2,1) over F_2
+    '[["1+1*X^1","1+1*X^1"],["1+1*X^1","1"]]',
+    '[["1+1*X^2","1"],["1","1+1*X^1"]]',
+    '[["1+1*X^1+1*X^2","1"],["1","1+1*X^1"]]',
+)
+
+ENUM_WRITES = {  # one write per record; in TSV the header shares the first
+    "json": [f'{{"mu":[2,1],"entries":{e}}}\n' for e in M_MU_21] + ['{"count": 3}\n'],
+    "tsv": ["mu\tentries\n[2,1]\t" + M_MU_21[0] + "\n"]
+    + [f"[2,1]\t{e}\n" for e in M_MU_21[1:]]
+    + ["# count=3\n"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_enum_writes_each_record_once(monkeypatch, fmt):
+    handle = CountingHandle()
+    monkeypatch.setattr(sys, "stdout", handle)
+    assert main(["enum", "m_mu", "--p", "2", "--mu", "2,1", "--format", fmt]) == 0
+    assert handle.writes == ENUM_WRITES[fmt]
 
 
 def test_enum_deterministic(capsys):
@@ -310,6 +349,39 @@ def test_p_not_prime_exits_2(capsys, argv):
     assert "p = 4 is not prime" in err
 
 
+def test_field_free_jobs_build_no_table(monkeypatch, tmp_path, capsys):
+    from hecke import gf
+
+    def refuse(*args):
+        raise AssertionError("a job that reads no field built one")
+
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"b": [[1, 1, 0], [0, 0, 2], [0, 1, 0]]}))
+    code, out, _ = run_cli(capsys, "map", "rsk", "--p", "1021", "--input", str(path))
+    assert code == 0
+    assert json_lines(out)[0]["P"] == [[1, 2, 3], [2, 3]]
+    argv = ("verify", "pieri", "--p", "1021", "--nu", "1", "--add", "1", "--vars", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["pass"]
+
+
+def test_rsk_bijectivity_guard_exits_3_before_any_enumeration(monkeypatch, capsys):
+    from hecke import rsk
+
+    def refuse(*args):
+        raise AssertionError("M_mu or the pairs were enumerated before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_m_mu", "enumerate_pairs"):
+        monkeypatch.setattr(rsk, name, refuse)
+    code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", "21")
+    assert code == 3
+    assert out == ""
+    assert "|M_mu| = 1048576 exceeds the guard (1000000)" in err
+
+
 @pytest.mark.parametrize(
     "field", [("--p", "2003"), ("--p", "2", "--k", "1000000000")], ids=["p2003", "k1e9"]
 )
@@ -460,3 +532,63 @@ def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "pieri work estimate" in err
+
+
+# -- import footprint ---------------------------------------------------------
+
+FOOTPRINT = """
+import sys
+from hecke.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "hecke"), file=sys.stderr)
+sys.exit(code)
+"""
+
+LAZY = {"hecke.rsk", "hecke.decomp", "hecke.oracle"}
+A_OBJ = json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]})
+
+
+def loaded_modules(*argv, stdin=""):
+    """The hecke modules a fresh interpreter holds after running one command."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_cli_loads_only_the_shared_layers():
+    assert loaded_modules() == {
+        "hecke",
+        "hecke.gf",
+        "hecke.guards",
+        "hecke.shapes",
+        "hecke.hecke_index",
+        "hecke.cli",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,needs",
+    [
+        (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", set()),
+        (("map", "a_to_v", "--p", "2"), A_OBJ, set()),
+        # From n = 4 over F_2, |U| > 27 and bijection_check skips the literal
+        # membership test, the one part of it that calls the oracle.
+        (("verify", "bijection", "--p", "2", "--mu", "2,2"), "", set()),
+        (("map", "rsk_general", "--p", "2"), A_OBJ, {"hecke.rsk"}),
+        (("verify", "basis", "--p", "2", "--mu", "2"), "", {"hecke.oracle"}),
+    ],
+    ids=["enum_m_mu", "map_a_to_v", "verify_bijection", "map_rsk_general", "verify_basis"],
+)
+def test_each_job_loads_only_its_layers(argv, stdin, needs):
+    loaded = loaded_modules(*argv, stdin=stdin)
+    assert loaded & LAZY == needs

@@ -12,6 +12,7 @@ from hecke.hecke_index import (
     enumerate_n_mu,
     is_in_n_mu_direct,
     is_in_n_mu_fast,
+    m_mu_size,
     matrix_of_v,
     monomial_from_obj,
     monomial_identity,
@@ -136,6 +137,14 @@ def test_enumerate_m_mu_examples():
     for q, K in [(2, F2), (3, F3)]:
         for n in range(1, 4):
             assert len(list(enumerate_m_mu(K, (n,)))) == (q - 1) * q ** (n - 1)
+
+
+def test_m_mu_size_counts_the_enumeration():
+    for K, q in [(F2, 2), (F3, 3)]:
+        for n in range(1, 4):
+            for mu in compositions_of(n):
+                assert m_mu_size(q, mu) == sum(1 for _ in enumerate_m_mu(K, mu))
+    assert m_mu_size(31, (3,)) == 30 * 31**2 == 28830
 
 
 def test_n_enumeration_size():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hecke.gf import Field, poly_mul
+from hecke.gf import Field, enumerate_irreducibles, poly_deg, poly_key, poly_mul
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.rsk import (
     enumerate_pairs,
@@ -18,7 +18,7 @@ from hecke.rsk import (
     rsk_generalized,
     two_line_array,
 )
-from hecke.shapes import compositions_of, cst_check, cst_weight
+from hecke.shapes import compositions_of, cst_check, cst_weight, partitions_of
 
 F2 = Field(2)
 F3 = Field(3)
@@ -213,6 +213,36 @@ def test_enumerate_pairs_recursion_depth_is_the_labels_used():
     # 16 + 136 + 1632 labels of degree <= 3 over F_17, more than the default
     # recursion limit of 1000; each of the 16 * 17^2 pairs uses at most 3.
     assert sum(1 for _ in enumerate_pairs(Field(17), (3,))) == 16 * 17**2
+
+
+def uncut_phi_shapes(K, n):
+    """The label-shape recursion without the degree cut-off: every later
+    label is tried at every node, whatever its degree."""
+    if n == 0:
+        return [()]
+    labels = enumerate_irreducibles(K, n)
+    out = []
+
+    def rec(start, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for idx in reversed(range(start, len(labels))):
+            g = labels[idx]
+            d = poly_deg(g)
+            for boxes in range(1, remaining // d + 1):
+                for lam in partitions_of(boxes):
+                    acc.append((g, lam))
+                    rec(idx + 1, remaining - d * boxes, acc)
+                    acc.pop()
+
+    rec(0, n, [])
+    return [tuple(sorted(shape, key=lambda item: poly_key(item[0]))) for shape in out]
+
+
+@pytest.mark.parametrize("K,n", [(F2, 8), (F3, 5)], ids=["q2n8", "q3n5"])
+def test_phi_shapes_degree_cutoff_keeps_the_list(K, n):
+    assert enumerate_phi_shapes(K, n) == uncut_phi_shapes(K, n)
 
 
 def test_phi_shapes_small():
