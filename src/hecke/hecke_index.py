@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import Iterator, NamedTuple
 
 from hecke.gf import (
@@ -100,26 +101,16 @@ def v_of_poly(K: Field, f: Poly) -> MonomialMatrix:
     return MonomialMatrix(tuple(perm), tuple(entries))
 
 
-def _poly_of_monomial(K: Field, sub: MonomialMatrix) -> Poly:
-    """Inverse of v_of_poly; raises MembershipError off the image."""
-    d = sub.n
-    if d == 0:
-        return (1,)
-    rev = [d - 1 - r for r in sub.perm]  # undo the left reversal
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
+def _poly_of_monomial(perm, entries) -> Poly:
+    """Inverse of v_of_poly on its image, unchecked: a run of columns carries
+    the coefficient at its first column, whose row says where the run ends.
+    Every step moves right, so off the image it still ends."""
+    d = len(perm)
+    coeffs = [0] * d + [1]
     start = 0
     while start < d:
-        top = rev[start]
-        size = top - start + 1
-        if size < 1:
-            raise MembershipError("monomial block is not a scaled reversal")
-        a = sub.entries[start]
-        for c in range(start, start + size):
-            if c >= d or rev[c] != top - (c - start) or sub.entries[c] != a:
-                raise MembershipError("monomial block is not a scaled reversal")
-        coeffs[start] = a
-        start += size
+        coeffs[start] = entries[start]
+        start = max(start + 1, d - perm[start])
     return tuple(coeffs)
 
 
@@ -170,45 +161,30 @@ def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
 def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     """The unique a in M_mu with v_of_matrix(a) = v.
 
-    Reads the degree matrix off the block pattern of v, then each
-    sub-block's scaled anti-diagonal blocks back into coefficients.
+    Reads the degree matrix off the block pattern of v and decodes each
+    sub-block with _poly_of_monomial, then re-encodes once: v_of_matrix maps
+    only into N_mu, so v is in N_mu exactly when the re-encoding is v, and
+    MembershipError is raised otherwise.
     """
     n = sum(mu)
     if v.n != n:
         raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
-    if not is_in_n_mu_fast(v, mu):
-        raise MembershipError("v fails the N_mu membership test")
     l = len(mu)
-    bounds = (0,) + boundary_set(mu)
-
-    def block_of(index: int) -> int:
-        for i in range(l):
-            if bounds[i] <= index < bounds[i + 1]:
-                return i
-        raise AssertionError
-
+    bounds = boundary_set(mu)
     d = [[0] * l for _ in range(l)]
-    for c in range(n):
-        d[block_of(v.perm[c])][block_of(c)] += 1
-    row_start, col_start = _block_layout(mu, tuple(map(tuple, d)))
-    grid = [[(1,)] * l for _ in range(l)]
-    for i in range(l):
-        for j in range(l):
-            if d[i][j] == 0:
-                continue
-            sub_perm, sub_entries = [], []
-            for c in range(col_start[i][j], col_start[i][j] + d[i][j]):
-                local_row = v.perm[c] - row_start[i][j]
-                if not 0 <= local_row < d[i][j]:
-                    raise MembershipError("nonzero entry outside its sub-block")
-                sub_perm.append(local_row)
-                sub_entries.append(v.entries[c])
-            grid[i][j] = _poly_of_monomial(
-                K, MonomialMatrix(tuple(sub_perm), tuple(sub_entries))
-            )
-    a = PolyMatrix(tuple(tuple(row) for row in grid), tuple(mu))
+    for c, r in enumerate(v.perm):
+        d[bisect_right(bounds, r)][bisect_right(bounds, c)] += 1
+    row_start, col_start = _block_layout(mu, d)
+
+    def entry(i, j):
+        cols = slice(col_start[i][j], col_start[i][j] + d[i][j])
+        local = [r - row_start[i][j] for r in v.perm[cols]]
+        return _poly_of_monomial(local, v.entries[cols])
+
+    grid = tuple(tuple(entry(i, j) for j in range(l)) for i in range(l))
+    a = PolyMatrix(grid, tuple(mu))
     if v_of_matrix(K, a) != v:
-        raise MembershipError("v is not in the image of M_mu")
+        raise MembershipError("v fails the N_mu membership test")
     return a
 
 
@@ -279,12 +255,21 @@ def degree_matrices(mu: tuple):
 
 
 def m_mu_size(q: int, mu: tuple) -> int:
-    """|M_mu| = |N_mu| in closed form: over each degree matrix, the product
-    of the counts of monic degree-d polynomials with nonzero constant term."""
-    return sum(
-        math.prod((q - 1) * q ** (d - 1) for row in degrees for d in row if d)
-        for degrees in degree_matrices(mu)
-    )
+    """|M_mu| = |N_mu| in closed form, counted row by row: a degree-d entry
+    has (q-1) q^(d-1) choices, and the partial counts are keyed by the
+    column sums still to fill, so no degree matrix is formed."""
+    l = len(mu)
+    counts = {tuple(mu): 1}
+    for part in mu:
+        filled: dict = {}
+        for rem, count in counts.items():
+            for row in weak_compositions(part, l):
+                if all(x <= r for x, r in zip(row, rem)):
+                    key = tuple(r - x for r, x in zip(rem, row))
+                    weight = math.prod((q - 1) * q ** (x - 1) for x in row if x)
+                    filled[key] = filled.get(key, 0) + count * weight
+        counts = filled
+    return sum(counts.values())
 
 
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:

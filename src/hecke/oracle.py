@@ -31,7 +31,6 @@ from hecke.guards import check_guard
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
-    enumerate_m_mu,
     enumerate_n,
     enumerate_n_mu,
     is_in_n_mu_fast,
@@ -221,17 +220,18 @@ def enumerate_gl(K: Field, n: int) -> list:
     out = []
 
     def extend(rows, span):
-        if len(rows) == n:
-            out.append(tuple(rows))
-            return
         for vec in vectors:
             if vec in span:
                 continue
-            new_span = set(span)
-            for s in span:
-                for c in K.units():
-                    new_span.add(tuple(K.add(x, K.mul(c, y)) for x, y in zip(s, vec)))
-            extend(rows + [vec], new_span)
+            if len(rows) == n - 1:  # a leaf: its span is never read
+                out.append(tuple(rows) + (vec,))
+            else:
+                grown = {
+                    tuple(K.add(x, K.mul(c, y)) for x, y in zip(s, vec))
+                    for s in span
+                    for c in K.elements()
+                }
+                extend(rows + [vec], grown)
 
     extend([], {(0,) * n})
     return out
@@ -464,7 +464,7 @@ def basis_check(K: Field, mu: tuple) -> dict:
             nonzero += 1
         if expected != actual:
             mismatches.append(monomial_to_obj(K, v))
-    n_mu_size = sum(1 for _ in enumerate_m_mu(K, mu))
+    n_mu_size = m_mu_size(K.q, mu)
     report = {
         "check": "basis",
         "n": n,

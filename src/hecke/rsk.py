@@ -33,38 +33,23 @@ from hecke.shapes import cst_check, enumerate_cst, partitions_of
 M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
 
 
-def _columns(rows) -> list:
-    if not rows:
-        return []
-    return [
-        [rows[r][c] for r in range(len(rows)) if c < len(rows[r])]
-        for c in range(len(rows[0]))
-    ]
+def _transpose(lines) -> tuple:
+    """The columns of a tableau held as rows, or its rows when held as columns."""
+    width = len(lines[0]) if lines else 0
+    return tuple(tuple(line[k] for line in lines if k < len(line)) for k in range(width))
 
 
-def _rows_from_columns(cols) -> tuple:
-    if not cols:
-        return ()
-    return tuple(
-        tuple(col[r] for col in cols if r < len(col)) for r in range(len(cols[0]))
-    )
-
-
-def _insert(rows, entry) -> tuple:
-    cols = _columns(rows)
-    c = 0
-    while True:
-        if c == len(cols):
-            cols.append([entry])
-            break
-        col = cols[c]
+def _bump(cols, entry) -> int:
+    """Column insertion into a tableau held as its columns, in place; returns
+    the index of the column that grew."""
+    for c, col in enumerate(cols):
         idx = bisect_left(col, entry)
         if idx == len(col):
             col.append(entry)
-            break
+            return c
         col[idx], entry = entry, col[idx]
-        c += 1
-    return _rows_from_columns(cols)
+    cols.append([entry])
+    return len(cols) - 1
 
 
 def insert_column(rows, entry: int) -> tuple:
@@ -75,7 +60,9 @@ def insert_column(rows, entry: int) -> tuple:
         raise ValueError("insertion requires a column-strict tableau")
     if entry < 1:
         raise ValueError("entries must be positive")
-    return _insert(rows, entry)
+    cols = [list(col) for col in _transpose(rows)]
+    _bump(cols, entry)
+    return _transpose(cols)
 
 
 def two_line_array(b) -> tuple:
@@ -89,20 +76,17 @@ def two_line_array(b) -> tuple:
 
 
 def rsk_classical(b) -> tuple:
-    """The (P, Q) pair of the matrix b: fold the insertion over the bottom
-    line, recording each top-line entry in the box the shape gained."""
-    P: tuple = ()
-    Q: tuple = ()
+    """The (P, Q) pair of the matrix b: fold column insertion over the bottom
+    line, with P and Q held as columns, and append each top-line entry to the
+    column of Q whose twin in P grew.  Rows are formed once, at the end."""
+    P: list = []
+    Q: list = []
     for i, j in two_line_array(b):
-        newP = _insert(P, j)
-        r = next(
-            (k for k in range(len(P)) if len(newP[k]) == len(P[k]) + 1), len(P)
-        )
-        Q = tuple(
-            Q[k] + ((i,) if k == r else ()) for k in range(len(Q))
-        ) + (((i,),) if r == len(Q) else ())
-        P = newP
-    return P, Q
+        c = _bump(P, j)
+        if c == len(Q):
+            Q.append([])
+        Q[c].append(i)
+    return _transpose(P), _transpose(Q)
 
 
 # -- generalized RSK on M_mu -----------------------------------------------------
@@ -159,7 +143,7 @@ def family_weight(fam) -> tuple:
 
 def enumerate_phi_shapes(K: Field, n: int) -> list:
     """All label-indexed partition families of total degree-weighted size n,
-    over labels of degree at most n."""
+    over labels of degree at most n; each lists its labels in label order."""
     if n == 0:
         return [()]
     labels = enumerate_irreducibles(K, n)
@@ -182,7 +166,7 @@ def enumerate_phi_shapes(K: Field, n: int) -> list:
                     acc.pop()
 
     rec(0, n, [])
-    return [tuple(sorted(shape, key=lambda item: poly_key(item[0]))) for shape in out]
+    return out
 
 
 def enumerate_phi_fillings(shape, mu) -> list:

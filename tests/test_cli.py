@@ -382,6 +382,23 @@ def test_rsk_bijectivity_guard_exits_3_before_any_enumeration(monkeypatch, capsy
     assert "|M_mu| = 1048576 exceeds the guard (1000000)" in err
 
 
+def test_rsk_bijectivity_guard_counts_ten_parts_by_rows(monkeypatch, capsys):
+    from hecke import hecke_index, rsk
+
+    def refuse(*args):
+        raise AssertionError("a degree matrix, M_mu or the pairs were enumerated")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_m_mu", "enumerate_pairs"):
+        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "degree_matrices", refuse)
+    mu = ",".join(["1"] * 10)
+    code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", mu)
+    assert code == 3
+    assert out == ""
+    assert "|M_mu| = 3628800 exceeds the guard (1000000)" in err
+
+
 @pytest.mark.parametrize(
     "field", [("--p", "2003"), ("--p", "2", "--k", "1000000000")], ids=["p2003", "k1e9"]
 )

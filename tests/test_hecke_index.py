@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hecke import hecke_index
@@ -121,6 +123,29 @@ def test_matrix_of_v_rejects_non_members():
         matrix_of_v(F3, v, (2,))
 
 
+@pytest.mark.parametrize(
+    "K,mu",
+    [
+        (F2, (2, 1)),
+        (F3, (2, 1)),
+        (F2, (1, 1, 1)),
+        (F3, (3,)),
+        (F2, (2, 2)),
+        (Field(2, 2), (2, 1)),
+        (F2, (1, 3, 1)),
+        (F3, (2, 1, 1)),
+    ],
+    ids=["q2-21", "q3-21", "q2-111", "q3-3", "q2-22", "q4-21", "q2-131", "q3-211"],
+)
+def test_matrix_of_v_rejects_exactly_the_pattern_test_failures(K, mu):
+    for v in enumerate_n(K, sum(mu)):
+        if is_in_n_mu_fast(v, mu):
+            assert v_of_matrix(K, matrix_of_v(K, v, mu)) == v
+        else:
+            with pytest.raises(MembershipError):
+                matrix_of_v(K, v, mu)
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
@@ -145,6 +170,16 @@ def test_m_mu_size_counts_the_enumeration():
             for mu in compositions_of(n):
                 assert m_mu_size(q, mu) == sum(1 for _ in enumerate_m_mu(K, mu))
     assert m_mu_size(31, (3,)) == 30 * 31**2 == 28830
+
+
+def test_m_mu_size_by_rows_equals_the_degree_matrix_sum():
+    for q in range(2, 6):
+        for n in range(1, 7):
+            for mu in compositions_of(n):
+                assert m_mu_size(q, mu) == sum(
+                    math.prod((q - 1) * q ** (d - 1) for row in degrees for d in row if d)
+                    for degrees in degree_matrices(mu)
+                )
 
 
 def test_n_enumeration_size():

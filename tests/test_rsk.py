@@ -1,4 +1,6 @@
+import bisect
 import itertools
+import random
 
 import pytest
 
@@ -132,6 +134,43 @@ def test_rsk_transpose_swaps_pair():
             P, Q = rsk_classical(b)
             Pt, Qt = rsk_classical(bt)
             assert (Pt, Qt) == (Q, P)
+
+
+def row_fold_rsk(b):
+    """Classical RSK folded over tableaux held as rows: each insertion
+    converts P to columns and back, and Q's box goes in the row that grew."""
+
+    def insert(rows, entry):
+        width = len(rows[0]) if rows else 0
+        cols = [[row[c] for row in rows if c < len(row)] for c in range(width)]
+        for col in cols:
+            idx = bisect.bisect_left(col, entry)
+            if idx == len(col):
+                col.append(entry)
+                break
+            col[idx], entry = entry, col[idx]
+        else:
+            cols.append([entry])
+        return tuple(tuple(col[r] for col in cols if r < len(col)) for r in range(len(cols[0])))
+
+    P, Q = (), ()
+    for i, j in two_line_array(b):
+        newP = insert(P, j)
+        r = next((k for k in range(len(P)) if len(newP[k]) == len(P[k]) + 1), len(P))
+        Q = tuple(Q[k] + ((i,) if k == r else ()) for k in range(len(Q)))
+        Q += ((i,),) if r == len(Q) else ()
+        P = newP
+    return P, Q
+
+
+def test_column_rsk_equals_the_row_fold():
+    rng = random.Random(2024)
+    rectangular = [
+        tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(cols)) for _ in range(rows))
+        for rows, cols in ((rng.randint(0, 5), rng.randint(0, 5)) for _ in range(2000))
+    ]
+    for b in itertools.chain(all_matrices(3, 2), rectangular):
+        assert rsk_classical(b) == row_fold_rsk(b), b
 
 
 # -- factorization labels ----------------------------------------------------------
