@@ -72,6 +72,9 @@ def _field(args):
     return Field(args.p, args.k)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
+
+
 class _Writer:
     def __init__(self, args):
         self.fmt = args.format
@@ -83,10 +86,10 @@ class _Writer:
         # One write call per record: on unbuffered stdout each call is one
         # write(2) into the pipe.
         if self.fmt == "json":
-            self.handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            self.handle.write(_encode(obj) + "\n")
             return
         row = "\t".join(
-            v if isinstance(v, str) else json.dumps(v, separators=(",", ":"))
+            v if isinstance(v, str) else _encode(v)
             for v in obj.values()
         )
         if not self.header_done:

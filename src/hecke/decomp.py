@@ -22,7 +22,7 @@ from math import inf, lgamma, log
 
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
-from hecke.hecke_index import enumerate_m_mu, enumerate_n, is_in_n_mu_fast
+from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu
 from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import conjugate, contains, enumerate_cst, kostka, partitions_of
 
@@ -53,13 +53,14 @@ def h_hat(K: Field, mu: tuple) -> tuple:
 
 
 def dim_identity_check(K: Field, mu: tuple) -> dict:
-    """|N_mu| three ways: brute-force filter of the monomial matrices, the
-    size of M_mu, and the sum of squared filling counts."""
+    """|N_mu| three ways: the monomial matrices passing the pattern test
+    (enumerate_pattern_n_mu), the size of M_mu, and the sum of squared
+    filling counts."""
     mu = tuple(mu)
     n = sum(mu)
     check_guard(n, 5, "n")
     check_guard(K.q, 4, "q")
-    n_mu_count = sum(1 for v in enumerate_n(K, n) if is_in_n_mu_fast(v, mu))
+    n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))
     m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
     table = h_hat(K, mu)
     sum_of_squares = sum(count**2 for _, count in table)

@@ -330,8 +330,10 @@ def is_irreducible(K: Field, f: Poly) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def factorize(K: Field, f: Poly) -> tuple:
-    """Complete factorization f = unit * prod(g**m) into monic irreducibles.
+    """Complete factorization f = unit * prod(g**m) into monic irreducibles,
+    computed once per (K, f).
 
     Returns (unit, factors) with factors a tuple of (g, multiplicity) pairs
     in canonical order.  Trial division by the irreducibles g in canonical
@@ -392,6 +394,7 @@ def parse_coeff(K: Field, s: str) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
 def format_poly(K: Field, f: Poly) -> str:
     terms = []
     for d, c in enumerate(f):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hecke.gf import (
@@ -117,8 +118,10 @@ def _poly_of_monomial(perm, entries) -> Poly:
 # -- the bijection M_mu <-> N_mu ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _block_layout(mu: tuple, d: tuple) -> tuple:
-    """Row and column start offsets of each sub-block.
+    """Row and column start offsets of each sub-block, as tuples: computed
+    once per degree matrix d (a tuple of tuples).
 
     Within block row i the sub-blocks stack top to bottom by decreasing
     column index j; within block column j they run left to right by
@@ -127,14 +130,14 @@ def _block_layout(mu: tuple, d: tuple) -> tuple:
     l = len(mu)
     row_base = tuple(sum(mu[:i]) for i in range(l))
     col_base = tuple(sum(mu[:j]) for j in range(l))
-    row_start = [
-        [row_base[i] + sum(d[i][j2] for j2 in range(j + 1, l)) for j in range(l)]
+    row_start = tuple(
+        tuple(row_base[i] + sum(d[i][j2] for j2 in range(j + 1, l)) for j in range(l))
         for i in range(l)
-    ]
-    col_start = [
-        [col_base[j] + sum(d[i2][j] for i2 in range(i + 1, l)) for j in range(l)]
+    )
+    col_start = tuple(
+        tuple(col_base[j] + sum(d[i2][j] for i2 in range(i + 1, l)) for j in range(l))
         for i in range(l)
-    ]
+    )
     return row_start, col_start
 
 
@@ -166,6 +169,7 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     only into N_mu, so v is in N_mu exactly when the re-encoding is v, and
     MembershipError is raised otherwise.
     """
+    mu = tuple(mu)
     n = sum(mu)
     if v.n != n:
         raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
@@ -174,7 +178,7 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     d = [[0] * l for _ in range(l)]
     for c, r in enumerate(v.perm):
         d[bisect_right(bounds, r)][bisect_right(bounds, c)] += 1
-    row_start, col_start = _block_layout(mu, d)
+    row_start, col_start = _block_layout(mu, tuple(map(tuple, d)))
 
     def entry(i, j):
         cols = slice(col_start[i][j], col_start[i][j] + d[i][j])
@@ -191,28 +195,39 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
 # -- membership tests for N_mu ------------------------------------------------
 
 
+def _pattern_ties(perm: tuple, mu: tuple):
+    """The entry-free part of the pattern test, in one pass over the columns.
+
+    With E the 0-based last index of each block of mu, the pairs c < c' with
+    perm[c] < perm[c'] avoid the forbidden superdiagonal configurations iff no
+    column c has: c not in E, perm[c] in E and perm[c+1] > perm[c]; c in E,
+    perm[c] not in E and row perm[c]+1 right of c; or c, perm[c] not in E,
+    perm[c+1] != perm[c]+1, and perm[c+1] > perm[c] or row perm[c]+1 right
+    of c.  Returns None if some column does, else the columns c (c, perm[c]
+    not in E and perm[c+1] = perm[c]+1) whose entry must equal column c+1's.
+    """
+    last = {b - 1 for b in boundary_set(mu)}
+    inverse = {r: c for c, r in enumerate(perm)}
+    ties = []
+    for c, r in enumerate(perm):
+        if r in last:
+            if c not in last and perm[c + 1] > r:
+                return None
+        elif c in last:
+            if inverse[r + 1] > c:
+                return None
+        elif perm[c + 1] == r + 1:
+            ties.append(c)
+        elif perm[c + 1] > r or inverse[r + 1] > c:
+            return None
+    return tuple(ties)
+
+
 def is_in_n_mu_fast(v: MonomialMatrix, mu: tuple) -> bool:
-    """Pattern test: v indexes a nonzero double-coset basis element iff the
-    pairs i < j with v(i) < v(j) avoid the forbidden superdiagonal
-    configurations relative to the partial sums of mu."""
-    n = v.n
-    B = set(boundary_set(mu))
-    row = tuple(r + 1 for r in v.perm)  # 1-based row of column i
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if row[i - 1] >= row[j - 1]:
-                continue
-            vi, vj = row[i - 1], row[j - 1]
-            if i not in B and vi in B and j == i + 1:
-                return False
-            if i in B and vi not in B and vj == vi + 1:
-                return False
-            if i not in B and vi not in B:
-                if (j == i + 1) != (vj == vi + 1):
-                    return False
-                if vj == vi + 1 and v.entries[i - 1] != v.entries[i]:
-                    return False
-    return True
+    """Pattern test: v indexes a nonzero double-coset basis element iff its
+    permutation passes _pattern_ties and its entries agree along the ties."""
+    ties = _pattern_ties(v.perm, mu)
+    return ties is not None and all(v.entries[c] == v.entries[c + 1] for c in ties)
 
 
 def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
@@ -257,15 +272,16 @@ def degree_matrices(mu: tuple):
 def m_mu_size(q: int, mu: tuple) -> int:
     """|M_mu| = |N_mu| in closed form, counted row by row: a degree-d entry
     has (q-1) q^(d-1) choices, and the partial counts are keyed by the
-    column sums still to fill, so no degree matrix is formed."""
+    sorted column sums still to fill (which column has which sum does not
+    change the count), so no degree matrix is formed."""
     l = len(mu)
-    counts = {tuple(mu): 1}
+    counts = {tuple(sorted(mu)): 1}
     for part in mu:
         filled: dict = {}
         for rem, count in counts.items():
             for row in weak_compositions(part, l):
                 if all(x <= r for x, r in zip(row, rem)):
-                    key = tuple(r - x for r, x in zip(rem, row))
+                    key = tuple(sorted(r - x for r, x in zip(rem, row)))
                     weight = math.prod((q - 1) * q ** (x - 1) for x in row if x)
                     filled[key] = filled.get(key, 0) + count * weight
         counts = filled
@@ -297,6 +313,24 @@ def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
             yield MonomialMatrix(perm, entries)
 
 
+def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
+    """Stream the monomial matrices that pass the pattern test, in the order
+    of enumerate_n: each permutation is tested once, units are chosen freely
+    on the columns not tied to the one before and copied along the ties."""
+    n = sum(mu)
+    for perm in itertools.permutations(range(n)):
+        ties = _pattern_ties(perm, mu)
+        if ties is None:
+            continue
+        copies = {c + 1 for c in ties}
+        for units in itertools.product(K.units(), repeat=n - len(copies)):
+            free = iter(units)
+            entries = []
+            for c in range(n):
+                entries.append(entries[-1] if c in copies else next(free))
+            yield MonomialMatrix(perm, tuple(entries))
+
+
 def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
     """Stream the basis index set N_mu in the canonical order inherited from M_mu."""
     for a in enumerate_m_mu(K, mu):
@@ -305,9 +339,11 @@ def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
 
 def bijection_check(K: Field, mu: tuple) -> dict:
     """Exhaustive verification that a -> v_a maps M_mu bijectively onto the
-    monomial matrices passing the membership test, with exact roundtrips.
-    For small rank the fast test is also compared with the literal
-    definition over all of U."""
+    monomial matrices passing the pattern test, with exact roundtrips.  The
+    image is compared with enumerate_pattern_n_mu, which never calls
+    v_of_matrix, so it is an independent witness for surjectivity.  For small
+    rank the fast test is also compared with the literal definition over all
+    of U."""
     mu = tuple(mu)
     n = sum(mu)
     check_guard(monomial_count(K.q, n), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
@@ -320,7 +356,7 @@ def bijection_check(K: Field, mu: tuple) -> dict:
         roundtrip_ok = roundtrip_ok and matrix_of_v(K, v, mu) == a
         image.append(v)
     injective = len(set(image)) == len(image)
-    filtered = {v for v in enumerate_n(K, n) if is_in_n_mu_fast(v, mu)}
+    filtered = set(enumerate_pattern_n_mu(K, mu))
     surjective = set(image) == filtered
     direct_checked = K.q ** (n * (n - 1) // 2) <= 3**3
     direct_ok = True

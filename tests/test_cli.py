@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,25 @@ def test_rsk_bijectivity_guard_counts_ten_parts_by_rows(monkeypatch, capsys):
     assert "|M_mu| = 3628800 exceeds the guard (1000000)" in err
 
 
+def test_rsk_bijectivity_guard_counts_sixteen_parts_at_once(monkeypatch, capsys):
+    from hecke import hecke_index, rsk
+
+    def refuse(*args):
+        raise AssertionError("a degree matrix, M_mu or the pairs were enumerated")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_m_mu", "enumerate_pairs"):
+        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "degree_matrices", refuse)
+    mu = ",".join(["1"] * 16)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", mu)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "|M_mu| = 20922789888000 exceeds the guard (1000000)" in err
+
+
 @pytest.mark.parametrize(
     "field", [("--p", "2003"), ("--p", "2", "--k", "1000000000")], ids=["p2003", "k1e9"]
 )
@@ -555,6 +575,7 @@ def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):
 
 FOOTPRINT = """
 import sys
+import time
 from hecke.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(" ".join(m for m in sys.modules if m.split(".")[0] == "hecke"), file=sys.stderr)

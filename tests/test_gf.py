@@ -206,6 +206,7 @@ def test_factorize_recombines_all_monic_units(K, nmax):
 
 
 def test_factorize_trial_divides_through_half_the_degree(monkeypatch):
+    factorize.cache_clear()  # what a factorization asks is seen only when it runs
     F31 = Field(31)
     cubic = next(f for f in enumerate_monic_units(F31, 3) if is_irreducible(F31, f))
     cases = [(1, 1, 1), cubic, poly_mul(F31, cubic, (2, 1)), poly_mul(F31, cubic, cubic)]
@@ -275,6 +276,16 @@ def test_format_poly_examples():
     assert format_poly(F2, (1, 1, 0, 1)) == "1+1*X^1+1*X^3"
     assert format_poly(F2, ()) == "0"
     assert format_poly(F4, (2, 1)) == "[0,1]+[1,0]*X^1"
+
+
+def test_format_and_factorize_are_cached_per_field_and_polynomial():
+    f = (1, 0, 1, 0, 1)
+    for fn in (format_poly, factorize):
+        assert fn(Field(2), f) == fn(Field(2), f) == fn(F2, f)
+    assert factorize(Field(2), f) is factorize(F2, f)
+    assert factorize(F2, f) == (1, (((1, 1, 1), 2),))
+    assert format_poly(F4, (2, 1)) == "[0,1]+[1,0]*X^1"
+    assert format_poly(F3, (2, 1)) == "2+1*X^1"
 
 
 def test_parse_poly_tolerant_forms():

@@ -12,6 +12,7 @@ from hecke.hecke_index import (
     enumerate_m_mu,
     enumerate_n,
     enumerate_n_mu,
+    enumerate_pattern_n_mu,
     is_in_n_mu_direct,
     is_in_n_mu_fast,
     m_mu_size,
@@ -24,7 +25,7 @@ from hecke.hecke_index import (
     v_of_poly,
     v_of_matrix,
 )
-from hecke.shapes import compositions_of
+from hecke.shapes import boundary_set, compositions_of
 
 F2 = Field(2)
 F3 = Field(3)
@@ -144,6 +145,55 @@ def test_matrix_of_v_rejects_exactly_the_pattern_test_failures(K, mu):
         else:
             with pytest.raises(MembershipError):
                 matrix_of_v(K, v, mu)
+
+
+def pairwise_pattern_test(v, mu):
+    """The pattern test as a loop over every pair of columns, entries read
+    inside it: the witness for the split into _pattern_ties and ties."""
+    n = v.n
+    B = set(boundary_set(mu))
+    row = tuple(r + 1 for r in v.perm)  # 1-based row of column i
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if row[i - 1] >= row[j - 1]:
+                continue
+            vi, vj = row[i - 1], row[j - 1]
+            if i not in B and vi in B and j == i + 1:
+                return False
+            if i in B and vi not in B and vj == vi + 1:
+                return False
+            if i not in B and vi not in B:
+                if (j == i + 1) != (vj == vi + 1):
+                    return False
+                if vj == vi + 1 and v.entries[i - 1] != v.entries[i]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "K,nmax", [(F2, 6), (F3, 5), (Field(2, 2), 4), (F5, 4)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_pattern_split_equals_the_pairwise_test(K, nmax):
+    """Every composition of n <= nmax: is_in_n_mu_fast agrees with the
+    pairwise witness on all of N, and enumerate_pattern_n_mu streams exactly
+    the witness's filter, in order, once each, |M_mu| of them."""
+    for n in range(1, nmax + 1):
+        all_n = list(enumerate_n(K, n))
+        for mu in compositions_of(n):
+            witness = [pairwise_pattern_test(v, mu) for v in all_n]
+            assert [is_in_n_mu_fast(v, mu) for v in all_n] == witness
+            filtered = [v for v, ok in zip(all_n, witness) if ok]
+            assert list(enumerate_pattern_n_mu(K, mu)) == filtered
+            assert len(set(filtered)) == len(filtered) == m_mu_size(K.q, mu)
+
+
+def test_block_layout_is_tuples_once_per_degree_matrix():
+    mu = (2, 1)
+    d = ((1, 1), (1, 0))
+    layout = hecke_index._block_layout(mu, d)
+    assert layout == (((1, 0), (2, 2)), ((1, 2), (0, 2)))
+    assert all(isinstance(x, tuple) for part in layout for x in (part, *part))
+    assert hecke_index._block_layout(mu, d) is layout
 
 
 # -- enumeration ----------------------------------------------------------------
