@@ -161,15 +161,11 @@ def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
     return MonomialMatrix(tuple(perm), tuple(entries))
 
 
-def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
-    """The unique a in M_mu with v_of_matrix(a) = v.
-
-    Reads the degree matrix off the block pattern of v and decodes each
-    sub-block with _poly_of_monomial, then re-encodes once: v_of_matrix maps
-    only into N_mu, so v is in N_mu exactly when the re-encoding is v, and
-    MembershipError is raised otherwise.
-    """
-    mu = tuple(mu)
+def _decode(v: MonomialMatrix, mu: tuple) -> PolyMatrix:
+    """The polynomial matrix v encodes if v is in N_mu, unchecked: reads the
+    degree matrix off the block pattern of v and decodes each sub-block with
+    _poly_of_monomial.  Off N_mu it still returns a grid, which v_of_matrix
+    does not map back to v."""
     n = sum(mu)
     if v.n != n:
         raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
@@ -186,7 +182,17 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
         return _poly_of_monomial(local, v.entries[cols])
 
     grid = tuple(tuple(entry(i, j) for j in range(l)) for i in range(l))
-    a = PolyMatrix(grid, tuple(mu))
+    return PolyMatrix(grid, mu)
+
+
+def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
+    """The unique a in M_mu with v_of_matrix(a) = v.
+
+    Decodes v (_decode), then re-encodes once: v_of_matrix maps only into
+    N_mu, so v is in N_mu exactly when the re-encoding is v, and
+    MembershipError is raised otherwise.
+    """
+    a = _decode(v, tuple(mu))
     if v_of_matrix(K, a) != v:
         raise MembershipError("v fails the N_mu membership test")
     return a
@@ -353,7 +359,8 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     for a in enumerate_m_mu(K, mu):
         v = v_of_matrix(K, a)
         membership_ok = membership_ok and is_in_n_mu_fast(v, mu)
-        roundtrip_ok = roundtrip_ok and matrix_of_v(K, v, mu) == a
+        # v = v_of_matrix(a), so _decode(v) == a is also matrix_of_v's gate.
+        roundtrip_ok = roundtrip_ok and _decode(v, mu) == a
         image.append(v)
     injective = len(set(image)) == len(image)
     filtered = set(enumerate_pattern_n_mu(K, mu))

@@ -5,13 +5,17 @@ unity, over one positive denominator (|U| for e_mu).  A `Cyclotomic` keeps
 them in lowest terms on the power basis 1, zeta, ..., zeta^(p-2), so every
 check is an exact equality.  Group elements are tuples of row tuples.
 
-`AlgebraElement.__mul__` is the brute-force convolution that `basis_check`
-runs.  `structure_constants` forms no group-algebra element: e_mu x =
+`AlgebraElement.__mul__` is the brute-force convolution, one `mat_mul` per
+pair of terms; `basis_check` runs it for e_mu e_mu = e_mu.  `t_v` and
+`double_coset_reps` form the products u v u' (u, u' in U, v monomial)
+without `mat_mul`: a monomial factor on the right moves and scales columns,
+and the right U-orbit of a matrix is built column by column (`_right_u_orbit`).
+`structure_constants` forms no group-algebra element: e_mu x =
 x e_mu = psi(x) e_mu for x in U, so from the Bruhat decomposition
 u y v = x_y w_y z_y (Gaussian elimination, O(n^3)),
 T_u T_v = |U|^-1 sum_{y in U} psi(y)^-1 psi(x_y) psi(z_y) T_{w_y}, where
 T_w = 0 for w outside N_mu; the commutativity and Levi checks read its
-tables.  The tests compare the two paths wherever both reach.
+tables.  The tests compare these paths with the convolution wherever it reaches.
 
 Guards (hecke.guards) refuse before e_mu, U or G is built: |U| <= 4096,
 |GL_n(F_q)| <= 200000, (|N| + 1) |U|^2 <= 10^6 group products in
@@ -136,7 +140,6 @@ def identity_matrix(n: int) -> tuple:
 
 
 def mat_mul(K: Field, A: tuple, B: tuple) -> tuple:
-    n = len(A)
     cols = tuple(zip(*B))
     add, mul = K.add, K.mul
     out = []
@@ -325,21 +328,74 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
-    """The idempotent averaging psi_mu^(-1) over U: psi_mu(u)^-1 / |U| at each u."""
+def _u_psi(K: Field, n: int, mu: tuple) -> tuple:
+    """Each u in U with its psi_mu exponent e, psi_mu(u) = zeta_p ** e, as
+    ((u, e), ...); refused over the |U| guard before U is built."""
     if sum(mu) != n:
         raise ValueError(f"mu = {mu} is not a composition of {n}")
     _u_order(K.q, n)
-    U = enumerate_u(K, n)
     cols = _psi_columns(mu)
-    terms = {u: Cyclotomic.root_power(K.p, -_psi_exponent(K, u, cols), len(U)) for u in U}
+    return tuple((u, _psi_exponent(K, u, cols)) for u in enumerate_u(K, n))
+
+
+@lru_cache(maxsize=None)
+def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
+    """The idempotent averaging psi_mu^(-1) over U: psi_mu(u)^-1 / |U| at each u."""
+    U = _u_psi(K, n, mu)
+    terms = {u: Cyclotomic.root_power(K.p, -e, len(U)) for u, e in U}
     return AlgebraElement(K, n, terms)
 
 
+def _times_monomial(K: Field, g: tuple, v: MonomialMatrix) -> tuple:
+    """The columns of g v: column c is column v.perm[c] of g times v.entries[c]."""
+    mul = K.mul
+    cols = tuple(zip(*g))
+    return tuple(tuple(mul(x, s) for x in cols[r]) for r, s in zip(v.perm, v.entries))
+
+
+def _right_u_orbit(K: Field, x: tuple, psi_cols: frozenset = frozenset()) -> list:
+    """[(x u, e)] over all u in U, where psi_mu(u) = zeta_p ** e for the
+    psi_mu whose _psi_columns are psi_cols; x and x u are tuples of columns.
+
+    Column j of x u is column j of x plus sum_{i<j} u[i][j] * (column i of x),
+    and psi_mu reads only u[j-1][j] of that column, so each column of x u
+    ranges over its own q^j candidates, each carrying its share of e.
+    """
+    add, mul, trace = K.add, K.mul, K.trace
+    orbit = [((), 0)]
+    for j, col in enumerate(x):
+        options = []
+        for coeffs in itertools.product(K.elements(), repeat=j):
+            new = col
+            for c, other in zip(coeffs, x):
+                if c:
+                    new = tuple(add(a, mul(c, b)) for a, b in zip(new, other))
+            options.append((new, trace(coeffs[-1]) if j in psi_cols else 0))
+        orbit = [(head + (new,), e + f) for head, e in orbit for new, f in options]
+    return orbit
+
+
 def t_v(K: Field, v: MonomialMatrix, mu: tuple) -> AlgebraElement:
-    """The double-coset element T_v = e_mu v e_mu; nonzero iff v is in N_mu."""
-    e = e_mu(K, v.n, tuple(mu))
-    return e * AlgebraElement.delta(K, monomial_to_matrix(K, v)) * e
+    """The double-coset element T_v = e_mu v e_mu; nonzero iff v is in N_mu.
+
+    The |U|^2 pairs u v u' are counted as `AlgebraElement.__mul__` counts
+    them, each with psi_mu(u)^-1 psi_mu(u')^-1 over |U|^2, but u v is a
+    column move (_times_monomial) and u v U one right orbit (_right_u_orbit).
+    """
+    mu = tuple(mu)
+    U = _u_psi(K, v.n, mu)
+    cols = _psi_columns(mu)
+    p = K.p
+    acc: dict = {}  # columns of u v u' -> p integer counts over |U|^2
+    for u, e in U:
+        for g, f in _right_u_orbit(K, _times_monomial(K, u, v), cols):
+            counts = acc.get(g)
+            if counts is None:
+                counts = acc[g] = [0] * p
+            counts[-(e + f) % p] += 1
+    den = len(U) ** 2
+    terms = {tuple(zip(*g)): Cyclotomic(p, counts, den) for g, counts in acc.items()}
+    return AlgebraElement(K, v.n, terms)
 
 
 # -- Hecke products by the Bruhat decomposition ----------------------------------
@@ -568,17 +624,36 @@ class CosetError(RuntimeError):
     """The double cosets UvU over monomial v overlap or miss part of G."""
 
 
+def _double_cosets(K: Field, n: int):
+    """Yield (v, UvU as a set of matrices) for each monomial v.
+
+    U v U is the union of the right cosets x U over x in U v, and those
+    cosets are equal or disjoint, so an x already in the coset adds nothing.
+    """
+    U = enumerate_u(K, n)
+    # One tuple per row vector, shared as in enumerate_gl: a stored element
+    # costs one tuple, not n + 1.
+    row = {r: r for r in itertools.product(K.elements(), repeat=n)}.__getitem__
+    for v in enumerate_n(K, n):
+        coset: set = set()
+        for u in U:
+            x = _times_monomial(K, u, v)
+            if tuple(zip(*x)) not in coset:
+                coset.update(tuple(map(row, zip(*g))) for g, _ in _right_u_orbit(K, x))
+        yield v, coset
+
+
 def double_coset_reps(K: Field, n: int) -> list:
-    """Confirms G = union of UvU over monomial v, returning (v, |UvU|) pairs."""
+    """Confirms G = union of UvU over monomial v, returning (v, |UvU|) pairs.
+
+    The cosets come from _double_cosets; the disjointness and cover checks
+    compare them with enumerate_gl, which builds G independently.
+    """
     _u_order(K.q, n)
     G = enumerate_gl(K, n)
-    U = enumerate_u(K, n)
     seen: set = set()
     out = []
-    for v in enumerate_n(K, n):
-        vm = monomial_to_matrix(K, v)
-        left = [mat_mul(K, u, vm) for u in U]
-        coset = {mat_mul(K, x, u2) for x in left for u2 in U}
+    for v, coset in _double_cosets(K, n):
         if coset & seen:
             raise CosetError("double cosets are not disjoint")
         seen |= coset

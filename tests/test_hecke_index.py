@@ -8,6 +8,7 @@ from hecke.hecke_index import (
     MembershipError,
     MonomialMatrix,
     PolyMatrix,
+    bijection_check,
     degree_matrices,
     enumerate_m_mu,
     enumerate_n,
@@ -145,6 +146,55 @@ def test_matrix_of_v_rejects_exactly_the_pattern_test_failures(K, mu):
         else:
             with pytest.raises(MembershipError):
                 matrix_of_v(K, v, mu)
+
+
+@pytest.mark.parametrize(
+    "K,mu", [(F3, (2, 1)), (F2, (2, 2)), (F2, (3, 2, 2))], ids=["q3-21", "q2-22", "q2-322"]
+)
+def test_bijection_check_encodes_each_element_once(monkeypatch, K, mu):
+    calls = []
+
+    def counting_v_of_matrix(K, a):
+        calls.append(a)
+        return v_of_matrix(K, a)
+
+    monkeypatch.setattr(hecke_index, "v_of_matrix", counting_v_of_matrix)
+    report = bijection_check(K, mu)
+    assert report["pass"], report
+    assert len(calls) == m_mu_size(K.q, mu) == report["m_mu_count"]
+
+
+def test_bijection_check_sees_a_wrong_decode(monkeypatch):
+    decode = hecke_index._decode
+    changed = []
+
+    def decode_one_wrong(v, mu):
+        a = decode(v, mu)
+        f = a.entries[0][0]
+        if changed or len(f) < 2:
+            return a
+        changed.append(v)  # one coefficient of one element: 1 <-> 2 over F_3
+        grid = [list(row) for row in a.entries]
+        grid[0][0] = (3 - f[0],) + f[1:]
+        return PolyMatrix(tuple(map(tuple, grid)), a.mu)
+
+    monkeypatch.setattr(hecke_index, "_decode", decode_one_wrong)
+    report = bijection_check(F3, (2, 1))
+    assert len(changed) == 1
+    assert not report["roundtrip_ok"] and not report["pass"]
+    assert report["membership_ok"] and report["injective"] and report["image_equals_filter"]
+
+
+def test_map_v_to_a_non_member_exits_4(tmp_path, capsys):
+    from hecke.cli import main
+
+    path = tmp_path / "v.json"
+    path.write_text('{"perm": [1, 2], "entries": [1, 2]}')
+    code = main(["map", "v_to_a", "--p", "3", "--mu", "2", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "input rejected: v fails the N_mu membership test\n"
 
 
 def pairwise_pattern_test(v, mu):

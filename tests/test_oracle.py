@@ -4,11 +4,12 @@ import pytest
 
 from hecke.gf import Field
 from hecke.guards import GuardExceeded
-from hecke.hecke_index import MonomialMatrix, enumerate_n_mu, monomial_identity
+from hecke.hecke_index import MonomialMatrix, enumerate_n, enumerate_n_mu, monomial_identity
 from hecke.oracle import (
     AlgebraElement,
     Cyclotomic,
     _bruhat,
+    _double_cosets,
     basis_check,
     commutativity_check,
     coset_check,
@@ -193,6 +194,45 @@ def test_t_v_gelfand_graev_example():
     # v_(X^2+X+1) over F_2 corresponds to the reversal; its T_v is nonzero.
     v = MonomialMatrix((1, 0), (1, 1))
     assert t_v(F2, v, (2,))
+
+
+@pytest.mark.parametrize(
+    "K,mu",
+    [
+        (F2, (2, 1)),
+        (F2, (1, 1, 1)),
+        (F3, (2, 1)),
+        (F3, (1, 2)),
+        (F4, (1, 1)),
+        (F4, (2,)),
+        (Field(5), (1, 1)),
+    ],
+    ids=["2-21", "2-111", "3-21", "3-12", "4-11", "4-2", "5-11"],
+)
+def test_t_v_matches_the_generic_product(K, mu):
+    # t_v moves columns and builds right U-orbits; the witness is
+    # AlgebraElement.__mul__, one mat_mul per pair of terms.
+    n = sum(mu)
+    e = e_mu(K, n, mu)
+    for v in enumerate_n(K, n):
+        expected = e * AlgebraElement.delta(K, monomial_to_matrix(K, v)) * e
+        assert t_v(K, v, mu) == expected, v
+
+
+@pytest.mark.parametrize(
+    "K,n",
+    [(F2, 3), (F3, 2), (F4, 2), (Field(5), 2), (F3, 3)],
+    ids=["2-3", "3-2", "4-2", "5-2", "3-3"],
+)
+def test_double_cosets_match_mat_mul(K, n):
+    U = enumerate_u(K, n)
+    cosets = list(_double_cosets(K, n))
+    assert [v for v, _ in cosets] == list(enumerate_n(K, n))
+    for v, coset in cosets:
+        vm = monomial_to_matrix(K, v)
+        left = [mat_mul(K, u, vm) for u in U]
+        assert coset == {mat_mul(K, x, u) for x in left for u in U}, v
+    assert double_coset_reps(K, n) == [(v, len(coset)) for v, coset in cosets]
 
 
 @pytest.mark.parametrize("K,n", [(F2, 2), (F3, 2)], ids=["22", "23"])
