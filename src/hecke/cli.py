@@ -9,7 +9,8 @@ write, made as the enumeration yields it, then a count footer.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
-or parse failure, 3 guard exceeded, 4 input outside M_mu or N_mu.
+or parse failure, 3 guard exceeded, 4 input outside M_mu or N_mu.  A closed
+stdout ends a command quietly: `enum` and `map` exit 0, `verify` its verdict.
 Diagnostics go to stderr; results go to stdout or --output.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 import time
 
@@ -25,6 +27,7 @@ from hecke.gf import Field, enumerate_irreducibles, field_order, format_poly
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
+    _is_int,
     bijection_check,
     enumerate_m_mu,
     enumerate_n_mu,
@@ -165,10 +168,11 @@ def _v_to_a(K: Field, data, args) -> dict:
 
 
 def _rsk(K: Field, data, args) -> dict:
-    b = data["b"] if isinstance(data, dict) else data
-    if not b or any(len(row) != len(b[0]) for row in b):
+    b = data.get("b") if isinstance(data, dict) else data
+    rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("b must be a rectangular matrix")
-    if any(not isinstance(x, int) or x < 0 for row in b for x in row):
+    if not all(_is_int(x) and x >= 0 for row in b for x in row):
         raise ValueError("b must have nonnegative integer entries")
     rsk = _load("rsk")
     array = rsk.two_line_array(b)
@@ -250,12 +254,14 @@ CHECKS = {  # check -> (flags it reads, driver returning the report)
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     report = args.driver(args)
+    args.verdict = 0 if report["pass"] else 1  # stands if stdout's reader has gone
     handle = open(args.output, "w") if args.output else sys.stdout
     handle.write(json.dumps(report, indent=2, default=str) + "\n")
+    handle.flush()  # a closed stdout shows before the elapsed line
     if args.output:
         handle.close()
     print(f"elapsed: {time.perf_counter() - start:.3f} s", file=sys.stderr)
-    return 0 if report["pass"] else 1
+    return args.verdict
 
 
 # -- parser ----------------------------------------------------------------------
@@ -303,7 +309,12 @@ def main(argv=None) -> int:
     except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
         return err.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: the command is done
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        return getattr(args, "verdict", 0)
     except GuardExceeded as err:
         print(f"guard exceeded: {err}", file=sys.stderr)
         return 3

@@ -45,7 +45,7 @@ def h_hat(K: Field, mu: tuple) -> tuple:
     weight mu, each with its filling count (the module dimension)."""
     mu = tuple(mu)
     out = []
-    for shape in enumerate_phi_shapes(K, sum(mu)):
+    for shape in enumerate_phi_shapes(K, mu):
         count = len(enumerate_phi_fillings(shape, mu))
         if count:
             out.append((shape, count))

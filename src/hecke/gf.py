@@ -190,11 +190,8 @@ class Field:
 
 def _smallest_irreducible(p: int, k: int) -> tuple:
     fp = Field(p)
-    for low in itertools.product(range(p), repeat=k):
-        f = low + (1,)
-        if is_irreducible(fp, f):
-            return f
-    raise AssertionError("no irreducible of the requested degree")  # unreachable
+    monic = (low + (1,) for low in itertools.product(range(p), repeat=k))
+    return next(f for f in monic if is_irreducible(fp, f))
 
 
 # -- polynomial arithmetic ---------------------------------------------------
@@ -301,23 +298,19 @@ def enumerate_monic_units(K: Field, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _irreducibles_through(K: Field, max_degree: int) -> tuple:
-    """All monic irreducibles of degree 1..max_degree, including X itself."""
-    out = []
-    for d in range(1, max_degree + 1):
-        lower = [g for g in out if poly_deg(g) <= d // 2]
-        for f in enumerate_monic(K, d):
-            if d == 1 or all(poly_divrem(K, f, g)[1] for g in lower):
-                out.append(f)
-    return tuple(out)
+    """All monic irreducibles of degree 1..max_degree: X, then the labels."""
+    return ((0, 1),) + tuple(enumerate_irreducibles(K, max_degree)) if max_degree >= 1 else ()
 
 
-def enumerate_irreducibles(K: Field, max_degree: int) -> list:
-    """The canonical label sequence: monic irreducibles f with
-    1 <= deg(f) <= max_degree and f(0) != 0, sorted by (degree, coefficients
-    from the top).  Exactly X is excluded by the constant-term condition."""
+def enumerate_irreducibles(K: Field, max_degree: int):
+    """Stream the canonical label sequence: monic irreducibles f with
+    1 <= deg(f) <= max_degree and f(0) != 0, in order of (degree,
+    coefficients from the top).  Exactly X is excluded by the constant-term
+    condition.  Each polynomial is tested as the stream reaches it."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    return [f for f in _irreducibles_through(K, max_degree) if f[0] != 0]
+    monic = (f for d in range(1, max_degree + 1) for f in enumerate_monic(K, d))
+    return (f for f in monic if f[0] != 0 and is_irreducible(K, f))
 
 
 def is_irreducible(K: Field, f: Poly) -> bool:

@@ -258,19 +258,18 @@ def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
 
 def degree_matrices(mu: tuple):
     """All nonnegative l-by-l matrices with row and column sums mu, in
-    row-major lexicographic order."""
+    row-major lexicographic order.  Each row is bounded by the column sums
+    still to fill, so the last row is exactly what is left."""
     l = len(mu)
 
     def rec(i, col_rem):
         if i == l:
-            if all(r == 0 for r in col_rem):
-                yield ()
+            yield ()
             return
-        for row in weak_compositions(mu[i], l):
-            if all(x <= r for x, r in zip(row, col_rem)):
-                rest = tuple(r - x for r, x in zip(col_rem, row))
-                for tail in rec(i + 1, rest):
-                    yield (row,) + tail
+        for row in weak_compositions(mu[i], col_rem):
+            rest = tuple(r - x for r, x in zip(col_rem, row))
+            for tail in rec(i + 1, rest):
+                yield (row,) + tail
 
     yield from rec(0, tuple(mu))
 
@@ -280,16 +279,14 @@ def m_mu_size(q: int, mu: tuple) -> int:
     has (q-1) q^(d-1) choices, and the partial counts are keyed by the
     sorted column sums still to fill (which column has which sum does not
     change the count), so no degree matrix is formed."""
-    l = len(mu)
     counts = {tuple(sorted(mu)): 1}
     for part in mu:
         filled: dict = {}
         for rem, count in counts.items():
-            for row in weak_compositions(part, l):
-                if all(x <= r for x, r in zip(row, rem)):
-                    key = tuple(sorted(r - x for r, x in zip(rem, row)))
-                    weight = math.prod((q - 1) * q ** (x - 1) for x in row if x)
-                    filled[key] = filled.get(key, 0) + count * weight
+            for row in weak_compositions(part, rem):
+                key = tuple(sorted(r - x for r, x in zip(rem, row)))
+                weight = math.prod((q - 1) * q ** (x - 1) for x in row if x)
+                filled[key] = filled.get(key, 0) + count * weight
         counts = filled
     return sum(counts.values())
 
@@ -452,14 +449,15 @@ def polymatrix_from_obj(K: Field, obj: dict) -> PolyMatrix:
         isinstance(obj, dict)
         and isinstance(obj.get("mu"), list)
         and isinstance(obj.get("entries"), list)
-        and all(_is_int(part) for part in obj["mu"])
+        and obj["mu"]
+        and all(_is_int(part) and part >= 1 for part in obj["mu"])
         and all(
             isinstance(row, list) and all(isinstance(f, str) for f in row)
             for row in obj["entries"]
         )
     ):
         raise ValueError(
-            'a polynomial matrix is {"mu": [integers], "entries": [[polynomial strings]]}'
+            'a polynomial matrix is {"mu": [positive integers], "entries": [[polynomial strings]]}'
         )
     mu = tuple(obj["mu"])
     grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])

@@ -28,7 +28,7 @@ from hecke.gf import (
 )
 from hecke.guards import check_guard
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu, m_mu_size, validate_m_mu
-from hecke.shapes import cst_check, enumerate_cst, partitions_of
+from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
 M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
 
@@ -141,12 +141,15 @@ def family_weight(fam) -> tuple:
 # -- enumeration of label shapes, fillings, and pairs ------------------------------
 
 
-def enumerate_phi_shapes(K: Field, n: int) -> list:
-    """All label-indexed partition families of total degree-weighted size n,
-    over labels of degree at most n; each lists its labels in label order."""
+def enumerate_phi_shapes(K: Field, mu: tuple) -> list:
+    """All label-indexed partition families of total degree-weighted size
+    |mu| over labels of degree at most max(mu); each lists its labels in
+    label order.  A box of a degree-d label adds d to one part of the
+    weight, so a label of higher degree has no filling of weight mu."""
+    n = sum(mu)
     if n == 0:
         return [()]
-    labels = enumerate_irreducibles(K, n)
+    labels = list(enumerate_irreducibles(K, max(mu)))
     degrees = [poly_deg(g) for g in labels]  # nondecreasing: labels are in degree order
     out: list = []
 
@@ -183,7 +186,7 @@ def enumerate_phi_fillings(shape, mu) -> list:
         g, lam = shape[idx]
         d = poly_deg(g)
         boxes = sum(lam)
-        for w in _bounded_weights(boxes, [r // d for r in remaining]):
+        for w in weak_compositions(boxes, tuple(r // d for r in remaining)):
             rest = tuple(r - d * wi for r, wi in zip(remaining, w))
             for rows in enumerate_cst(lam, w):
                 acc.append((g, rows))
@@ -194,21 +197,11 @@ def enumerate_phi_fillings(shape, mu) -> list:
     return out
 
 
-def _bounded_weights(total, bounds):
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_weights(total - first, bounds[1:]):
-            yield (first,) + rest
-
-
 def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
     """Stream all pairs of label families with equal shape per label and
     degree-weighted weight mu on both sides; the certified codomain of the
     generalized correspondence."""
-    for shape in enumerate_phi_shapes(K, sum(mu)):
+    for shape in enumerate_phi_shapes(K, mu):
         fillings = enumerate_phi_fillings(shape, mu)
         yield from itertools.product(fillings, fillings)
 

@@ -60,14 +60,17 @@ def compositions_of(n: int):
             yield (first,) + rest
 
 
-def weak_compositions(n: int, length: int):
-    """All length-tuples of nonnegative integers summing to n, in lex order."""
-    if length == 0:
+def weak_compositions(n: int, bounds: tuple):
+    """All tuples w of nonnegative integers summing to n with w_i <= bounds[i],
+    in lex order.  Each part starts where the later bounds can still take
+    the rest, so no branch comes up empty."""
+    if not bounds:
         if n == 0:
             yield ()
         return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, length - 1):
+    room = sum(bounds[1:])
+    for first in range(max(0, n - room), min(n, bounds[0]) + 1):
+        for rest in weak_compositions(n - first, bounds[1:]):
             yield (first,) + rest
 
 

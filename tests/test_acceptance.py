@@ -170,7 +170,7 @@ def test_criterion_8_symmetric_function_cross_checks():
         for nu in partitions_of(size):
             for m in range(max(len(nu), 1), 6):
                 gf = {}
-                for w in weak_compositions(size, m):
+                for w in weak_compositions(size, (size,) * m):
                     k = len(enumerate_cst(nu, w))
                     if k:
                         gf[w] = k

@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import shlex
 import subprocess
 import sys
@@ -256,6 +257,34 @@ def test_map_a_to_v_integer_entries_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "map", "a_to_v", "--p", "2", "--input", str(path))
     assert code == 2
     assert "polynomial" in err
+
+
+MALFORMED = {  # JSON inputs of the wrong shape or types for every map direction
+    "bare_int": 5,
+    "b_int": {"b": 5},
+    "b_row_int": {"b": [5]},
+    "b_bool": [[True]],
+    "mu_zero": {"mu": [0], "entries": [["1"]]},
+    "mu_empty": {"mu": [], "entries": []},
+    "mu_negative": {"mu": [-1], "entries": [["1"]]},
+}
+
+MAP_ARGV = {
+    "a_to_v": ("map", "a_to_v", "--p", "2"),
+    "v_to_a": ("map", "v_to_a", "--p", "2", "--mu", "1"),
+    "rsk": ("map", "rsk", "--p", "2"),
+    "rsk_general": ("map", "rsk_general", "--p", "2"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_map_input_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    for argv in MAP_ARGV.values():
+        code, out, err = run_cli(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 # -- verify ---------------------------------------------------------------------
@@ -569,6 +598,89 @@ def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "pieri work estimate" in err
+
+
+# -- a closed stdout -----------------------------------------------------------
+
+
+def child_env(buffered):
+    """The environment of a child `hecke`, with stdout block-buffered (the
+    default on a pipe) or unbuffered."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+BUFFERING = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enum", "m_mu", "--p", "5", "--mu", "3,3"),
+        ("enum", "irreducibles", "--p", "31", "--max-deg", "4"),
+    ],
+    ids=["m_mu", "irreducibles"],
+)
+@BUFFERING
+def test_reader_closing_after_one_line_ends_enum_quietly(argv, buffered):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hecke.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(buffered),
+    )
+    try:
+        start = time.monotonic()
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no record within 10 s"
+        assert proc.stdout.readline().startswith(b"{")
+        assert time.monotonic() - start < 2  # the stream starts before it ends
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+STUB_FAILING_CHECK = """
+import sys
+from hecke import cli
+cli.CHECKS["bijection"] = (("--k", "--mu"), lambda a: {"check": "stub", "pass": False})
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code",
+    [
+        (("-m", "hecke.cli", "map", "rsk", "--p", "2"), '{"b": [[1]]}', 0),
+        (("-m", "hecke.cli", "enum", "pairs", "--p", "2", "--mu", "2,1"), "", 0),
+        (("-m", "hecke.cli", "verify", "bijection", "--p", "2", "--mu", "2,1"), "", 0),
+        (("-c", STUB_FAILING_CHECK, "verify", "bijection", "--p", "2", "--mu", "2,1"), "", 1),
+    ],
+    ids=["map", "enum", "verify_pass", "verify_fail"],
+)
+@BUFFERING
+def test_stdout_closed_before_any_output(argv, stdin, code, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            input=stdin.encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(buffered),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 # -- import footprint ---------------------------------------------------------

@@ -12,7 +12,7 @@ from hecke.decomp import (
 )
 from hecke.gf import Field
 from hecke.guards import GuardExceeded
-from hecke.rsk import enumerate_pairs, family_shape
+from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes, family_shape
 from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
 
 F2 = Field(2)
@@ -26,7 +26,7 @@ def tableau_generating_function(nu, m):
     """Independent Schur oracle: sum of x^wt over column-strict fillings with
     entries at most m."""
     total = {}
-    for w in weak_compositions(sum(nu), m):
+    for w in weak_compositions(sum(nu), (sum(nu),) * m):
         count = len(enumerate_cst(nu, w))
         if count:
             total[w] = count
@@ -52,6 +52,26 @@ def test_h_hat_one_part_heights():
         for n in range(1, 4):
             for shape, _ in h_hat(K, (n,)):
                 assert shape_height(shape) == 1
+
+
+def all_label_h_hat(K, mu):
+    """h_hat over every label of degree at most |mu|: the table before labels
+    stopped at degree max(mu)."""
+    out = []
+    for shape in enumerate_phi_shapes(K, (sum(mu),)):
+        count = len(enumerate_phi_fillings(shape, mu))
+        if count:
+            out.append((shape, count))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "K,top", [(F2, 5), (F3, 5), (Field(2, 2), 4), (Field(5), 4)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_h_hat_equals_its_all_label_table(K, top):
+    for n in range(1, top + 1):
+        for mu in compositions_of(n):
+            assert h_hat(K, mu) == all_label_h_hat(K, mu)
 
 
 def test_h_hat_counts_match_pair_fibers():

@@ -233,8 +233,8 @@ def test_factorize_trial_divides_through_half_the_degree(monkeypatch):
 
 
 def test_irreducibles_f2():
-    assert enumerate_irreducibles(F2, 2) == [(1, 1), (1, 1, 1)]
-    assert enumerate_irreducibles(F2, 3) == [
+    assert list(enumerate_irreducibles(F2, 2)) == [(1, 1), (1, 1, 1)]
+    assert list(enumerate_irreducibles(F2, 3)) == [
         (1, 1),
         (1, 1, 1),
         (1, 1, 0, 1),  # X^3 + X + 1
@@ -243,7 +243,7 @@ def test_irreducibles_f2():
 
 
 def test_irreducibles_f3_degree_one_excludes_x():
-    assert enumerate_irreducibles(F3, 1) == [(1, 1), (2, 1)]
+    assert list(enumerate_irreducibles(F3, 1)) == [(1, 1), (2, 1)]
 
 
 def test_irreducibles_against_brute_force():
@@ -322,3 +322,25 @@ def test_parse_guards_degree(monkeypatch):
     assert len(parse_poly(F2, f"1+X^{DEGREE_GUARD}")) == DEGREE_GUARD + 1
     with pytest.raises(GuardExceeded, match="polynomial degree"):
         parse_poly(F2, f"1+X^{DEGREE_GUARD + 1}")
+
+
+def test_irreducibles_stream_without_testing_past_the_first_label(monkeypatch):
+    tested = []
+    original = gf.is_irreducible
+
+    def counting(K, f):
+        tested.append(poly_deg(f))
+        assert poly_deg(f) < 4, "a quartic was tested"
+        return original(K, f)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    labels = enumerate_irreducibles(Field(31), 4)
+    assert tested == []
+    assert next(labels) == (1, 1)
+    assert tested and max(tested) < 4
+
+
+def test_irreducibles_refuse_degree_zero_when_called():
+    with pytest.raises(ValueError):
+        enumerate_irreducibles(F2, 0)
+

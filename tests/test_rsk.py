@@ -37,7 +37,7 @@ def all_matrices(size, max_entry, max_sum=None):
         flats = (
             flat
             for s in range(max_sum + 1)
-            for flat in weak_compositions(s, size * size)
+            for flat in weak_compositions(s, (s,) * (size * size))
             if max(flat, default=0) <= max_entry
         )
     for flat in flats:
@@ -259,7 +259,7 @@ def uncut_phi_shapes(K, n):
     label is tried at every node, whatever its degree."""
     if n == 0:
         return [()]
-    labels = enumerate_irreducibles(K, n)
+    labels = list(enumerate_irreducibles(K, n))
     out = []
 
     def rec(start, remaining, acc):
@@ -281,11 +281,31 @@ def uncut_phi_shapes(K, n):
 
 @pytest.mark.parametrize("K,n", [(F2, 8), (F3, 5)], ids=["q2n8", "q3n5"])
 def test_phi_shapes_degree_cutoff_keeps_the_list(K, n):
-    assert enumerate_phi_shapes(K, n) == uncut_phi_shapes(K, n)
+    assert enumerate_phi_shapes(K, (n,)) == uncut_phi_shapes(K, n)
+
+
+def all_label_pairs(K, mu):
+    """The codomain over every label of degree at most |mu|: the enumeration
+    before labels stopped at degree max(mu)."""
+    for shape in enumerate_phi_shapes(K, (sum(mu),)):
+        fillings = enumerate_phi_fillings(shape, mu)
+        yield from itertools.product(fillings, fillings)
+
+
+@pytest.mark.parametrize(
+    "K,top", [(F2, 5), (F3, 5), (Field(2, 2), 4), (Field(5), 4)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_labels_stop_at_the_largest_part(K, top):
+    for n in range(1, top + 1):
+        every = enumerate_phi_shapes(K, (n,))
+        for mu in compositions_of(n):
+            fitting = [s for s in every if all(poly_deg(g) <= max(mu) for g, _ in s)]
+            assert enumerate_phi_shapes(K, mu) == fitting
+            assert list(enumerate_pairs(K, mu)) == list(all_label_pairs(K, mu))
 
 
 def test_phi_shapes_small():
-    shapes = enumerate_phi_shapes(F2, 2)
+    shapes = enumerate_phi_shapes(F2, (2,))
     x1 = (1, 1)
     quad = (1, 1, 1)
     assert {tuple(shape) for shape in shapes} == {
@@ -297,7 +317,7 @@ def test_phi_shapes_small():
 
 def test_phi_fillings_match_weight():
     for mu in [(2,), (1, 1), (2, 1)]:
-        for shape in enumerate_phi_shapes(F2, sum(mu)):
+        for shape in enumerate_phi_shapes(F2, (sum(mu),)):
             for fam in enumerate_phi_fillings(shape, mu):
                 assert family_shape(fam) == tuple(shape)
                 assert family_weight(fam) == mu

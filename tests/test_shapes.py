@@ -177,6 +177,15 @@ def test_pieri_consistency():
 
 
 def test_weak_compositions():
-    assert list(weak_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert list(weak_compositions(0, 0)) == [()]
-    assert len(list(weak_compositions(4, 3))) == 15
+    assert list(weak_compositions(2, (2, 2))) == [(0, 2), (1, 1), (2, 0)]
+    assert list(weak_compositions(0, ())) == [()]
+    assert len(list(weak_compositions(4, (4, 4, 4)))) == 15
+
+
+@pytest.mark.parametrize("length", range(5))
+def test_bounded_weak_compositions_equal_the_product_filter(length):
+    for bounds in itertools.product(range(7), repeat=length):
+        boxes = list(itertools.product(*(range(b + 1) for b in bounds)))
+        for n in range(7):
+            expected = [w for w in boxes if sum(w) == n]
+            assert list(weak_compositions(n, bounds)) == expected
