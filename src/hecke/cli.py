@@ -23,11 +23,10 @@ import os
 import sys
 import time
 
-from hecke.gf import Field, enumerate_irreducibles, field_order, format_poly
+from hecke.gf import Field, _is_int, enumerate_irreducibles, field_order, format_poly
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
-    _is_int,
     bijection_check,
     enumerate_m_mu,
     enumerate_n_mu,

@@ -24,7 +24,7 @@ from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
 from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu
 from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
-from hecke.shapes import conjugate, contains, enumerate_cst, kostka, partitions_of
+from hecke.shapes import conjugate, contains, enumerate_cst, is_partition, kostka, partitions_of
 
 
 def shape_height(shape) -> int:
@@ -211,7 +211,7 @@ def _schur_packed(nu: tuple, m: int, width: int) -> tuple:
 
 
 def _check_partition(nu: tuple):
-    if any(part < 1 for part in nu) or any(a < b for a, b in zip(nu, nu[1:])):
+    if not is_partition(nu):
         raise ValueError(f"not a partition: {list(nu)}")
 
 

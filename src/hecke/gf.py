@@ -356,47 +356,51 @@ def factorize(K: Field, f: Poly) -> tuple:
     return unit, tuple(factors)
 
 
-# -- text format --------------------------------------------------------------
+# -- JSON and text format ------------------------------------------------------
 #
-# Terms "c*X^d" joined by "+", lowest degree first; the coefficient is a
-# plain integer for prime fields and a bracketed coordinate vector
-# "[c0,c1,...]" for extension fields.  X^3 + X + 1 over F_2 prints as
-# "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".
+# A field element is its code for prime fields and its coordinate vector
+# "[c0,c1,...]" for extension fields; either form is read back.  Polynomial
+# terms "c*X^d" are joined by "+", lowest degree first: X^3 + X + 1 over F_2
+# prints as "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".
 
 _TERM_RE = re.compile(
     r"^\s*(?P<coeff>\[[^\]]*\]|\d+)?\s*\*?\s*(?P<var>X(\^(?P<deg>\d+))?)?\s*$"
 )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def element_to_obj(K: Field, a: int):
+    return a if K.k == 1 else list(K.coords(a))
+
+
+def element_from_obj(K: Field, obj) -> int:
+    if _is_int(obj) and 0 <= obj < K.q:
+        return obj
+    if isinstance(obj, list) and len(obj) <= K.k and all(_is_int(c) and 0 <= c < K.p for c in obj):
+        return K.from_coords(tuple(obj) + (0,) * (K.k - len(obj)))
+    raise ValueError(
+        f"field element {obj!r} is neither an integer below q = {K.q} nor at most"
+        f" k = {K.k} coordinates below p = {K.p}"
+    )
+
+
 def format_coeff(K: Field, a: int) -> str:
-    if K.k == 1:
-        return str(a)
-    return "[" + ",".join(str(c) for c in K.coords(a)) + "]"
+    return str(element_to_obj(K, a)).replace(" ", "")
 
 
 def parse_coeff(K: Field, s: str) -> int:
     s = s.strip()
-    if s.startswith("["):
-        cs = [int(t) for t in s[1:-1].split(",")] if s[1:-1].strip() else []
-        if len(cs) > K.k or any(not 0 <= c < K.p for c in cs):
-            raise ValueError(f"expected at most k = {K.k} coordinates in [0, {K.p}), not {s!r}")
-        return K.from_coords(tuple(cs) + (0,) * (K.k - len(cs)))
-    v = int(s)
-    if not 0 <= v < K.q:
-        raise ValueError(f"coefficient {v} out of range for q = {K.q}")
-    return v
+    if not s.startswith("["):
+        return element_from_obj(K, int(s))
+    return element_from_obj(K, [int(t) for t in s[1:-1].split(",")] if s[1:-1].strip() else [])
 
 
 @lru_cache(maxsize=None)
 def format_poly(K: Field, f: Poly) -> str:
-    terms = []
-    for d, c in enumerate(f):
-        if c == 0:
-            continue
-        if d == 0:
-            terms.append(format_coeff(K, c))
-        else:
-            terms.append(f"{format_coeff(K, c)}*X^{d}")
+    terms = [format_coeff(K, c) + (f"*X^{d}" if d else "") for d, c in enumerate(f) if c]
     return "+".join(terms) if terms else "0"
 
 
@@ -410,10 +414,7 @@ def parse_poly(K: Field, s: str) -> Poly:
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"cannot parse polynomial term {term!r}")
         c = 1 if m.group("coeff") is None else parse_coeff(K, m.group("coeff"))
-        if m.group("var") is None:
-            d = 0
-        else:
-            d = 1 if m.group("deg") is None else int(m.group("deg"))
+        d = 0 if m.group("var") is None else int(m.group("deg") or 1)
         coeffs[d] = K.add(coeffs.get(d, 0), c)
     check_guard(max(coeffs), DEGREE_GUARD, "polynomial degree")
     out = [0] * (max(coeffs) + 1)

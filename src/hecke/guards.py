@@ -5,6 +5,7 @@ the environment variable HECKE_GUARD_OVERRIDE to an integer raises every
 guard to at least that ceiling, at the caller's risk.
 """
 
+import math
 import os
 
 
@@ -22,4 +23,6 @@ def guard_limit(default: int) -> int:
 def check_guard(value: int, default_limit: int, what: str):
     limit = guard_limit(default_limit)
     if value > limit:
-        raise GuardExceeded(f"{what} = {value} exceeds the guard ({limit})")
+        # Past 4096 bits a value prints as inf: str() of it is slow or refused.
+        shown = math.inf if value >= 1 << 4096 else value
+        raise GuardExceeded(f"{what} = {shown} exceeds the guard ({limit})")

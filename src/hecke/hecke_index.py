@@ -12,12 +12,15 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from functools import lru_cache
+from collections import Counter
 from typing import Iterator, NamedTuple
 
 from hecke.gf import (
     Field,
     Poly,
+    _is_int,
+    element_from_obj,
+    element_to_obj,
     enumerate_monic_units,
     format_poly,
     is_monic,
@@ -47,15 +50,13 @@ class PolyMatrix(NamedTuple):
     entries: tuple  # l-by-l grid of Poly
     mu: tuple
 
-    def degree_matrix(self) -> tuple:
-        return tuple(tuple(poly_deg(f) for f in row) for row in self.entries)
-
 
 def monomial_identity(n: int) -> MonomialMatrix:
     return MonomialMatrix(tuple(range(n)), (1,) * n)
 
 
-def validate_m_mu(K: Field, a: PolyMatrix):
+def validate_m_mu(K: Field, a: PolyMatrix) -> tuple:
+    """The degree matrix of a, or MembershipError if a is not in M_mu."""
     l = len(a.mu)
     if len(a.entries) != l or any(len(row) != l for row in a.entries):
         raise MembershipError("entry grid does not match the length of mu")
@@ -65,13 +66,14 @@ def validate_m_mu(K: Field, a: PolyMatrix):
                 raise MembershipError(
                     f"entry {format_poly(K, f)} is not monic with nonzero constant term"
                 )
-    d = a.degree_matrix()
+    d = tuple(tuple(poly_deg(f) for f in row) for row in a.entries)
     row_sums = tuple(sum(row) for row in d)
     col_sums = tuple(sum(col) for col in zip(*d))
     if row_sums != tuple(a.mu) or col_sums != tuple(a.mu):
         raise MembershipError(
             f"degree sums {row_sums} / {col_sums} do not both equal mu = {a.mu}"
         )
+    return d
 
 
 # -- the map f -> v_(f) on 1x1 blocks ----------------------------------------
@@ -118,46 +120,34 @@ def _poly_of_monomial(perm, entries) -> Poly:
 # -- the bijection M_mu <-> N_mu ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _block_layout(mu: tuple, d: tuple) -> tuple:
-    """Row and column start offsets of each sub-block, as tuples: computed
-    once per degree matrix d (a tuple of tuples).
-
+def _blocks(mu: tuple, d):
+    """(i, j, first row, first column) of each nonempty sub-block of v_a for
+    the degree matrix d, walked with running offsets, so no layout is kept.
     Within block row i the sub-blocks stack top to bottom by decreasing
     column index j; within block column j they run left to right by
-    decreasing row index i.
-    """
-    l = len(mu)
-    row_base = tuple(sum(mu[:i]) for i in range(l))
-    col_base = tuple(sum(mu[:j]) for j in range(l))
-    row_start = tuple(
-        tuple(row_base[i] + sum(d[i][j2] for j2 in range(j + 1, l)) for j in range(l))
-        for i in range(l)
-    )
-    col_start = tuple(
-        tuple(col_base[j] + sum(d[i2][j] for i2 in range(i + 1, l)) for j in range(l))
-        for i in range(l)
-    )
-    return row_start, col_start
+    decreasing row index i."""
+    base = [b - m for b, m in zip(boundary_set(mu), mu)]  # sum(mu[:i]) for each i
+    col = list(base)  # next free column of each block column
+    for i in reversed(range(len(mu))):
+        r = base[i]
+        for j in reversed(range(len(mu))):
+            if d[i][j]:
+                yield i, j, r, col[j]
+                r += d[i][j]
+                col[j] += d[i][j]
 
 
 def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
     """The monomial matrix v_a of a polynomial matrix in M_mu."""
-    validate_m_mu(K, a)
-    l = len(a.mu)
+    d = validate_m_mu(K, a)
     n = sum(a.mu)
-    d = a.degree_matrix()
-    row_start, col_start = _block_layout(a.mu, d)
     perm = [0] * n
     entries = [0] * n
-    for i in range(l):
-        for j in range(l):
-            if d[i][j] == 0:
-                continue
-            sub = v_of_poly(K, a.entries[i][j])
-            for c in range(d[i][j]):
-                perm[col_start[i][j] + c] = row_start[i][j] + sub.perm[c]
-                entries[col_start[i][j] + c] = sub.entries[c]
+    for i, j, r, c in _blocks(a.mu, d):
+        sub = v_of_poly(K, a.entries[i][j])
+        cols = slice(c, c + d[i][j])
+        perm[cols] = [r + x for x in sub.perm]
+        entries[cols] = sub.entries
     return MonomialMatrix(tuple(perm), tuple(entries))
 
 
@@ -174,15 +164,11 @@ def _decode(v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     d = [[0] * l for _ in range(l)]
     for c, r in enumerate(v.perm):
         d[bisect_right(bounds, r)][bisect_right(bounds, c)] += 1
-    row_start, col_start = _block_layout(mu, tuple(map(tuple, d)))
-
-    def entry(i, j):
-        cols = slice(col_start[i][j], col_start[i][j] + d[i][j])
-        local = [r - row_start[i][j] for r in v.perm[cols]]
-        return _poly_of_monomial(local, v.entries[cols])
-
-    grid = tuple(tuple(entry(i, j) for j in range(l)) for i in range(l))
-    return PolyMatrix(grid, mu)
+    grid = [[(1,)] * l for _ in range(l)]
+    for i, j, r, c in _blocks(mu, d):
+        cols = slice(c, c + d[i][j])
+        grid[i][j] = _poly_of_monomial([x - r for x in v.perm[cols]], v.entries[cols])
+    return PolyMatrix(tuple(map(tuple, grid)), mu)
 
 
 def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
@@ -291,6 +277,25 @@ def m_mu_size(q: int, mu: tuple) -> int:
     return sum(counts.values())
 
 
+def check_m_mu_size(q: int, mu: tuple, limit: int):
+    """Refuse |M_mu| over the guard on a lower bound formed without counting:
+    the prod_k m_k! degree matrices that permute the m_k parts equal to k in
+    diag(mu), each with prod_i (q-1) q^(mu_i-1) fillings, which is |M_mu|
+    when mu has one part or only parts 1; then on the row-by-row count.
+    The bound's bits come from logarithms first: past 4096 it is inf."""
+    mults = Counter(mu).values()
+    bits = sum(math.lgamma(m + 1) for m in mults) / math.log(2)
+    bits += len(mu) * math.log2(q - 1) + (sum(mu) - len(mu)) * math.log2(q)
+    bound = math.inf
+    if bits < 4096.5:
+        fillings = math.prod((q - 1) * q ** (m - 1) for m in mu)
+        bound = math.prod(map(math.factorial, mults)) * fillings
+    exact = len(mu) == 1 or max(mu) == 1
+    what = "|M_mu|" if exact else "|M_mu| >= prod_k m_k! prod_i (q-1) q^(mu_i-1)"
+    check_guard(bound, limit, what)
+    check_guard(m_mu_size(q, mu), limit, "|M_mu|")
+
+
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
     """Stream M_mu, ordered by degree matrix then entrywise by polynomial."""
     l = len(mu)
@@ -388,35 +393,10 @@ def bijection_check(K: Field, mu: tuple) -> dict:
 # -- serialization --------------------------------------------------------------
 
 
-def _entry_to_obj(K: Field, e: int):
-    return e if K.k == 1 else list(K.coords(e))
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _entry_from_obj(K: Field, obj) -> int:
-    if _is_int(obj):
-        if not 0 <= obj < K.q:
-            raise ValueError(f"entry {obj} out of range for q = {K.q}")
-        return obj
-    if not (
-        isinstance(obj, list)
-        and len(obj) <= K.k
-        and all(_is_int(c) and 0 <= c < K.p for c in obj)
-    ):
-        raise ValueError(
-            f"entry {obj!r} is neither an integer below q = {K.q} nor a list of"
-            f" at most k = {K.k} coordinates below p = {K.p}"
-        )
-    return K.from_coords(tuple(obj) + (0,) * (K.k - len(obj)))
-
-
 def monomial_to_obj(K: Field, v: MonomialMatrix) -> dict:
     return {
         "perm": [r + 1 for r in v.perm],
-        "entries": [_entry_to_obj(K, e) for e in v.entries],
+        "entries": [element_to_obj(K, e) for e in v.entries],
     }
 
 
@@ -429,7 +409,7 @@ def monomial_from_obj(K: Field, obj: dict) -> MonomialMatrix:
     ):
         raise ValueError('a monomial matrix is {"perm": [integers], "entries": [entries]}')
     perm = tuple(r - 1 for r in obj["perm"])
-    entries = tuple(_entry_from_obj(K, e) for e in obj["entries"])
+    entries = tuple(element_from_obj(K, e) for e in obj["entries"])
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("perm is not a permutation")
     if len(entries) != len(perm) or any(e == 0 for e in entries):
@@ -460,5 +440,7 @@ def polymatrix_from_obj(K: Field, obj: dict) -> PolyMatrix:
             'a polynomial matrix is {"mu": [positive integers], "entries": [[polynomial strings]]}'
         )
     mu = tuple(obj["mu"])
+    if len(obj["entries"]) != len(mu) or any(len(row) != len(mu) for row in obj["entries"]):
+        raise ValueError(f"entries must be a {len(mu)}-by-{len(mu)} grid, one row per part of mu")
     grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])
     return PolyMatrix(grid, mu)

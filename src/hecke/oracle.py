@@ -5,17 +5,20 @@ unity, over one positive denominator (|U| for e_mu).  A `Cyclotomic` keeps
 them in lowest terms on the power basis 1, zeta, ..., zeta^(p-2), so every
 check is an exact equality.  Group elements are tuples of row tuples.
 
-`AlgebraElement.__mul__` is the brute-force convolution, one `mat_mul` per
-pair of terms; `basis_check` runs it for e_mu e_mu = e_mu.  `t_v` and
-`double_coset_reps` form the products u v u' (u, u' in U, v monomial)
-without `mat_mul`: a monomial factor on the right moves and scales columns,
-and the right U-orbit of a matrix is built column by column (`_right_u_orbit`).
+`_u_psi` builds U, each u with its psi_mu exponent, once per (K, n, mu) for
+`e_mu`, `t_v` and `structure_constants`.  `AlgebraElement.__mul__` is the
+brute-force convolution, one `mat_mul` per pair of terms; `basis_check`
+runs it for e_mu e_mu = e_mu.  `t_v` and `double_coset_reps` form the
+products u v u' (u, u' in U, v monomial) without `mat_mul`: a monomial
+factor on the right moves and scales columns, and the right U-orbit of a
+matrix is built column by column (`_right_u_orbit`).
 `structure_constants` forms no group-algebra element: e_mu x =
 x e_mu = psi(x) e_mu for x in U, so from the Bruhat decomposition
 u y v = x_y w_y z_y (Gaussian elimination, O(n^3)),
 T_u T_v = |U|^-1 sum_{y in U} psi(y)^-1 psi(x_y) psi(z_y) T_{w_y}, where
-T_w = 0 for w outside N_mu; the commutativity and Levi checks read its
-tables.  The tests compare these paths with the convolution wherever it reaches.
+T_w = 0 for w outside N_mu and psi(y)^-1 = zeta^-e for the exponent e of
+y in `_u_psi`; the commutativity and Levi checks read its tables.  The
+tests compare these paths with the convolution wherever it reaches.
 
 Guards (hecke.guards) refuse before e_mu, U or G is built: |U| <= 4096,
 |GL_n(F_q)| <= 200000, (|N| + 1) |U|^2 <= 10^6 group products in
@@ -338,7 +341,6 @@ def _u_psi(K: Field, n: int, mu: tuple) -> tuple:
     return tuple((u, _psi_exponent(K, u, cols)) for u in enumerate_u(K, n))
 
 
-@lru_cache(maxsize=None)
 def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
     """The idempotent averaging psi_mu^(-1) over U: psi_mu(u)^-1 / |U| at each u."""
     U = _u_psi(K, n, mu)
@@ -480,17 +482,17 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     basis = tuple(enumerate_n_mu(K, mu))
     index = {v: k for k, v in enumerate(basis)}
     cols = _psi_columns(mu)
-    U = enumerate_u(K, sum(mu))
-    inverse_psi = [-_psi_exponent(K, y, cols) for y in U]  # psi(y)^-1 = zeta^e
+    U = _u_psi(K, sum(mu), mu)
     table = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             counts: dict = {}  # k -> p integer counts over |U|
-            for y, e in zip(U, inverse_psi):
+            for y, e in U:
                 x, w, z = _bruhat(K, _sandwich(K, u, y, v))
                 k = index.get(w)
                 if k is None:
                     continue
+                e = -e  # psi(y)^-1 = zeta^-e
                 for a, b, c in x + z:
                     if b == a + 1 and b in cols:
                         e += trace(c)

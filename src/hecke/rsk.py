@@ -19,15 +19,14 @@ from typing import Iterator
 
 from hecke.gf import (
     Field,
-    enumerate_irreducibles,
+    _irreducibles_through,
     factorize,
     format_poly,
     parse_poly,
     poly_deg,
     poly_key,
 )
-from hecke.guards import check_guard
-from hecke.hecke_index import PolyMatrix, enumerate_m_mu, m_mu_size, validate_m_mu
+from hecke.hecke_index import PolyMatrix, check_m_mu_size, enumerate_m_mu, validate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
 M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
@@ -145,11 +144,12 @@ def enumerate_phi_shapes(K: Field, mu: tuple) -> list:
     """All label-indexed partition families of total degree-weighted size
     |mu| over labels of degree at most max(mu); each lists its labels in
     label order.  A box of a degree-d label adds d to one part of the
-    weight, so a label of higher degree has no filling of weight mu."""
+    weight, so a label of higher degree has no filling of weight mu.  The
+    labels are the cached irreducibles past X, which has f(0) = 0."""
     n = sum(mu)
     if n == 0:
         return [()]
-    labels = list(enumerate_irreducibles(K, max(mu)))
+    labels = _irreducibles_through(K, max(mu))[1:]
     degrees = [poly_deg(g) for g in labels]  # nondecreasing: labels are in degree order
     out: list = []
 
@@ -210,7 +210,7 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     mu = tuple(mu)
-    check_guard(m_mu_size(K.q, mu), M_MU_GUARD, "|M_mu|")
+    check_m_mu_size(K.q, mu, M_MU_GUARD)
     image = []
     weights_ok = True
     shapes_ok = True

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import select
 import shlex
@@ -138,10 +139,14 @@ def test_flag_the_command_does_not_read_exits_2(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-def test_readme_command_lines_parse():
+def readme_command_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    lines = [line for line in block.splitlines() if line.startswith("hecke ")]
+    return [line for line in block.splitlines() if line.startswith("hecke ")]
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
     assert len(lines) >= 16
     parser = build_parser()
     for line in lines:
@@ -149,6 +154,20 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [line for line in readme_command_lines() if "--input" not in line],
+    ids=lambda line: " ".join(shlex.split(line, comments=True)[1:]),
+)
+def test_readme_command_lines_run(monkeypatch, capsys, line):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "verify":
+        assert json.loads(out)["pass"] is True
 
 
 # -- map ----------------------------------------------------------------------
@@ -267,6 +286,10 @@ MALFORMED = {  # JSON inputs of the wrong shape or types for every map direction
     "mu_zero": {"mu": [0], "entries": [["1"]]},
     "mu_empty": {"mu": [], "entries": []},
     "mu_negative": {"mu": [-1], "entries": [["1"]]},
+    "grid_one_row": {"mu": [1, 1], "entries": [["1"]]},
+    "grid_wide_row": {"mu": [2], "entries": [["1+X^2", "1"]]},
+    "grid_empty": {"mu": [1], "entries": []},
+    "entry_bool": {"perm": [1], "entries": [True]},
 }
 
 MAP_ARGV = {
@@ -446,6 +469,41 @@ def test_rsk_bijectivity_guard_counts_sixteen_parts_at_once(monkeypatch, capsys)
     assert code == 3
     assert out == ""
     assert "|M_mu| = 20922789888000 exceeds the guard (1000000)" in err
+
+
+@pytest.mark.parametrize(
+    "p,mu,message",
+    [
+        # one part or every part 1: the bound is |M_mu| = 300! (q-1)^300
+        ("2", ",".join(["1"] * 300), f"|M_mu| = {math.factorial(300)} exceeds"),
+        # 3! degree matrices permute the parts, each with (2^499)^3 fillings
+        ("2", "500,500,500", f"|M_mu| >= prod_k m_k! prod_i (q-1) q^(mu_i-1) = {6 * 2**1497} "),
+        # 1020 * 1021^99999 has over 4096 bits
+        ("1021", "100000", "|M_mu| = inf exceeds the guard (1000000)"),
+        # 2 * 3^2583 has 4095 bits and 2 * 3^2584 has 4097
+        ("3", "2584", f"|M_mu| = {2 * 3**2583} exceeds"),
+        ("3", "2585", "|M_mu| = inf exceeds"),
+    ],
+    ids=["ones300", "three500", "p1021", "bits4095", "bits4097"],
+)
+def test_rsk_bijectivity_guard_refuses_on_the_lower_bound(monkeypatch, capsys, p, mu, message):
+    from hecke import hecke_index, rsk
+
+    def refuse(*args):
+        raise AssertionError("|M_mu| was counted or enumerated before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for name in ("enumerate_m_mu", "enumerate_pairs"):
+        monkeypatch.setattr(rsk, name, refuse)
+    for name in ("degree_matrices", "m_mu_size"):
+        monkeypatch.setattr(hecke_index, name, refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", p, "--mu", mu)
+    if p != "1021":  # building F_1021 takes about 2 s
+        assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert message in err and err.startswith("guard exceeded: ")
 
 
 @pytest.mark.parametrize(

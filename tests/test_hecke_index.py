@@ -237,13 +237,29 @@ def test_pattern_split_equals_the_pairwise_test(K, nmax):
             assert len(set(filtered)) == len(filtered) == m_mu_size(K.q, mu)
 
 
-def test_block_layout_is_tuples_once_per_degree_matrix():
-    mu = (2, 1)
-    d = ((1, 1), (1, 0))
-    layout = hecke_index._block_layout(mu, d)
-    assert layout == (((1, 0), (2, 2)), ((1, 2), (0, 2)))
-    assert all(isinstance(x, tuple) for part in layout for x in (part, *part))
-    assert hecke_index._block_layout(mu, d) is layout
+def closed_form_blocks(mu, d):
+    """The sub-block offsets as closed-form sums, the layout v_of_matrix used
+    before the blocks were walked: block (i, j) starts at row
+    sum(mu[:i]) + sum_{j' > j} d[i][j'] and column sum(mu[:j]) +
+    sum_{i' > i} d[i'][j]."""
+    l = len(mu)
+    out = []
+    for i in range(l):
+        for j in range(l):
+            if d[i][j]:
+                row = sum(mu[:i]) + sum(d[i][j2] for j2 in range(j + 1, l))
+                col = sum(mu[:j]) + sum(d[i2][j] for i2 in range(i + 1, l))
+                out.append((i, j, row, col))
+    return out
+
+
+def test_walked_blocks_equal_the_closed_form_offsets():
+    mu, d = (2, 1), ((1, 1), (1, 0))
+    assert sorted(hecke_index._blocks(mu, d)) == [(0, 0, 1, 1), (0, 1, 0, 2), (1, 0, 2, 0)]
+    for n in range(1, 7):
+        for mu in compositions_of(n):
+            for d in degree_matrices(mu):
+                assert sorted(hecke_index._blocks(mu, d)) == closed_form_blocks(mu, d)
 
 
 # -- enumeration ----------------------------------------------------------------

@@ -458,3 +458,13 @@ def test_guard_override(monkeypatch):
     from hecke.guards import check_guard
 
     check_guard(2**21, 4096, "|U|")
+
+
+def test_guard_shows_a_value_past_4096_bits_as_inf(monkeypatch):
+    from hecke.guards import check_guard
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    with pytest.raises(GuardExceeded, match=r"^x = inf exceeds the guard \(10\)$"):
+        check_guard(1 << 4096, 10, "x")
+    with pytest.raises(GuardExceeded, match=rf"^x = {(1 << 4096) - 1} exceeds"):
+        check_guard((1 << 4096) - 1, 10, "x")

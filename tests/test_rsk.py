@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hecke import gf
 from hecke.gf import Field, enumerate_irreducibles, poly_deg, poly_key, poly_mul
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.rsk import (
@@ -302,6 +303,20 @@ def test_labels_stop_at_the_largest_part(K, top):
             fitting = [s for s in every if all(poly_deg(g) <= max(mu) for g, _ in s)]
             assert enumerate_phi_shapes(K, mu) == fitting
             assert list(enumerate_pairs(K, mu)) == list(all_label_pairs(K, mu))
+
+
+def test_phi_shapes_read_the_cached_labels(monkeypatch):
+    first = enumerate_phi_shapes(Field(31), (3,))
+    tested = []
+    original = gf.is_irreducible
+
+    def counting(K, f):
+        tested.append(f)
+        return original(K, f)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    assert enumerate_phi_shapes(Field(31), (3,)) == first
+    assert tested == []
 
 
 def test_phi_shapes_small():
