@@ -23,21 +23,19 @@ import os
 import sys
 import time
 
-from hecke.gf import Field, _is_int, enumerate_irreducibles, field_order, format_poly
+from hecke.gf import Field, element_to_obj, enumerate_irreducibles, field_order, format_poly
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
-    bijection_check,
-    enumerate_m_mu,
-    enumerate_n_mu,
     matrix_of_v,
     monomial_from_obj,
     monomial_to_obj,
     polymatrix_from_obj,
     polymatrix_to_obj,
+    v_block,
     v_of_matrix,
+    walk_m_mu,
 )
-from hecke.shapes import partitions_of
 
 
 def _parse_mu(text: str) -> tuple:
@@ -78,26 +76,28 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds on
 
 
 class _Writer:
-    def __init__(self, args):
+    """Writes records given as the JSON texts of their values, under the
+    keys of the job, declared once: a JSON object per line, or TSV rows
+    after a header of the keys, where a string value shows unquoted."""
+
+    def __init__(self, args, keys: tuple):
         self.fmt = args.format
         self.path = args.output
         self.handle = open(self.path, "w") if self.path else sys.stdout
-        self.header_done = False
+        if self.fmt == "json":
+            self.row = "{" + ",".join(f"{_encode(key)}:%s" for key in keys) + "}\n"
+            self.line = self.row
+        else:
+            self.row = "\t".join("%s" for _ in keys) + "\n"
+            self.line = "\t".join(keys) + "\n" + self.row  # the header shares the first row
 
-    def record(self, obj: dict):
+    def record(self, texts: tuple):
         # One write call per record: on unbuffered stdout each call is one
         # write(2) into the pipe.
-        if self.fmt == "json":
-            self.handle.write(_encode(obj) + "\n")
-            return
-        row = "\t".join(
-            v if isinstance(v, str) else _encode(v)
-            for v in obj.values()
-        )
-        if not self.header_done:
-            row = "\t".join(obj) + "\n" + row
-            self.header_done = True
-        self.handle.write(row + "\n")
+        if self.fmt == "tsv":
+            texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
+        self.handle.write(self.line % texts)
+        self.line = self.row
 
     def footer(self, count: int):
         if self.fmt == "tsv":
@@ -113,34 +113,59 @@ class _Writer:
 # -- enum -----------------------------------------------------------------------
 
 
+# The M_mu and N_mu records are joins of texts that walk_m_mu has each
+# encoded once: an entry's polynomial, or a sub-block's 1-based rows and
+# entries.
+
+
+def _enum_m_mu(K: Field, a):
+    l = len(a.mu)
+    mu, rows = _encode(list(a.mu)), range(0, l * l, l)
+    for _, choices in walk_m_mu(K, a.mu, lambda f, r: _encode(format_poly(K, f))):
+        for flat in choices:
+            yield mu, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
+
+
+def _block_texts(K: Field, f, r) -> tuple:
+    block = v_block(K, f, r)
+    return (
+        ",".join(str(x + 1) for x in block.perm),
+        ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
+    )
+
+
+def _enum_n_mu(K: Field, a):
+    for columns, choices in walk_m_mu(K, a.mu, lambda f, r: _block_texts(K, f, r)):
+        for flat in choices:
+            perms, entries = zip(*[flat[k] for k in columns])
+            yield "[" + ",".join(perms) + "]", "[" + ",".join(entries) + "]"
+
+
 def _enum_pairs(K: Field, a):
     rsk = _load("rsk")
-    return (rsk.pair_to_obj(K, pair) for pair in rsk.enumerate_pairs(K, a.mu))
+    for pair in rsk.enumerate_pairs(K, a.mu):
+        yield tuple(_encode(rsk.family_to_obj(K, family)) for family in pair)
 
 
-ENUMS = {  # kind -> (flags it reads, driver returning a stream of records)
-    "n_mu": (
-        ("--k", "--mu"),
-        lambda K, a: (monomial_to_obj(K, v) for v in enumerate_n_mu(K, a.mu)),
-    ),
-    "m_mu": (
-        ("--k", "--mu"),
-        lambda K, a: (polymatrix_to_obj(K, m) for m in enumerate_m_mu(K, a.mu)),
-    ),
+ENUMS = {  # kind -> (flags it reads, keys of its records, driver streaming value texts)
+    "n_mu": (("--k", "--mu"), ("perm", "entries"), _enum_n_mu),
+    "m_mu": (("--k", "--mu"), ("mu", "entries"), _enum_m_mu),
     "irreducibles": (
         ("--k", "--max-deg"),
-        lambda K, a: ({"poly": format_poly(K, f)} for f in enumerate_irreducibles(K, a.max_deg)),
+        ("poly",),
+        lambda K, a: ((_encode(format_poly(K, f)),) for f in enumerate_irreducibles(K, a.max_deg)),
     ),
-    "pairs": (("--k", "--mu"), _enum_pairs),
+    "pairs": (("--k", "--mu"), ("P", "Q"), _enum_pairs),
 }
 
 
 def cmd_enum(args) -> int:
+    _, keys, driver = ENUMS[args.kind]
     K = _field(args)
-    writer = _Writer(args)
+    writer = _Writer(args, keys)
     count = 0
-    for record in args.driver(K, args):
-        writer.record(record)
+    for texts in driver(K, args):
+        writer.record(texts)
         count += 1
     writer.footer(count)
     writer.close()
@@ -166,42 +191,27 @@ def _v_to_a(K: Field, data, args) -> dict:
     return polymatrix_to_obj(K, matrix_of_v(K, monomial_from_obj(K, data), args.mu))
 
 
-def _rsk(K: Field, data, args) -> dict:
-    b = data.get("b") if isinstance(data, dict) else data
-    rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("b must be a rectangular matrix")
-    if not all(_is_int(x) and x >= 0 for row in b for x in row):
-        raise ValueError("b must have nonnegative integer entries")
-    rsk = _load("rsk")
-    array = rsk.two_line_array(b)
-    P, Q = rsk.rsk_classical(b)
-    return {
-        "two_line": [[i for i, _ in array], [j for _, j in array]],
-        "P": [list(row) for row in P],
-        "Q": [list(row) for row in Q],
-    }
-
-
 def _rsk_general(K: Field, data, args) -> dict:
     rsk = _load("rsk")
     pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
     return {**rsk.pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
 
 
-MAPS = {  # direction -> (flags it reads, driver returning one record)
-    "a_to_v": (("--k",), _a_to_v),
-    "v_to_a": (("--k", "--mu"), _v_to_a),
-    "rsk": ((), _rsk),  # reads no field
-    "rsk_general": (("--k",), _rsk_general),
+MAPS = {  # direction -> (flags it reads, keys of its record, driver returning the record)
+    "a_to_v": (("--k",), ("mu", "perm", "entries"), _a_to_v),
+    "v_to_a": (("--k", "--mu"), ("mu", "entries"), _v_to_a),
+    "rsk": ((), ("two_line", "P", "Q"), lambda K, data, a: _load("rsk").classical_record(data)),
+    "rsk_general": (("--k",), ("P", "Q", "weight"), _rsk_general),
 }
 
 
 def cmd_map(args) -> int:
+    _, keys, driver = MAPS[args.direction]
     K = _field(args)
     data = _read_input(args)
-    writer = _Writer(args)
-    writer.record(args.driver(K, data, args))
+    writer = _Writer(args, keys)
+    record = driver(K, data, args)
+    writer.record(tuple(_encode(record[key]) for key in keys))
     writer.close()
     return 0
 
@@ -211,48 +221,38 @@ def cmd_map(args) -> int:
 
 def _verify_pieri(args) -> dict:
     _field(args)
-    decomp = _load("decomp")
-    if args.nu is not None:
-        nu = tuple(int(x) for x in args.nu.split(",")) if args.nu else ()
-        return decomp.pieri_check(nu, 1 if args.add is None else args.add, args.vars)
-    if args.add is not None:
-        raise ValueError("--add needs --nu: the default grid sets its own row sizes")
-    cases = [(nu, n) for size in range(5) for nu in partitions_of(size) for n in range(1, 4)]
-    for nu, n in cases:
-        decomp.check_pieri_input(nu, n, args.vars)
-    subreports = []
-    ok = True
-    for nu, n in cases:
-        rep = decomp.pieri_check(nu, n, args.vars)
-        ok = ok and rep["pass"]
-        subreports.append({"nu": list(nu), "n": n, "pass": rep["pass"]})
-    return {"check": "pieri", "variables": args.vars, "cases": subreports, "pass": ok}
+    nu = args.nu and tuple(int(x) for x in args.nu.split(","))  # None, "" (no parts) or parts
+    return _load("decomp").pieri_report(nu, args.add, args.vars)
+
+
+def _guarded(layer: str, name: str, size: str):
+    """The driver of the check `name`_check in `layer`: its guard
+    `name`_guard reads only q and --mu or --n, so it runs before the
+    field's tables are built."""
+
+    def driver(a):
+        module = _load(layer)
+        getattr(module, f"{name}_guard")(field_order(a.p, a.k), getattr(a, size))
+        return getattr(module, f"{name}_check")(_field(a), getattr(a, size))
+
+    return driver
 
 
 CHECKS = {  # check -> (flags it reads, driver returning the report)
-    "bijection": (("--k", "--mu"), lambda a: bijection_check(_field(a), a.mu)),
-    "dim_identity": (
-        ("--k", "--mu"),
-        lambda a: _load("decomp").dim_identity_check(_field(a), a.mu),
-    ),
-    "rsk_bijectivity": (
-        ("--k", "--mu"),
-        lambda a: _load("rsk").rsk_bijectivity_check(_field(a), a.mu),
-    ),
-    "basis": (("--k", "--mu"), lambda a: _load("oracle").basis_check(_field(a), a.mu)),
-    "commutativity": (
-        ("--k", "--n"),
-        lambda a: _load("oracle").commutativity_check(_field(a), a.n),
-    ),
-    "levi": (("--k", "--mu"), lambda a: _load("oracle").levi_embedding_check(_field(a), a.mu)),
-    "cosets": (("--k", "--n"), lambda a: _load("oracle").coset_check(_field(a), a.n)),
+    "bijection": (("--k", "--mu"), _guarded("hecke_index", "bijection", "mu")),
+    "dim_identity": (("--k", "--mu"), _guarded("decomp", "dim_identity", "mu")),
+    "rsk_bijectivity": (("--k", "--mu"), _guarded("rsk", "rsk_bijectivity", "mu")),
+    "basis": (("--k", "--mu"), _guarded("oracle", "basis", "mu")),
+    "commutativity": (("--k", "--n"), _guarded("oracle", "commutativity", "n")),
+    "levi": (("--k", "--mu"), _guarded("oracle", "levi_embedding", "mu")),
+    "cosets": (("--k", "--n"), _guarded("oracle", "coset", "n")),
     "pieri": (("--nu", "--add", "--vars"), _verify_pieri),  # reads no field
 }
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    report = args.driver(args)
+    report = CHECKS[args.check][1](args)
     args.verdict = 0 if report["pass"] else 1  # stands if stdout's reader has gone
     handle = open(args.output, "w") if args.output else sys.stdout
     handle.write(json.dumps(report, indent=2, default=str) + "\n")
@@ -280,31 +280,41 @@ FLAGS = {  # every flag a sub-parser can declare
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {  # command -> (help, job dest, jobs, flags every job shares, handler)
+    "enum": ("stream canonical enumerations", "kind", ENUMS, ("--format",), cmd_enum),
+    "map": ("apply a bijection or RSK", "direction", MAPS, ("--input", "--format"), cmd_map),
+    "verify": ("run a verification driver", "check", CHECKS, (), cmd_verify),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command and job.  When argv names a command and
+    one of its jobs, only that job gets its flags: argparse hands the rest
+    of that line to that job's parser alone."""
     parser = argparse.ArgumentParser(
         prog="hecke",
         description="Unipotent Hecke algebra combinatorics for GL_n(F_q).",
     )
+    named_jobs = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    named = tuple(argv[:2]) if argv[1:2] and argv[1] in named_jobs else None
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, help_text, dest, jobs, shared, handler in (
-        ("enum", "stream canonical enumerations", "kind", ENUMS, ("--format",), cmd_enum),
-        ("map", "apply a bijection or RSK", "direction", MAPS, ("--input", "--format"), cmd_map),
-        ("verify", "run a verification driver", "check", CHECKS, (), cmd_verify),
-    ):
+    for command, (help_text, dest, jobs, shared, handler) in COMMANDS.items():
         job_parsers = commands.add_parser(command, help=help_text).add_subparsers(
             dest=dest, required=True
         )
-        for job, (flags, driver) in jobs.items():
+        for job, (flags, *_) in jobs.items():
             job_parser = job_parsers.add_parser(job)
-            for flag in ("--p", *flags, *shared, "--output"):
-                job_parser.add_argument(flag, **FLAGS[flag])
-            job_parser.set_defaults(func=handler, driver=driver)
+            job_parser.set_defaults(func=handler)
+            if named in (None, (command, job)):
+                for flag in ("--p", *flags, *shared, "--output"):
+                    job_parser.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
         return err.code
     try:

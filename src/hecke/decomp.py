@@ -22,7 +22,7 @@ from math import inf, lgamma, log
 
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
-from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu
+from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
 from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import conjugate, contains, enumerate_cst, is_partition, kostka, partitions_of
 
@@ -52,16 +52,21 @@ def h_hat(K: Field, mu: tuple) -> tuple:
     return tuple(out)
 
 
+def dim_identity_guard(q: int, mu: tuple):
+    """Refuse, from q and mu alone, a size past the desk-scale limits."""
+    check_guard(sum(mu), 5, "n")
+    check_guard(q, 4, "q")
+
+
 def dim_identity_check(K: Field, mu: tuple) -> dict:
-    """|N_mu| three ways: the monomial matrices passing the pattern test
-    (enumerate_pattern_n_mu), the size of M_mu, and the sum of squared
-    filling counts."""
+    """|N_mu| four ways: the monomial matrices passing the pattern test
+    (enumerate_pattern_n_mu), the elements of M_mu streamed, the closed form
+    m_mu_size, and the sum of squared filling counts."""
     mu = tuple(mu)
-    n = sum(mu)
-    check_guard(n, 5, "n")
-    check_guard(K.q, 4, "q")
+    dim_identity_guard(K.q, mu)
     n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))
     m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
+    closed_form = m_mu_size(K.q, mu)
     table = h_hat(K, mu)
     sum_of_squares = sum(count**2 for _, count in table)
     return {
@@ -70,11 +75,12 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
         "q": K.q,
         "n_mu_count": n_mu_count,
         "m_mu_count": m_mu_count,
+        "m_mu_closed_form": closed_form,
         "sum_of_squares": sum_of_squares,
         "shapes": [
             {"shape": shape_to_obj(K, shape), "count": count} for shape, count in table
         ],
-        "pass": n_mu_count == m_mu_count == sum_of_squares,
+        "pass": n_mu_count == m_mu_count == closed_form == sum_of_squares,
     }
 
 
@@ -248,6 +254,26 @@ def check_pieri_input(nu: tuple, n: int, m: int):
     if m < len(nu) + 1:
         raise ValueError("need at least len(nu)+1 variables")
     check_guard(pieri_work(nu, n, m), PIERI_GUARD, "pieri work estimate (monomials)")
+
+
+def pieri_report(nu, add, m: int) -> dict:
+    """The `verify pieri` report: the case s_nu * s_(add) (add defaults to 1)
+    when nu is given, else the default grid (|nu| <= 4, add = 1..3), every
+    case of which is checked for input and guard before any is run."""
+    if nu is not None:
+        return pieri_check(nu, 1 if add is None else add, m)
+    if add is not None:
+        raise ValueError("--add needs --nu: the default grid sets its own row sizes")
+    cases = [(nu, n) for size in range(5) for nu in partitions_of(size) for n in range(1, 4)]
+    for nu, n in cases:
+        check_pieri_input(nu, n, m)
+    subreports = []
+    ok = True
+    for nu, n in cases:
+        rep = pieri_check(nu, n, m)
+        ok = ok and rep["pass"]
+        subreports.append({"nu": list(nu), "n": n, "pass": rep["pass"]})
+    return {"check": "pieri", "variables": m, "cases": subreports, "pass": ok}
 
 
 def pieri_check(nu: tuple, n: int, m: int) -> dict:

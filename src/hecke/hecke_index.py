@@ -137,6 +137,12 @@ def _blocks(mu: tuple, d):
                 col[j] += d[i][j]
 
 
+def v_block(K: Field, f: Poly, r: int) -> MonomialMatrix:
+    """v_(f) as the sub-block of v_a whose first row is r: rows shifted by r."""
+    sub = v_of_poly(K, f)
+    return MonomialMatrix(tuple(r + x for x in sub.perm), sub.entries)
+
+
 def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
     """The monomial matrix v_a of a polynomial matrix in M_mu."""
     d = validate_m_mu(K, a)
@@ -296,14 +302,36 @@ def check_m_mu_size(q: int, mu: tuple, limit: int):
     check_guard(m_mu_size(q, mu), limit, "|M_mu|")
 
 
+def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
+    """M_mu as products of pieces, each made once.
+
+    For each degree matrix d, in degree_matrices order, yields (columns,
+    choices).  choices is the product, over the entries (i, j) in row-major
+    order, of piece(f, r) for each monic unit f of degree d[i][j], r being
+    the first row of block (i, j) of v_a (None when d[i][j] = 0): its k-th
+    tuple holds the pieces of the k-th element of M_mu with degree matrix d,
+    in the order of enumerate_m_mu.  columns lists the indices i*l + j of
+    the nonempty blocks by first column, the order in which v_a joins them.
+    The pieces of one (degree, first row) are made at its first use.
+    """
+    l = len(mu)
+    options: dict = {}  # (degree, first row) -> pieces of its monic units
+    for d in degree_matrices(mu):
+        blocks = sorted(_blocks(mu, d), key=lambda block: block[3])
+        first_row = {(i, j): r for i, j, r, _ in blocks}
+        keys = [(d[i][j], first_row.get((i, j))) for i in range(l) for j in range(l)]
+        for key in keys:
+            if key not in options:
+                options[key] = [piece(f, key[1]) for f in enumerate_monic_units(K, key[0])]
+        yield [i * l + j for i, j, _, _ in blocks], itertools.product(*map(options.get, keys))
+
+
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
     """Stream M_mu, ordered by degree matrix then entrywise by polynomial."""
-    l = len(mu)
-    for d in degree_matrices(mu):
-        per_entry = [enumerate_monic_units(K, d[i][j]) for i in range(l) for j in range(l)]
-        for flat in itertools.product(*per_entry):
-            grid = tuple(tuple(flat[i * l + j] for j in range(l)) for i in range(l))
-            yield PolyMatrix(grid, tuple(mu))
+    mu, l = tuple(mu), len(mu)
+    for _, choices in walk_m_mu(K, mu, lambda f, r: f):
+        for flat in choices:
+            yield PolyMatrix(tuple(flat[k : k + l] for k in range(0, l * l, l)), mu)
 
 
 def monomial_count(q: int, n: int) -> int:
@@ -340,9 +368,19 @@ def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
 
 
 def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
-    """Stream the basis index set N_mu in the canonical order inherited from M_mu."""
-    for a in enumerate_m_mu(K, mu):
-        yield v_of_matrix(K, a)
+    """Stream the basis index set N_mu in the canonical order inherited from
+    M_mu: each v_a joins, in column order, sub-blocks that walk_m_mu has
+    each made once with v_block."""
+    for columns, choices in walk_m_mu(K, mu, lambda f, r: v_block(K, f, r)):
+        for flat in choices:
+            perms, entries = zip(*[flat[k] for k in columns])
+            yield MonomialMatrix(sum(perms, ()), sum(entries, ()))
+
+
+def bijection_guard(q: int, mu: tuple):
+    """Refuse, from q and mu alone, an N that bijection_check would walk
+    whole."""
+    check_guard(monomial_count(q, sum(mu)), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
 
 
 def bijection_check(K: Field, mu: tuple) -> dict:
@@ -354,7 +392,7 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     of U."""
     mu = tuple(mu)
     n = sum(mu)
-    check_guard(monomial_count(K.q, n), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
+    bijection_guard(K.q, mu)
     image = []
     roundtrip_ok = True
     membership_ok = True

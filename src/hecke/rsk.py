@@ -20,6 +20,7 @@ from typing import Iterator
 from hecke.gf import (
     Field,
     _irreducibles_through,
+    _is_int,
     factorize,
     format_poly,
     parse_poly,
@@ -72,6 +73,25 @@ def two_line_array(b) -> tuple:
         for j in range(len(row), 0, -1):
             pairs.extend([(i, j)] * row[j - 1])
     return tuple(pairs)
+
+
+def classical_record(data) -> dict:
+    """The `map rsk` record of {"b": b} or of b itself: the two-line array of
+    the nonnegative integer matrix b and its pair (P, Q); ValueError for any
+    other input."""
+    b = data.get("b") if isinstance(data, dict) else data
+    rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("b must be a rectangular matrix")
+    if not all(_is_int(x) and x >= 0 for row in b for x in row):
+        raise ValueError("b must have nonnegative integer entries")
+    array = two_line_array(b)
+    P, Q = rsk_classical(b)
+    return {
+        "two_line": [[i for i, _ in array], [j for _, j in array]],
+        "P": [list(row) for row in P],
+        "Q": [list(row) for row in Q],
+    }
 
 
 def rsk_classical(b) -> tuple:
@@ -206,11 +226,17 @@ def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
         yield from itertools.product(fillings, fillings)
 
 
+def rsk_bijectivity_guard(q: int, mu: tuple):
+    """Refuse, from q and mu alone, an M_mu too large to hold one pair per
+    element."""
+    check_m_mu_size(q, tuple(mu), M_MU_GUARD)
+
+
 def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     mu = tuple(mu)
-    check_m_mu_size(K.q, mu, M_MU_GUARD)
+    rsk_bijectivity_guard(K.q, mu)
     image = []
     weights_ok = True
     shapes_ok = True

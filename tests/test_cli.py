@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,8 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from hecke.cli import build_parser, main
-from hecke.gf import DEGREE_GUARD
+from hecke.cli import _encode, build_parser, main
+from hecke.gf import DEGREE_GUARD, Field
+from hecke.hecke_index import (
+    enumerate_m_mu,
+    enumerate_n_mu,
+    monomial_to_obj,
+    polymatrix_to_obj,
+    v_of_matrix,
+)
+from hecke.shapes import compositions_of
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +117,84 @@ def test_enum_writes_each_record_once(monkeypatch, fmt):
     assert handle.writes == ENUM_WRITES[fmt]
 
 
+def witness_lines(objs: list, fmt: str) -> list:
+    """The lines the per-element writer made of whole records: one encoded
+    dict per record, or TSV rows after a header of the keys, a string value
+    unquoted, then the count footer."""
+    lines = []
+    for obj in objs:
+        if fmt == "json":
+            lines.append(_encode(obj))
+            continue
+        if not lines:
+            lines.append("\t".join(obj))
+        lines.append("\t".join(v if isinstance(v, str) else _encode(v) for v in obj.values()))
+    lines.append(f"# count={len(objs)}" if fmt == "tsv" else json.dumps({"count": len(objs)}))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "p,k,top", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 4)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_walked_streams_equal_the_per_element_witness(tmp_path, capsys, p, k, top):
+    """enumerate_n_mu and the enum m_mu / n_mu records, all walked, against
+    v_of_matrix of each element of M_mu and its dict record, on every
+    composition of n <= top."""
+    K = Field(p, k)
+    path = tmp_path / "records"
+    for n in range(1, top + 1):
+        for mu in compositions_of(n):
+            m_mu = list(enumerate_m_mu(K, mu))
+            n_mu = [v_of_matrix(K, a) for a in m_mu]
+            assert list(enumerate_n_mu(K, mu)) == n_mu, mu
+            witness = {
+                "m_mu": [polymatrix_to_obj(K, a) for a in m_mu],
+                "n_mu": [monomial_to_obj(K, v) for v in n_mu],
+            }
+            for kind, objs in witness.items():
+                argv = ["enum", kind, "--p", str(p), "--k", str(k), "--mu", ",".join(map(str, mu))]
+                lines = {fmt: witness_lines(objs, fmt) for fmt in ("json", "tsv")}
+                for fmt, expected in lines.items():
+                    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+                    assert (code, out.splitlines()) == (0, expected), (kind, mu)
+                code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+                assert (code, out) == (0, "")
+                assert path.read_text().splitlines() == lines["json"], (kind, mu)
+
+
+MAP_INPUTS = {  # direction -> (extra arguments, input)
+    "a_to_v": ((), {"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]}),
+    "v_to_a": (("--mu", "2,1"), {"perm": [3, 2, 1], "entries": [1, 1, 1]}),
+    "rsk": ((), {"b": [[1, 1, 0], [0, 0, 2], [0, 1, 0]]}),
+    "rsk_general": ((), {"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_records_of_every_kind_equal_the_dict_witness(monkeypatch, capsys, fmt):
+    from hecke import cli
+    from hecke.gf import enumerate_irreducibles, format_poly
+    from hecke.rsk import enumerate_pairs, pair_to_obj
+
+    K = Field(2, 2)
+    enums = {
+        ("irreducibles", "--max-deg", "2"): [
+            {"poly": format_poly(K, f)} for f in enumerate_irreducibles(K, 2)
+        ],
+        ("pairs", "--mu", "2,1"): [pair_to_obj(K, pair) for pair in enumerate_pairs(K, (2, 1))],
+    }
+    for args, objs in enums.items():
+        argv = ("enum", args[0], "--p", "2", "--k", "2", *args[1:], "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out.splitlines()) == (0, witness_lines(objs, fmt)), args
+    for direction, (extra, data) in MAP_INPUTS.items():
+        args = build_parser().parse_args(["map", direction, "--p", "2", *extra])
+        obj = cli.MAPS[direction][2](Field(2), data, args)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        code, out, _ = run_cli(capsys, "map", direction, "--p", "2", *extra, "--format", fmt)
+        assert (code, out.splitlines()) == (0, witness_lines([obj], fmt)[:-1]), direction
+
+
 def test_enum_deterministic(capsys):
     first = run_cli(capsys, "enum", "pairs", "--p", "2", "--mu", "2,1")
     second = run_cli(capsys, "enum", "pairs", "--p", "2", "--mu", "2,1")
@@ -143,6 +230,50 @@ def readme_command_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     return [line for line in block.splitlines() if line.startswith("hecke ")]
+
+
+PARSER_LINES = [  # help texts and argparse errors, each parsed by the full parser too
+    "--help",
+    "enum --help",
+    "verify bijection --help",
+    "map v_to_a --help",
+    "frobnicate --p 2",
+    "enum frobnicate --p 2",
+    "enum m_mu --p 2 --mu 1 --seed 1",
+    "enum m_mu --p 2",
+    "verify cosets --p 2 --mu 1",
+    "enum --p 2 m_mu --mu 1",
+    "",
+]
+
+
+def parse_outcome(capsys, parser, argv):
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as err:
+        code = err.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line", PARSER_LINES)
+def test_parser_of_the_named_job_answers_as_the_full_parser(capsys, line):
+    argv = line.split()
+    named = parse_outcome(capsys, build_parser(argv), argv)
+    assert named == parse_outcome(capsys, build_parser(), argv)
+    assert named[0] in (0, 2) and named[1] + named[2]
+
+
+def test_only_the_named_job_gets_its_flags(capsys):
+    basis = ["verify", "basis", "--p", "2", "--mu", "2"]
+    parser = build_parser(["enum", "m_mu", "--p", "2"])
+    assert parser.parse_args(["enum", "m_mu", "--p", "2", "--mu", "2,1"]).mu == (2, 1)
+    with pytest.raises(SystemExit):  # verify basis got no flags
+        parser.parse_args(basis)
+    assert "unrecognized arguments: --p 2 --mu 2" in capsys.readouterr().err
+    for argv in ([], ["enum"], ["enum", "--help"], ["frobnicate", "m_mu"], basis):
+        assert build_parser(argv).parse_args(basis).mu == (2,)
 
 
 def test_readme_command_lines_parse():
@@ -523,6 +654,49 @@ def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
     assert code == 3
     assert out == ""
     assert "field size" in err
+
+
+GUARD_REFUSALS = {  # verify arguments -> message: one size over each guarded driver's guard
+    "bijection --p 1021 --mu 3": (
+        "monomial matrices |N| = n! (q-1)^n = 6367248000 exceeds the guard (1000000)"
+    ),
+    "rsk_bijectivity --p 1021 --mu 100000": "|M_mu| = inf exceeds the guard (1000000)",
+    "dim_identity --p 1021 --mu 1": "q = 1021 exceeds the guard (4)",
+    "dim_identity --p 2 --mu 6": "n = 6 exceeds the guard (5)",
+    "basis --p 1021 --mu 3": "|U| = 1064332261 exceeds the guard (4096)",
+    "basis --p 2 --mu 3,2": (
+        "group products (|N| + 1) * |U|^2 = 126877696 exceeds the guard (1000000)"
+    ),
+    "levi --p 1021 --mu 3,3": "|U| = 1064332261 exceeds the guard (4096)",
+    "levi --p 2 --mu 3,3": "|U| = 32768 exceeds the guard (4096)",
+    "commutativity --p 1021 --n 3": "|U| = 1064332261 exceeds the guard (4096)",
+    "commutativity --p 3 --n 4": (
+        "Bruhat eliminations sum |N_mu|^2 * |U| = 2125764 exceeds the guard (1000000)"
+    ),
+    "cosets --p 1021 --n 3": "|U| = 1064332261 exceeds the guard (4096)",
+    "cosets --p 5 --n 3": "|GL_n(F_q)| = 1488000 exceeds the guard (200000)",
+}
+
+
+@pytest.mark.parametrize("line", GUARD_REFUSALS)
+def test_verify_guards_fire_before_the_field_is_built(monkeypatch, capsys, line):
+    from hecke import gf
+
+    def refuse(*args):
+        raise AssertionError("the field's tables were built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    code, out, err = run_cli(capsys, "verify", *line.split())
+    assert (code, out, err) == (3, "", f"guard exceeded: {GUARD_REFUSALS[line]}\n")
+
+
+def test_rsk_bijectivity_refuses_over_f1021_at_once(monkeypatch, capsys):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "1021", "--mu", "100000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", "guard exceeded: |M_mu| = inf exceeds the guard (1000000)\n")
 
 
 def test_coset_guard_exits_3_not_a_counterexample(monkeypatch, capsys):

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from hecke import hecke_index
-from hecke.gf import Field, poly_mul
+from hecke.gf import Field, enumerate_monic_units, poly_mul
 from hecke.hecke_index import (
     MembershipError,
     MonomialMatrix,
@@ -354,16 +355,38 @@ def test_canonical_n_mu_matches_filter():
 
 
 def test_enumerate_n_mu_streams(monkeypatch):
-    calls = []
+    degree_matrices = hecke_index.degree_matrices
 
-    def counting_v_of_matrix(K, a):
-        calls.append(a)
-        return v_of_matrix(K, a)
+    def first_only(mu):
+        matrices = degree_matrices(mu)
+        yield next(matrices)
+        raise AssertionError("a second degree matrix was walked before the first element")
 
-    monkeypatch.setattr(hecke_index, "v_of_matrix", counting_v_of_matrix)
+    monkeypatch.setattr(hecke_index, "degree_matrices", first_only)
     first = next(enumerate_n_mu(F2, (2, 1)))
-    assert len(calls) == 1
-    assert first == v_of_matrix(F2, calls[0])
+    assert first == v_of_matrix(F2, next(enumerate_m_mu(F2, (2, 1))))
+
+
+def entrywise_m_mu(K, mu):
+    """M_mu as enumerated before walk_m_mu, the witness: one product over
+    the entries per degree matrix, each element regrouped into rows."""
+    l = len(mu)
+    for d in degree_matrices(mu):
+        per_entry = [enumerate_monic_units(K, d[i][j]) for i in range(l) for j in range(l)]
+        for flat in itertools.product(*per_entry):
+            grid = tuple(tuple(flat[i * l + j] for j in range(l)) for i in range(l))
+            yield PolyMatrix(grid, tuple(mu))
+
+
+@pytest.mark.parametrize(
+    "K,top", [(F2, 5), (F3, 5), (Field(2, 2), 5), (F5, 4)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_walked_m_mu_equals_the_entrywise_product(K, top):
+    for n in range(1, top + 1):
+        for mu in compositions_of(n):
+            walked = list(enumerate_m_mu(K, mu))
+            assert walked == list(entrywise_m_mu(K, mu)), mu
+            assert all(type(row) is tuple for a in walked for row in a.entries)
 
 
 # -- serialization ---------------------------------------------------------------
