@@ -76,8 +76,8 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds on
 
 
 class _Writer:
-    """Writes records given as the JSON texts of their values, under the
-    keys of the job, declared once: a JSON object per line, or TSV rows
+    """Writes records given as the JSON texts of their values, under keys
+    given once when the writer is made: a JSON object per line, or TSV rows
     after a header of the keys, where a string value shows unquoted."""
 
     def __init__(self, args, keys: tuple):
@@ -197,21 +197,20 @@ def _rsk_general(K: Field, data, args) -> dict:
     return {**rsk.pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
 
 
-MAPS = {  # direction -> (flags it reads, keys of its record, driver returning the record)
-    "a_to_v": (("--k",), ("mu", "perm", "entries"), _a_to_v),
-    "v_to_a": (("--k", "--mu"), ("mu", "entries"), _v_to_a),
-    "rsk": ((), ("two_line", "P", "Q"), lambda K, data, a: _load("rsk").classical_record(data)),
-    "rsk_general": (("--k",), ("P", "Q", "weight"), _rsk_general),
+MAPS = {  # direction -> (flags it reads, driver returning the record)
+    "a_to_v": (("--k",), _a_to_v),
+    "v_to_a": (("--k", "--mu"), _v_to_a),
+    "rsk": ((), lambda K, data, a: _load("rsk").classical_record(data)),
+    "rsk_general": (("--k",), _rsk_general),
 }
 
 
 def cmd_map(args) -> int:
-    _, keys, driver = MAPS[args.direction]
+    driver = MAPS[args.direction][1]
     K = _field(args)
-    data = _read_input(args)
-    writer = _Writer(args, keys)
-    record = driver(K, data, args)
-    writer.record(tuple(_encode(record[key]) for key in keys))
+    record = driver(K, _read_input(args), args)
+    writer = _Writer(args, tuple(record))
+    writer.record(tuple(map(_encode, record.values())))
     writer.close()
     return 0
 

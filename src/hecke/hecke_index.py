@@ -312,18 +312,18 @@ def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
     tuple holds the pieces of the k-th element of M_mu with degree matrix d,
     in the order of enumerate_m_mu.  columns lists the indices i*l + j of
     the nonempty blocks by first column, the order in which v_a joins them.
-    The pieces of one (degree, first row) are made at its first use.
+    Each entry's pieces are made once per degree matrix and dropped with it.
     """
     l = len(mu)
-    options: dict = {}  # (degree, first row) -> pieces of its monic units
     for d in degree_matrices(mu):
         blocks = sorted(_blocks(mu, d), key=lambda block: block[3])
         first_row = {(i, j): r for i, j, r, _ in blocks}
-        keys = [(d[i][j], first_row.get((i, j))) for i in range(l) for j in range(l)]
-        for key in keys:
-            if key not in options:
-                options[key] = [piece(f, key[1]) for f in enumerate_monic_units(K, key[0])]
-        yield [i * l + j for i, j, _, _ in blocks], itertools.product(*map(options.get, keys))
+        options = [
+            [piece(f, first_row.get((i, j))) for f in enumerate_monic_units(K, d[i][j])]
+            for i in range(l)
+            for j in range(l)
+        ]
+        yield [i * l + j for i, j, _, _ in blocks], itertools.product(*options)
 
 
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:

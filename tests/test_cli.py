@@ -189,7 +189,7 @@ def test_records_of_every_kind_equal_the_dict_witness(monkeypatch, capsys, fmt):
         assert (code, out.splitlines()) == (0, witness_lines(objs, fmt)), args
     for direction, (extra, data) in MAP_INPUTS.items():
         args = build_parser().parse_args(["map", direction, "--p", "2", *extra])
-        obj = cli.MAPS[direction][2](Field(2), data, args)
+        obj = cli.MAPS[direction][1](Field(2), data, args)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
         code, out, _ = run_cli(capsys, "map", direction, "--p", "2", *extra, "--format", fmt)
         assert (code, out.splitlines()) == (0, witness_lines([obj], fmt)[:-1]), direction
