@@ -4,8 +4,11 @@ Each enum kind, map direction and verify check has its own sub-parser that
 declares only the flags its driver reads, so argparse refuses a missing,
 malformed or unknown flag (exit 2) before any work is done.  A driver
 imports the layer it calls (rsk, decomp, oracle) when it runs, so a command
-loads only the modules its job needs.  `enum` streams: each record is one
-write, made as the enumeration yields it, then a count footer.
+loads only the modules its job needs.  Every job makes its field from --p
+(and --k) with Field, which builds its tables on first use: a verify
+check's guard, which opens the check, reads only q and runs before them.
+`enum` streams: each record is one write, made as the enumeration yields
+it, then a count footer.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
@@ -23,7 +26,7 @@ import os
 import sys
 import time
 
-from hecke.gf import Field, element_to_obj, enumerate_irreducibles, field_order, format_poly
+from hecke.gf import Field, element_to_obj, enumerate_irreducibles, format_poly
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
@@ -63,13 +66,10 @@ def _load(layer: str):
     return importlib.import_module(f"hecke.{layer}")
 
 
-def _field(args):
-    # A job that declares no --k (`map rsk`, `verify pieri`) reads no field:
-    # --p gets the checks a Field makes, and no table is built.
-    if not hasattr(args, "k"):
-        field_order(args.p)
-        return None
-    return Field(args.p, args.k)
+def _field(args) -> Field:
+    # A job that declares no --k (`map rsk`, `verify pieri`) reads no table,
+    # so its field checks --p and builds none.
+    return Field(args.p, getattr(args, "k", 1))
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
@@ -224,27 +224,20 @@ def _verify_pieri(args) -> dict:
     return _load("decomp").pieri_report(nu, args.add, args.vars)
 
 
-def _guarded(layer: str, name: str, size: str):
-    """The driver of the check `name`_check in `layer`: its guard
-    `name`_guard reads only q and --mu or --n, so it runs before the
-    field's tables are built."""
-
-    def driver(a):
-        module = _load(layer)
-        getattr(module, f"{name}_guard")(field_order(a.p, a.k), getattr(a, size))
-        return getattr(module, f"{name}_check")(_field(a), getattr(a, size))
-
-    return driver
+def _check(layer: str, name: str, size: str):
+    """The driver that loads `layer` and calls its check `name` on the field
+    and on --mu or --n; the check runs its guard before any field table."""
+    return lambda a: getattr(_load(layer), name)(_field(a), getattr(a, size))
 
 
 CHECKS = {  # check -> (flags it reads, driver returning the report)
-    "bijection": (("--k", "--mu"), _guarded("hecke_index", "bijection", "mu")),
-    "dim_identity": (("--k", "--mu"), _guarded("decomp", "dim_identity", "mu")),
-    "rsk_bijectivity": (("--k", "--mu"), _guarded("rsk", "rsk_bijectivity", "mu")),
-    "basis": (("--k", "--mu"), _guarded("oracle", "basis", "mu")),
-    "commutativity": (("--k", "--n"), _guarded("oracle", "commutativity", "n")),
-    "levi": (("--k", "--mu"), _guarded("oracle", "levi_embedding", "mu")),
-    "cosets": (("--k", "--n"), _guarded("oracle", "coset", "n")),
+    "bijection": (("--k", "--mu"), _check("hecke_index", "bijection_check", "mu")),
+    "dim_identity": (("--k", "--mu"), _check("decomp", "dim_identity_check", "mu")),
+    "rsk_bijectivity": (("--k", "--mu"), _check("rsk", "rsk_bijectivity_check", "mu")),
+    "basis": (("--k", "--mu"), _check("oracle", "basis_check", "mu")),
+    "commutativity": (("--k", "--n"), _check("oracle", "commutativity_check", "n")),
+    "levi": (("--k", "--mu"), _check("oracle", "levi_embedding_check", "mu")),
+    "cosets": (("--k", "--n"), _check("oracle", "coset_check", "n")),
     "pieri": (("--nu", "--add", "--vars"), _verify_pieri),  # reads no field
 }
 

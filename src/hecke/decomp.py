@@ -52,18 +52,13 @@ def h_hat(K: Field, mu: tuple) -> tuple:
     return tuple(out)
 
 
-def dim_identity_guard(q: int, mu: tuple):
-    """Refuse, from q and mu alone, a size past the desk-scale limits."""
-    check_guard(sum(mu), 5, "n")
-    check_guard(q, 4, "q")
-
-
 def dim_identity_check(K: Field, mu: tuple) -> dict:
     """|N_mu| four ways: the monomial matrices passing the pattern test
     (enumerate_pattern_n_mu), the elements of M_mu streamed, the closed form
     m_mu_size, and the sum of squared filling counts."""
     mu = tuple(mu)
-    dim_identity_guard(K.q, mu)
+    check_guard(sum(mu), 5, "n")
+    check_guard(K.q, 4, "q")
     n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))
     m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
     closed_form = m_mu_size(K.q, mu)
@@ -146,10 +141,6 @@ def _width(degree: int) -> int:
     return max(degree, 1).bit_length()
 
 
-def _pack(e: tuple, width: int) -> int:
-    return sum(a << (width * i) for i, a in enumerate(e))
-
-
 def _unpack(key: int, m: int, width: int) -> tuple:
     mask = (1 << width) - 1
     return tuple(key >> (width * i) & mask for i in range(m))
@@ -171,17 +162,6 @@ def _nonzero(f: dict) -> dict:
 
 
 _ONE = ((0, 1),)
-
-
-def mp_mul(f: dict, g: dict) -> dict:
-    """Product of two polynomials with nonnegative exponent tuples as keys."""
-    if not f or not g:
-        return {}
-    m = len(next(iter(f)))
-    width = _width(max(map(sum, f)) + max(map(sum, g)))
-    pf = [(_pack(e, width), c) for e, c in f.items()]
-    pg = [(_pack(e, width), c) for e, c in g.items()]
-    return {_unpack(e, m, width): c for e, c in _addmul({}, pf, pg).items() if c}
 
 
 def _elementary(r: int, m: int, width: int) -> tuple:

@@ -3,8 +3,9 @@
 Elements of F_q (q = p**k) are plain integers in range(q): the integer
 c0 + c1*p + ... + c_{k-1}*p**(k-1) encodes the coordinate vector of
 c0 + c1*g + ... + c_{k-1}*g**(k-1), where g is the class of the variable
-modulo the defining polynomial.  A Field instance carries the operation
-tables; all bulk enumeration works directly on these integer codes.
+modulo the defining polynomial.  A Field instance builds its operation
+tables the first time an operation reads one; all bulk enumeration works
+directly on these integer codes.
 
 Polynomials are tuples of element codes, lowest degree first, with no
 trailing zeros.  The zero polynomial is the empty tuple and has degree -1.
@@ -56,35 +57,39 @@ def _fp_poly_mulmod(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
     return tuple(prod[:k]) + (0,) * (k - len(prod))
 
 
-def field_order(p: int, k: int = 1) -> int:
-    """q = p**k after every check a Field makes before it builds anything:
-    p >= 2 and k >= 1 (ValueError), the size guard, then p prime (ValueError)."""
-    if p < 2:
-        raise ValueError(f"p = {p} is not prime")
-    if k < 1:
-        raise ValueError(f"k = {k} must be positive")
-    # p**k has at most k * p.bit_length() bits: do not form a huge one.
-    q = p**k if k * p.bit_length() <= 4096 else math.inf
-    check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return q
-
-
 class Field:
-    """The finite field F_q, q = p**k, with precomputed operation tables.
+    """The finite field F_q, q = p**k, with operation tables built on first use.
 
-    For k > 1 the modulus is canonical: the lexicographically smallest monic
-    irreducible of degree k over F_p (coefficient tuples compared low degree
-    first).  Desk scale only: tables are q-by-q, so q is guarded.
+    Construction checks p >= 2 and k >= 1 (ValueError), the size guard, then
+    p prime (ValueError), and finds the modulus; the q-by-q tables are built
+    the first time an operation reads one, so a guard that reads only q runs
+    before them.  For k > 1 the modulus is canonical: the lexicographically
+    smallest monic irreducible of degree k over F_p (coefficient tuples
+    compared low degree first).  Desk scale only: q is guarded.
     """
 
     def __init__(self, p: int, k: int = 1):
+        if p < 2:
+            raise ValueError(f"p = {p} is not prime")
+        if k < 1:
+            raise ValueError(f"k = {k} must be positive")
+        # p**k has at most k * p.bit_length() bits: do not form a huge one.
+        q = p**k if k * p.bit_length() <= 4096 else math.inf
+        check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.k = k
-        self.q = field_order(p, k)
+        self.q = q
         self.modulus = None if k == 1 else _smallest_irreducible(p, k)
+
+    def __getattr__(self, name):
+        # Runs only while `name` is unset: the first read of a table builds
+        # them all, and later reads find them in the instance.
+        if name not in ("_add", "_mul", "_neg", "_inv", "_trace"):
+            raise AttributeError(f"'Field' object has no attribute {name!r}")
         self._build_tables()
+        return vars(self)[name]
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
@@ -137,9 +142,6 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self._add[a][self._neg[b]]

@@ -377,12 +377,6 @@ def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
             yield MonomialMatrix(sum(perms, ()), sum(entries, ()))
 
 
-def bijection_guard(q: int, mu: tuple):
-    """Refuse, from q and mu alone, an N that bijection_check would walk
-    whole."""
-    check_guard(monomial_count(q, sum(mu)), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
-
-
 def bijection_check(K: Field, mu: tuple) -> dict:
     """Exhaustive verification that a -> v_a maps M_mu bijectively onto the
     monomial matrices passing the pattern test, with exact roundtrips.  The
@@ -392,7 +386,7 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     of U."""
     mu = tuple(mu)
     n = sum(mu)
-    bijection_guard(K.q, mu)
+    check_guard(monomial_count(K.q, n), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
     image = []
     roundtrip_ok = True
     membership_ok = True

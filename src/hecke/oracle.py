@@ -281,10 +281,6 @@ class AlgebraElement:
         self.n = n
         self.terms = {g: c for g, c in terms.items() if c}
 
-    @classmethod
-    def delta(cls, K: Field, g: tuple) -> "AlgebraElement":
-        return cls(K, len(g), {g: Cyclotomic.root_power(K.p, 0)})
-
     def _check(self, other: "AlgebraElement"):
         if self.K != other.K or self.n != other.n:
             raise ValueError("mixed group algebras")
@@ -506,20 +502,14 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     return StructureConstants(basis, table)
 
 
-def basis_guard(q: int, mu: tuple):
-    """Refuse, before U is built, more group products than the guard:
-    e_mu * e_mu, then e_mu * v * e_mu for each monomial matrix v."""
-    n = sum(mu)
-    products = (monomial_count(q, n) + 1) * _u_order(q, n) ** 2
-    check_guard(products, PRODUCT_GUARD, "group products (|N| + 1) * |U|^2")
-
-
 def basis_check(K: Field, mu: tuple) -> dict:
     """T_v != 0 exactly on N_mu, e_mu is idempotent, and the nonzero count
     matches |N_mu| (the dimension of e_mu CG e_mu)."""
     mu = tuple(mu)
     n = sum(mu)
-    basis_guard(K.q, mu)
+    # Before U is built: e_mu * e_mu, then e_mu * v * e_mu for each monomial v.
+    products = (monomial_count(K.q, n) + 1) * _u_order(K.q, n) ** 2
+    check_guard(products, PRODUCT_GUARD, "group products (|N| + 1) * |U|^2")
     e = e_mu(K, n, mu)
     idempotent = e * e == e
     mismatches = []
@@ -547,11 +537,6 @@ def basis_check(K: Field, mu: tuple) -> dict:
     return report
 
 
-def commutativity_guard(q: int, n: int):
-    """The Bruhat-work guard of structure_constants for mu = (n), from q."""
-    _check_bruhat_work(q, [(n,)])
-
-
 def commutativity_check(K: Field, n: int) -> dict:
     """T_u T_v = T_v T_u for the one-part composition (Gelfand-Graev case)."""
     sc = structure_constants(K, (n,))
@@ -576,11 +561,6 @@ def commutativity_check(K: Field, n: int) -> dict:
     return report
 
 
-def levi_embedding_guard(q: int, mu: tuple):
-    """The Bruhat-work guard of the factor tables and the full table, from q."""
-    _check_bruhat_work(q, [(m,) for m in mu] + [tuple(mu)])
-
-
 def levi_embedding_check(K: Field, mu: tuple) -> dict:
     """The tensor product of the one-part algebras embeds in H_mu.
 
@@ -589,7 +569,7 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     entries 1; the check compares multiplication tables exactly.
     """
     mu = tuple(mu)
-    levi_embedding_guard(K.q, mu)
+    _check_bruhat_work(K.q, [(m,) for m in mu] + [mu])  # the factor tables and the full one
     factor_sc = [structure_constants(K, (m,)) for m in mu]
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
@@ -670,7 +650,8 @@ def double_coset_reps(K: Field, n: int) -> list:
     The cosets come from _double_cosets; the disjointness and cover checks
     compare them with enumerate_gl, which builds G independently.
     """
-    coset_guard(K.q, n)
+    _u_order(K.q, n)  # refuse a |U| or |GL_n(F_q)| over its guard before building either
+    _check_gl_order(K.q, n)
     G = enumerate_gl(K, n)
     seen: set = set()
     out = []
@@ -682,12 +663,6 @@ def double_coset_reps(K: Field, n: int) -> list:
     if len(seen) != len(G) or seen != set(G):
         raise CosetError("double cosets do not cover the group")
     return out
-
-
-def coset_guard(q: int, n: int):
-    """Refuse, before any U or G is built, a |U| or |GL_n(F_q)| over its guard."""
-    _u_order(q, n)
-    _check_gl_order(q, n)
 
 
 def coset_check(K: Field, n: int) -> dict:

@@ -27,10 +27,12 @@ from hecke.gf import (
     poly_deg,
     poly_key,
 )
+from hecke.guards import check_guard
 from hecke.hecke_index import PolyMatrix, check_m_mu_size, enumerate_m_mu, validate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
 M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
+TWO_LINE_GUARD = 10_000  # sum b_ij: classical_record's insertions cost its square
 
 
 def _transpose(lines) -> tuple:
@@ -78,13 +80,15 @@ def two_line_array(b) -> tuple:
 def classical_record(data) -> dict:
     """The `map rsk` record of {"b": b} or of b itself: the two-line array of
     the nonnegative integer matrix b and its pair (P, Q); ValueError for any
-    other input."""
+    other input, and GuardExceeded, before the array is built, when its
+    length sum b_ij is over TWO_LINE_GUARD."""
     b = data.get("b") if isinstance(data, dict) else data
     rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("b must be a rectangular matrix")
     if not all(_is_int(x) and x >= 0 for row in b for x in row):
         raise ValueError("b must have nonnegative integer entries")
+    check_guard(sum(map(sum, b)), TWO_LINE_GUARD, "two-line array length sum b_ij")
     array = two_line_array(b)
     P, Q = rsk_classical(b)
     return {
@@ -226,17 +230,11 @@ def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
         yield from itertools.product(fillings, fillings)
 
 
-def rsk_bijectivity_guard(q: int, mu: tuple):
-    """Refuse, from q and mu alone, an M_mu too large to hold one pair per
-    element."""
-    check_m_mu_size(q, tuple(mu), M_MU_GUARD)
-
-
 def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     mu = tuple(mu)
-    rsk_bijectivity_guard(K.q, mu)
+    check_m_mu_size(K.q, mu, M_MU_GUARD)
     image = []
     weights_ok = True
     shapes_ok = True

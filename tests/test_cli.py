@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from hecke.cli import _encode, build_parser, main
 from hecke.gf import DEGREE_GUARD, Field
+from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     enumerate_m_mu,
     enumerate_n_mu,
@@ -551,6 +553,26 @@ def test_field_free_jobs_build_no_table(monkeypatch, tmp_path, capsys):
     assert json.loads(out)["pass"]
 
 
+@pytest.mark.parametrize(
+    "b,length",
+    [([[1000000000]], 1000000000), ([[5000, 0], [0, 5001]], 10001)],
+    ids=["1e9", "10001"],
+)
+def test_map_rsk_refuses_a_long_two_line_array(monkeypatch, tmp_path, capsys, b, length):
+    from hecke import rsk
+
+    def refuse(*args):
+        raise AssertionError("the two-line array was built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(rsk, "two_line_array", refuse)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"b": b}))
+    code, out, err = run_cli(capsys, "map", "rsk", "--p", "2", "--input", str(path))
+    message = f"two-line array length sum b_ij = {length} exceeds the guard (10000)"
+    assert (code, out, err) == (3, "", f"guard exceeded: {message}\n")
+
+
 def test_rsk_bijectivity_guard_exits_3_before_any_enumeration(monkeypatch, capsys):
     from hecke import rsk
 
@@ -689,6 +711,34 @@ def test_verify_guards_fire_before_the_field_is_built(monkeypatch, capsys, line)
     monkeypatch.setattr(gf.Field, "_build_tables", refuse)
     code, out, err = run_cli(capsys, "verify", *line.split())
     assert (code, out, err) == (3, "", f"guard exceeded: {GUARD_REFUSALS[line]}\n")
+
+
+CHECK_FUNCTIONS = {  # verify check -> (module, the check it calls on the field and mu or n)
+    "bijection": ("hecke_index", "bijection_check"),
+    "rsk_bijectivity": ("rsk", "rsk_bijectivity_check"),
+    "dim_identity": ("decomp", "dim_identity_check"),
+    "basis": ("oracle", "basis_check"),
+    "levi": ("oracle", "levi_embedding_check"),
+    "commutativity": ("oracle", "commutativity_check"),
+    "cosets": ("oracle", "coset_check"),
+}
+
+
+@pytest.mark.parametrize("line", GUARD_REFUSALS)
+def test_each_check_guards_itself_before_the_field_is_built(monkeypatch, line):
+    from hecke import gf
+
+    def refuse(*args):
+        raise AssertionError("the field's tables were built before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    args = build_parser(["verify", *line.split()]).parse_args(["verify", *line.split()])
+    module, name = CHECK_FUNCTIONS[args.check]
+    check = getattr(importlib.import_module(f"hecke.{module}"), name)
+    with pytest.raises(GuardExceeded) as refusal:
+        check(Field(args.p, args.k), args.mu if hasattr(args, "mu") else args.n)
+    assert str(refusal.value) == GUARD_REFUSALS[line]
 
 
 def test_rsk_bijectivity_refuses_over_f1021_at_once(monkeypatch, capsys):

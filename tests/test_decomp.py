@@ -4,7 +4,6 @@ from hecke.decomp import (
     dim_identity_check,
     enumerate_levi_weights,
     h_hat,
-    mp_mul,
     pieri_check,
     schur_jacobi_trudi,
     shape_height,
@@ -20,6 +19,16 @@ F3 = Field(3)
 
 X1 = (1, 1)  # X + 1 over F_2
 QUAD = (1, 1, 1)  # X^2 + X + 1 over F_2
+
+
+def mp_mul(f: dict, g: dict) -> dict:
+    """Product of two polynomials with nonnegative exponent tuples as keys."""
+    product: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            product[e] = product.get(e, 0) + c1 * c2
+    return {e: c for e, c in product.items() if c}
 
 
 def tableau_generating_function(nu, m):

@@ -32,6 +32,11 @@ F4 = Field(2, 2)
 SMALL_FIELDS = [F2, F3, F4, Field(5), Field(7), Field(2, 3), Field(3, 2)]
 
 
+def neg(K, a: int) -> int:
+    """-a, read from the field's negation table."""
+    return K._neg[a]
+
+
 def brute_has_proper_factor(K, f):
     """Independent irreducibility oracle: search for g*h == f by multiplication."""
     d = poly_deg(f)
@@ -74,6 +79,21 @@ def test_field_build_rejects_bad_arguments():
         Field(2, 0)
 
 
+def test_field_builds_its_tables_once_on_first_use(monkeypatch):
+    built = []
+    build = Field._build_tables
+    monkeypatch.setattr(Field, "_build_tables", lambda self: built.append(self) or build(self))
+    K = Field(1021)
+    assert (K.q, K.modulus, built) == (1021, None, [])
+    for _ in range(2):  # every table read twice
+        assert (K.mul(3, K.inv(3)), K.sub(0, 1), K.pow(2, 10), K.trace(7)) == (1, 1020, 3, 7)
+        assert neg(K, 5) == 1016
+        assert built == [K]
+    with pytest.raises(AttributeError):
+        K._tables
+    assert built == [K]
+
+
 # -- field arithmetic ---------------------------------------------------------
 
 
@@ -94,7 +114,7 @@ def test_field_axioms_exhaustive(K):
     for a in els:
         assert K.add(a, 0) == a
         assert K.mul(a, 1) == a
-        assert K.add(a, K.neg(a)) == 0
+        assert K.add(a, neg(K, a)) == 0
         if a:
             assert K.mul(a, K.inv(a)) == 1
     for a, b in itertools.product(els, repeat=2):

@@ -35,6 +35,11 @@ F3 = Field(3)
 F4 = Field(2, 2)
 
 
+def delta(K, g: tuple) -> AlgebraElement:
+    """The group element g as an element of the group algebra."""
+    return AlgebraElement(K, len(g), {g: Cyclotomic.root_power(K.p, 0)})
+
+
 def x_elem(K, n, i, j, t):
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
     rows[i - 1][j - 1] = t
@@ -170,19 +175,15 @@ def test_e_mu_is_idempotent(K, n):
 def test_delta_convolution():
     g = x_elem(F2, 2, 1, 2, 1)
     h = ((0, 1), (1, 0))
-    prod = AlgebraElement.delta(F2, g) * AlgebraElement.delta(F2, h)
-    assert prod == AlgebraElement.delta(F2, mat_mul(F2, g, h))
+    prod = delta(F2, g) * delta(F2, h)
+    assert prod == delta(F2, mat_mul(F2, g, h))
 
 
 def test_mixed_algebra_operands_rejected():
     with pytest.raises(ValueError):
-        AlgebraElement.delta(F2, identity_matrix(2)) * AlgebraElement.delta(
-            F2, identity_matrix(3)
-        )
+        delta(F2, identity_matrix(2)) * delta(F2, identity_matrix(3))
     with pytest.raises(ValueError):
-        AlgebraElement.delta(F2, identity_matrix(2)) * AlgebraElement.delta(
-            F3, identity_matrix(2)
-        )
+        delta(F2, identity_matrix(2)) * delta(F3, identity_matrix(2))
 
 
 def test_t_identity_is_e_mu():
@@ -215,7 +216,7 @@ def test_t_v_matches_the_generic_product(K, mu):
     n = sum(mu)
     e = e_mu(K, n, mu)
     for v in enumerate_n(K, n):
-        expected = e * AlgebraElement.delta(K, monomial_to_matrix(K, v)) * e
+        expected = e * delta(K, monomial_to_matrix(K, v)) * e
         assert t_v(K, v, mu) == expected, v
 
 
@@ -364,7 +365,7 @@ def test_e_mu_g_e_mu_is_psi_times_t_w():
             scale = psi_mu_eval(F2, factor_product(F2, n, x), mu) * psi_mu_eval(
                 F2, factor_product(F2, n, z), mu
             )
-            lhs = e * AlgebraElement.delta(F2, g) * e
+            lhs = e * delta(F2, g) * e
             assert lhs.terms == {h: scale * c for h, c in t_of[w].terms.items()}
 
 
