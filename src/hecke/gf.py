@@ -82,6 +82,7 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = None if k == 1 else _smallest_irreducible(p, k)
+        self._hash = hash((p, k, self.modulus))  # every cache keyed by K reads it
 
     def __getattr__(self, name):
         # Runs only while `name` is unset: the first read of a table builds
@@ -182,7 +183,7 @@ class Field:
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.k == 1:

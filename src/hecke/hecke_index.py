@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import Counter
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hecke.gf import (
@@ -79,8 +80,10 @@ def validate_m_mu(K: Field, a: PolyMatrix) -> tuple:
 # -- the map f -> v_(f) on 1x1 blocks ----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def v_of_poly(K: Field, f: Poly) -> MonomialMatrix:
-    """The monomial matrix of a monic polynomial with nonzero constant term.
+    """The monomial matrix of a monic polynomial with nonzero constant term,
+    made once per (K, f); a refusal is raised again on every call.
 
     For f = a_0 + a_1 X^{i_1} + ... + a_r X^{i_r} + X^n this is the product
     of the full reversal with the direct sum of the scaled reversals whose

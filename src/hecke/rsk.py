@@ -8,13 +8,18 @@ increasing and the bottom line weakly decreasing within blocks.
 
 A label family (the P and Q of the generalized correspondence) is a tuple
 of (irreducible polynomial, tableau rows) pairs in the canonical label
-order, with empty tableaux omitted.
+order, with empty tableaux omitted.  The correspondence is classical RSK
+label by label, so one label's pair depends only on its multiplicity
+matrix, and the fillings of a label shape depend on its labels only
+through their degrees: each is made once per matrix, per degree signature
+and per (shape, weight) of a tableau, and kept as immutable tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import Iterator
 
 from hecke.gf import (
@@ -99,9 +104,16 @@ def classical_record(data) -> dict:
 
 
 def rsk_classical(b) -> tuple:
-    """The (P, Q) pair of the matrix b: fold column insertion over the bottom
-    line, with P and Q held as columns, and append each top-line entry to the
-    column of Q whose twin in P grew.  Rows are formed once, at the end."""
+    """The (P, Q) pair of the matrix b, made once per matrix: b is keyed as a
+    tuple of tuples, so a list of lists gives the same pair."""
+    return _rsk_classical(tuple(map(tuple, b)))
+
+
+@lru_cache(maxsize=None)
+def _rsk_classical(b: tuple) -> tuple:
+    """Fold column insertion over the bottom line, with P and Q held as
+    columns, and append each top-line entry to the column of Q whose twin in
+    P grew.  Rows are formed once, at the end."""
     P: list = []
     Q: list = []
     for i, j in two_line_array(b):
@@ -198,27 +210,41 @@ def enumerate_phi_shapes(K: Field, mu: tuple) -> list:
 
 def enumerate_phi_fillings(shape, mu) -> list:
     """All column-strict family fillings of the label shape whose
-    degree-weighted weight is exactly mu."""
-    l = len(mu)
+    degree-weighted weight is exactly mu.  A label enters a filling only
+    through its degree, so the fillings are made once per degree signature
+    ((deg g, lam), ...) and mu, and the shape's labels are attached in order."""
+    labels = [g for g, _ in shape]
+    signature = tuple((poly_deg(g), lam) for g, lam in shape)
+    return [tuple(zip(labels, rows)) for rows in _fillings(signature, tuple(mu))]
+
+
+@lru_cache(maxsize=None)
+def _fillings(signature: tuple, mu: tuple) -> tuple:
+    """The fillings of every label shape with this degree signature, each as
+    its tableaux in label order."""
     out: list = []
 
     def rec(idx, remaining, acc):
-        if idx == len(shape):
+        if idx == len(signature):
             if all(r == 0 for r in remaining):
                 out.append(tuple(acc))
             return
-        g, lam = shape[idx]
-        d = poly_deg(g)
-        boxes = sum(lam)
-        for w in weak_compositions(boxes, tuple(r // d for r in remaining)):
+        d, lam = signature[idx]
+        for w in weak_compositions(sum(lam), tuple(r // d for r in remaining)):
             rest = tuple(r - d * wi for r, wi in zip(remaining, w))
-            for rows in enumerate_cst(lam, w):
-                acc.append((g, rows))
+            for rows in _tableaux(lam, w):
+                acc.append(rows)
                 rec(idx + 1, rest, acc)
                 acc.pop()
 
-    rec(0, tuple(mu), [])
-    return out
+    rec(0, mu, [])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _tableaux(lam: tuple, w: tuple) -> tuple:
+    """enumerate_cst(lam, w), made once per (lam, w)."""
+    return tuple(enumerate_cst(lam, w))
 
 
 def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:

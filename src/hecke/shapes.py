@@ -62,16 +62,29 @@ def compositions_of(n: int):
 
 def weak_compositions(n: int, bounds: tuple):
     """All tuples w of nonnegative integers summing to n with w_i <= bounds[i],
-    in lex order.  Each part starts where the later bounds can still take
-    the rest, so no branch comes up empty."""
-    if not bounds:
-        if n == 0:
-            yield ()
+    in lex order, as an odometer on one list: the next tuple raises the last
+    part that can take a unit from the parts after it, and those restart as
+    low as the later bounds allow."""
+    l = len(bounds)
+    room = [sum(bounds[i:]) for i in range(l + 1)]
+    if not 0 <= n <= room[0]:
         return
-    room = sum(bounds[1:])
-    for first in range(max(0, n - room), min(n, bounds[0]) + 1):
-        for rest in weak_compositions(n - first, bounds[1:]):
-            yield (first,) + rest
+    w = [0] * l
+    i, rest = -1, n  # the parts after i share rest
+    while True:
+        for j in range(i + 1, l):
+            w[j] = max(0, rest - room[j + 1])
+            rest -= w[j]
+        yield tuple(w)
+        rest = w[-1] if w else 0
+        for i in range(l - 2, -1, -1):
+            if rest and w[i] < bounds[i]:
+                w[i] += 1
+                rest -= 1
+                break
+            rest += w[i]
+        else:
+            return
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -831,6 +832,27 @@ def test_verify_stdout_byte_identical(capsys):
     assert first[1] == second[1]
     assert "timings" not in json.loads(first[1])
     assert "elapsed" in first[2]
+
+
+STDOUT_SHA256 = {  # command line -> sha256 of its stdout, before the label-free caches
+    "enum pairs --p 3 --mu 3,3": "5b0085288a0bc64ebed62de2b1d621be4a36886ce3bed3a4b3f9da08908fcdc6",
+    "verify rsk_bijectivity --p 5 --mu 2,2": (
+        "6b3ae403cbc71c5679b45b936c0df6e28de7f23eca5befc261e22a5d8aaf4888"
+    ),
+    "verify dim_identity --p 2 --k 2 --mu 2,2,1": (
+        "2395921472a7857ac9fb43890969ec92bc581f48b6cdf7378698569e414d464d"
+    ),
+    "verify bijection --p 3 --mu 3,2,1": (
+        "c193bcc6b5abe3aad83f79538f10327635822ba7a189bcf43efbd5e43c701438"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", STDOUT_SHA256)
+def test_stdout_bytes_are_pinned(capsys, line):
+    code, out, _ = run_cli(capsys, *line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[line]
 
 
 def pieri_args(*extra):

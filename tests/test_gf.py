@@ -94,6 +94,19 @@ def test_field_builds_its_tables_once_on_first_use(monkeypatch):
     assert built == [K]
 
 
+def test_equal_fields_hash_equally_and_hashing_builds_no_table(monkeypatch):
+    fields = [Field(1021), Field(1021), Field(2, 3), Field(2, 3), Field(3, 2)]
+
+    def refuse(self):
+        raise AssertionError("hashing built a table")
+
+    monkeypatch.setattr(Field, "_build_tables", refuse)
+    assert hash(fields[0]) == hash(fields[1]) and hash(fields[2]) == hash(fields[3])
+    keyed = {K: K.q for K in fields}  # equal fields share a key
+    assert list(keyed.values()) == [1021, 8, 9]
+    assert (keyed[fields[1]], keyed[fields[3]]) == (1021, 8)
+
+
 # -- field arithmetic ---------------------------------------------------------
 
 

@@ -68,10 +68,17 @@ def test_v_of_poly_constant_one_is_empty():
 
 
 def test_v_of_poly_rejects_bad_input():
-    with pytest.raises(MembershipError):
-        v_of_poly(F3, (1, 2))  # not monic
-    with pytest.raises(MembershipError):
-        v_of_poly(F2, (0, 1))  # zero constant term
+    for _ in range(2):  # a refusal is not cached: the second call refuses again
+        with pytest.raises(MembershipError):
+            v_of_poly(F3, (1, 2))  # not monic
+        with pytest.raises(MembershipError):
+            v_of_poly(F2, (0, 1))  # zero constant term
+
+
+def test_v_of_poly_is_made_once_per_field_and_polynomial():
+    f = (2, 0, 1, 1)  # 2 + X^2 + X^3 over F_3
+    assert v_of_poly(F3, f) is v_of_poly(Field(3), f)
+    assert v_of_poly(F3, f) == MonomialMatrix((1, 2, 0), (2, 2, 1))
 
 
 # -- v_of_matrix and matrix_of_v ------------------------------------------------

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from hecke import gf
+from hecke import gf, rsk
+from hecke.cli import main
+from hecke.decomp import h_hat
 from hecke.gf import Field, enumerate_irreducibles, poly_deg, poly_key, poly_mul
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.rsk import (
@@ -21,7 +23,14 @@ from hecke.rsk import (
     rsk_generalized,
     two_line_array,
 )
-from hecke.shapes import compositions_of, cst_check, cst_weight, partitions_of
+from hecke.shapes import (
+    compositions_of,
+    cst_check,
+    cst_weight,
+    enumerate_cst,
+    partitions_of,
+    weak_compositions,
+)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -126,6 +135,13 @@ def test_rsk_injective_small():
             key = rsk_classical(b)
             assert key not in seen, (b, seen[key])
             seen[key] = b
+
+
+def test_rsk_classical_reads_lists_and_tuples_alike():
+    for b in all_matrices(2, 2):
+        as_lists = [list(row) for row in b]
+        assert rsk_classical(as_lists) == rsk_classical(b)
+    assert rsk_classical([[1, 1, 0], [0, 0, 2], [0, 1, 0]]) == rsk_classical(PAPER_B)
 
 
 def test_rsk_transpose_swaps_pair():
@@ -336,6 +352,66 @@ def test_phi_fillings_match_weight():
             for fam in enumerate_phi_fillings(shape, mu):
                 assert family_shape(fam) == tuple(shape)
                 assert family_weight(fam) == mu
+
+
+def per_shape_fillings(shape, mu):
+    """The fillings made afresh for each label shape, its labels included:
+    enumerate_phi_fillings before it made them once per degree signature."""
+    out: list = []
+
+    def rec(idx, remaining, acc):
+        if idx == len(shape):
+            if all(r == 0 for r in remaining):
+                out.append(tuple(acc))
+            return
+        g, lam = shape[idx]
+        d = poly_deg(g)
+        boxes = sum(lam)
+        for w in weak_compositions(boxes, tuple(r // d for r in remaining)):
+            rest = tuple(r - d * wi for r, wi in zip(remaining, w))
+            for rows in enumerate_cst(lam, w):
+                acc.append((g, rows))
+                rec(idx + 1, rest, acc)
+                acc.pop()
+
+    rec(0, tuple(mu), [])
+    return out
+
+
+FILLING_CASES = [
+    (K, mu)
+    for K in (F2, F3, Field(2, 2), Field(5))
+    for n in range(1, 6)
+    for mu in compositions_of(n)
+] + [(Field(7), (3, 2))]
+
+
+@pytest.mark.parametrize(
+    "K,mu", FILLING_CASES, ids=[f"q{K.q}-{''.join(map(str, mu))}" for K, mu in FILLING_CASES]
+)
+def test_fillings_per_signature_equal_the_per_shape_witness(K, mu):
+    table = []
+    for shape in enumerate_phi_shapes(K, mu):
+        expected = per_shape_fillings(shape, mu)
+        assert enumerate_phi_fillings(shape, mu) == expected
+        if expected:
+            table.append((shape, len(expected)))
+    assert h_hat(K, mu) == tuple(table)
+
+
+def test_enum_pairs_makes_each_tableau_list_once(monkeypatch, capsys):
+    rsk._fillings.cache_clear()
+    rsk._tableaux.cache_clear()
+    calls = []
+
+    def counting(shape, weight):
+        calls.append((shape, weight))
+        return enumerate_cst(shape, weight)
+
+    monkeypatch.setattr(rsk, "enumerate_cst", counting)
+    assert main(["enum", "pairs", "--p", "3", "--mu", "3,3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 60
 
 
 @pytest.mark.parametrize("K", [F2, F3], ids=["q2", "q3"])

@@ -189,3 +189,24 @@ def test_bounded_weak_compositions_equal_the_product_filter(length):
         for n in range(7):
             expected = [w for w in boxes if sum(w) == n]
             assert list(weak_compositions(n, bounds)) == expected
+
+
+def recursive_weak_compositions(n, bounds):
+    """weak_compositions as it was: one generator per remaining part."""
+    if not bounds:
+        if n == 0:
+            yield ()
+        return
+    room = sum(bounds[1:])
+    for first in range(max(0, n - room), min(n, bounds[0]) + 1):
+        for rest in recursive_weak_compositions(n - first, bounds[1:]):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("length", range(5))
+def test_odometer_weak_compositions_equal_the_recursion(length):
+    for bounds in itertools.product(range(4), repeat=length):
+        for n in range(9):
+            assert list(weak_compositions(n, bounds)) == list(
+                recursive_weak_compositions(n, bounds)
+            ), (n, bounds)
