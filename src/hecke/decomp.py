@@ -5,25 +5,24 @@ The irreducible-module index sets are label-indexed partition families
 squared counts recovers the basis size, and Levi weight-space dimensions
 come from per-label Kostka products.
 
-Symmetric-function cross-checks expand Schur polynomials by the
-elementary-function (dual Jacobi-Trudi) determinant: a Laplace expansion
-row by row, memoised over the set of used columns, over monomials whose
-exponent vectors are packed into single ints.  Each s_nu is computed once
-per (nu, m, packing width) and kept as an immutable tuple; Pieri checks
-compare both sides in packed form.  The tableau generating function in the
-tests is the independent witness.
+Symmetric-function cross-checks expand Schur polynomials by the dual
+Jacobi-Trudi determinant over e_1..e_m, row by row (Laplace), memoised over
+the set of used columns, with e-monomials packed into single ints; each s_nu
+is made once per (nu, m, packing width) and kept as an immutable tuple.
+Pieri checks compare both sides in this e-basis, which is exact: e_1..e_m
+are algebraically independent.  schur_jacobi_trudi substitutes x-monomials
+for each e_r; the tableau generating function in the tests is its witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import inf, lgamma, log
+from math import inf, lgamma, log, pi, sqrt
 
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
 from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
-from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import conjugate, contains, enumerate_cst, is_partition, kostka, partitions_of
 
 
@@ -43,6 +42,7 @@ def shape_to_obj(K: Field, shape) -> dict:
 def h_hat(K: Field, mu: tuple) -> tuple:
     """All label shapes of size |mu| admitting a filling of degree-weighted
     weight mu, each with its filling count (the module dimension)."""
+    from hecke.rsk import enumerate_phi_fillings, enumerate_phi_shapes
     mu = tuple(mu)
     out = []
     for shape in enumerate_phi_shapes(K, mu):
@@ -123,14 +123,16 @@ def weight_space_dims(K: Field, lam, mu: tuple) -> tuple:
 
 # -- symmetric-function cross-checks ---------------------------------------------
 #
-# Inside this section a polynomial in m variables maps packed exponents to
-# integer coefficients.  An exponent vector is packed into one int (Kronecker
+# Inside this section a polynomial maps packed exponents to integer
+# coefficients.  An exponent vector is packed into one int (Kronecker
 # substitution): variable i holds bits [i*width, (i+1)*width), so a monomial
-# product is one integer add.  A check of total degree d packs at
-# width = bit length of d.  No exponent it forms exceeds d: a minor on t rows
-# of the determinant below is a sum of products of t elementary polynomials,
-# so its exponents are at most t <= nu_1.  Hence no add carries from one
-# variable into the next.  Public functions speak dicts keyed by exponent
+# product is one integer add.  Schur polynomials live in the e-basis, variable
+# r-1 being e_r; only schur_jacobi_trudi expands them into x_1..x_m.  A check
+# of total degree d packs both at width = bit length of d: a minor on t rows
+# of the determinant below is a sum of products of t elementary functions, so
+# its e_r exponents are at most t <= d, and its x exponents after substitution
+# are at most the number of factors, again <= d.  Hence no add carries from
+# one variable into the next.  Public functions speak dicts keyed by exponent
 # tuples.
 
 PIERI_GUARD = 500_000  # pieri_work, in monomials
@@ -165,9 +167,7 @@ _ONE = ((0, 1),)
 
 
 def _elementary(r: int, m: int, width: int) -> tuple:
-    """e_r in m variables, packed; zero outside 0 <= r <= m."""
-    if not 0 <= r <= m:
-        return ()
+    """e_r in m variables, packed in the x-basis."""
     return tuple(
         (sum(1 << (width * i) for i in subset), 1)
         for subset in itertools.combinations(range(m), r)
@@ -176,13 +176,14 @@ def _elementary(r: int, m: int, width: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _schur_packed(nu: tuple, m: int, width: int) -> tuple:
-    """s_nu in m variables as det(e_(nu'_i - i + j)), packed at `width`.
+    """s_nu in m variables as det(e_(nu'_i - i + j)) in the e-basis, packed
+    at `width`: e_0 = 1, e_r is one monomial for 1 <= r <= m, 0 beyond.
 
     The determinant is expanded row by row (Laplace).  After row i, each
     minor on the first i+1 rows is kept once per set of columns it uses (a
     bitmask), so the expansion makes at most nu_1 * 2^(nu_1 - 1) products."""
     nuc = conjugate(nu)
-    e = [_elementary(r, m, width) for r in range(m + 1)]
+    e = [_ONE] + [((1 << width * r, 1),) for r in range(min(m, sum(nu)))]  # no index exceeds |nu|
     minors = {0: {0: 1}}
     for i, part in enumerate(nuc):
         grown: dict = {}
@@ -202,25 +203,36 @@ def _check_partition(nu: tuple):
 
 
 def schur_jacobi_trudi(nu: tuple, m: int) -> dict:
-    """The Schur polynomial in m variables as the determinant of elementary
-    symmetric polynomials indexed by the conjugate partition, expanded over
-    the integers.  Returns a fresh dict on every call."""
+    """The Schur polynomial in m variables: _schur_packed with each e_r
+    expanded into its C(m, r) x-monomials, over the integers.  Returns a
+    fresh dict on every call."""
     nu = tuple(nu)
     _check_partition(nu)
     if m < len(nu):
         raise ValueError("need at least as many variables as rows")
     width = _width(sum(nu))
-    return {_unpack(e, m, width): c for e, c in _schur_packed(nu, m, width)}
+    e = [_elementary(r, m, width) for r in range(1, m + 1)]
+    out: dict = {}
+    for key, c in _schur_packed(nu, m, width):
+        term = ((0, c),)
+        for r, power in enumerate(_unpack(key, m, width)):
+            for _ in range(power):
+                term = _addmul({}, term, e[r]).items()
+        _addmul(out, term, _ONE)
+    return {_unpack(key, m, width): c for key, c in out.items() if c}
 
 
 def pieri_work(nu: tuple, n: int, m: int) -> float:
-    """Estimated work of pieri_check: 2^(nu_1+n) Laplace minors times the
-    C(d+m-1, m-1) monomials of degree d = |nu|+n in m variables.  Formed
+    """Estimated work of pieri_check: 2^(nu_1+n) Laplace minors times a bound
+    on the e-monomials of degree d = |nu|+n with parts <= k = min(m, d): the
+    smaller of C(d+k-1, k-1) and p(d) < exp(pi*sqrt(2d/3)) (Erdos).  Formed
     through logarithms, so that an absurd input costs nothing to refuse."""
     a = (nu[0] if nu else 0) + n
     d = sum(nu) + n
+    k = min(m, max(d, 1))
+    bound = min(lgamma(d + k) - lgamma(d + 1) - lgamma(k), pi * sqrt(2 * d / 3))
     try:
-        return round(2.0 ** (a + (lgamma(d + m) - lgamma(d + 1) - lgamma(m)) / log(2)))
+        return round(2.0 ** (a + bound / log(2)))
     except OverflowError:
         return inf
 
@@ -259,7 +271,7 @@ def pieri_report(nu, add, m: int) -> dict:
 def pieri_check(nu: tuple, n: int, m: int) -> dict:
     """s_nu * s_(n) against the sum of s_gamma over the shapes gamma obtained
     from nu by adding n boxes with a weight-(n) skew filling; both sides are
-    compared in packed form."""
+    compared as packed polynomials in e_1..e_m."""
     nu = tuple(nu)
     check_pieri_input(nu, n, m)
     width = _width(sum(nu) + n)

@@ -834,7 +834,10 @@ def test_verify_stdout_byte_identical(capsys):
     assert "elapsed" in first[2]
 
 
-STDOUT_SHA256 = {  # command line -> sha256 of its stdout, before the label-free caches
+# Command line -> sha256 of its stdout, computed on the code before the change
+# each line guards: the first four before the label-free caches of the RSK and
+# bijection checks, the Pieri lines before Pieri was checked in the e-basis.
+STDOUT_SHA256 = {
     "enum pairs --p 3 --mu 3,3": "5b0085288a0bc64ebed62de2b1d621be4a36886ce3bed3a4b3f9da08908fcdc6",
     "verify rsk_bijectivity --p 5 --mu 2,2": (
         "6b3ae403cbc71c5679b45b936c0df6e28de7f23eca5befc261e22a5d8aaf4888"
@@ -844,6 +847,19 @@ STDOUT_SHA256 = {  # command line -> sha256 of its stdout, before the label-free
     ),
     "verify bijection --p 3 --mu 3,2,1": (
         "c193bcc6b5abe3aad83f79538f10327635822ba7a189bcf43efbd5e43c701438"
+    ),
+    "verify pieri --p 2": "3a99543e7bf44488f2654faee9fca315735670e9986b98280c512d42f8199760",
+    "verify pieri --p 2 --nu 3,3 --add 3 --vars 5": (
+        "0fbd5473f82207f5ff468da9ec968ec842da2d4a9e1788199006ff359d53fad3"
+    ),
+    "verify pieri --p 2 --nu 3,1 --add 3 --vars 5": (
+        "0f3a45d4bcad8abd03544e5df7af612125c2f8e6213ce75e03068da3c2627abf"
+    ),
+    "verify pieri --p 2 --nu 4,2 --add 2 --vars 5": (
+        "ef952befc37208e96f1eff3a23365c2d7e1b9c34e64223fd37b82e8b301025d1"
+    ),
+    "verify pieri --p 2 --vars 8": (
+        "8b93a6a458b8f602ed537e09ee7d5be96e4c2c9c9094a99470eb61905eb0c34a"
     ),
 }
 
@@ -898,10 +914,24 @@ def test_verify_pieri_guard_fires_before_work(monkeypatch, capsys):
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(decomp, "_schur_packed", refuse)
-    code, out, err = run_cli(capsys, *pieri_args("--vars", "1000"))
+    code, out, err = run_cli(capsys, *pieri_args("--nu", "12,12", "--add", "12", "--vars", "5"))
     assert code == 3
     assert out == ""
     assert "pieri work estimate" in err
+    start = time.perf_counter()  # an estimate past any float is refused at once
+    argv = pieri_args("--nu", "1", "--add", "100000000000", "--vars", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and time.perf_counter() - start < 0.5
+    assert "pieri work estimate" in err
+
+
+@pytest.mark.parametrize("variables", ["9", "1000000000"])
+def test_verify_pieri_grid_is_admitted_at_any_variable_count(monkeypatch, capsys, variables):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    code, out, _ = run_cli(capsys, *pieri_args("--vars", variables))
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert report["variables"] == int(variables) and len(report["cases"]) == 36
 
 
 # -- a closed stdout -----------------------------------------------------------
@@ -1040,8 +1070,16 @@ def test_import_cli_loads_only_the_shared_layers():
         (("verify", "bijection", "--p", "2", "--mu", "2,2"), "", set()),
         (("map", "rsk_general", "--p", "2"), A_OBJ, {"hecke.rsk"}),
         (("verify", "basis", "--p", "2", "--mu", "2"), "", {"hecke.oracle"}),
+        (("verify", "pieri", "--p", "2", "--nu", "2,1", "--vars", "3"), "", {"hecke.decomp"}),
     ],
-    ids=["enum_m_mu", "map_a_to_v", "verify_bijection", "map_rsk_general", "verify_basis"],
+    ids=[
+        "enum_m_mu",
+        "map_a_to_v",
+        "verify_bijection",
+        "map_rsk_general",
+        "verify_basis",
+        "verify_pieri",
+    ],
 )
 def test_each_job_loads_only_its_layers(argv, stdin, needs):
     loaded = loaded_modules(*argv, stdin=stdin)

@@ -1,10 +1,17 @@
 import pytest
 
 from hecke.decomp import (
+    _addmul,
+    _elementary,
+    _nonzero,
+    _schur_packed,
+    _unpack,
+    _width,
     dim_identity_check,
     enumerate_levi_weights,
     h_hat,
     pieri_check,
+    pieri_work,
     schur_jacobi_trudi,
     shape_height,
     weight_space_dims,
@@ -12,7 +19,14 @@ from hecke.decomp import (
 from hecke.gf import Field
 from hecke.guards import GuardExceeded
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes, family_shape
-from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
+from hecke.shapes import (
+    compositions_of,
+    conjugate,
+    contains,
+    enumerate_cst,
+    partitions_of,
+    weak_compositions,
+)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -246,3 +260,96 @@ def test_pieri_small_grid():
         for nu in partitions_of(size):
             for n in range(1, 4):
                 assert pieri_check(nu, n, 5)["pass"]
+
+
+# -- the e-basis determinant against the x-basis one ---------------------------------
+
+
+def x_schur_packed(nu, m, width):
+    """s_nu as det(e_(nu'_i - i + j)) in the x-basis, every e_r expanded
+    into its C(m, r) packed x-monomials: the witness of the e-basis
+    determinant that pieri_check reads."""
+    nuc = conjugate(nu)
+    e = [_elementary(r, m, width) for r in range(m + 1)]
+    minors = {0: {0: 1}}
+    for i, part in enumerate(nuc):
+        grown: dict = {}
+        for used, minor in minors.items():
+            for j in range(max(0, i - part), min(len(nuc), m + i - part + 1)):
+                if not used >> j & 1:
+                    sign = -1 if (used >> j).bit_count() & 1 else 1
+                    target = grown.setdefault(used | 1 << j, {})
+                    _addmul(target, minor.items(), e[part - i + j], sign)
+        minors = {used: f for used, g in grown.items() if (f := _nonzero(g))}
+    return tuple(minors.get((1 << len(nuc)) - 1, {}).items())
+
+
+def x_pieri_check(nu, n, m):
+    """pieri_check with both sides compared in the x-basis."""
+    width = _width(sum(nu) + n)
+    lhs = _addmul({}, x_schur_packed(nu, m, width), x_schur_packed((n,) if n else (), m, width))
+    rhs: dict = {}
+    gammas = []
+    for gamma in partitions_of(sum(nu) + n):
+        if contains(gamma, nu) and enumerate_cst((gamma, nu), (n,)):
+            gammas.append(gamma)
+            _addmul(rhs, x_schur_packed(gamma, m, width), ((0, 1),))
+    return {
+        "check": "pieri",
+        "nu": list(nu),
+        "n": n,
+        "variables": m,
+        "expansion": [list(g) for g in gammas],
+        "pass": _nonzero(lhs) == _nonzero(rhs),
+    }
+
+
+def e_basis(nu, m):
+    """s_nu as {(exponent of e_1, ..., exponent of e_m): coefficient}."""
+    width = _width(sum(nu))
+    return {_unpack(key, m, width): c for key, c in _schur_packed(nu, m, width)}
+
+
+def test_schur_packed_in_the_e_basis():
+    assert e_basis((), 2) == {(0, 0): 1}
+    assert e_basis((1,), 2) == {(1, 0): 1}
+    assert e_basis((1, 1), 2) == {(0, 1): 1}
+    assert e_basis((2,), 2) == {(2, 0): 1, (0, 1): -1}
+    assert e_basis((2, 1), 3) == {(1, 1, 0): 1, (0, 0, 1): -1}
+    assert e_basis((2, 1), 2) == {(1, 1): 1}  # e_3 = 0 in two variables
+    assert e_basis((1, 1, 1), 2) == {}
+    assert e_basis((3,), 3) == {(3, 0, 0): 1, (1, 1, 0): -2, (0, 0, 1): 1}
+
+
+def test_schur_jacobi_trudi_equals_the_x_basis_witness():
+    for size in range(8):
+        for nu in partitions_of(size):
+            for m in range(max(len(nu), 1), 6):
+                width = _width(size)
+                witness = {_unpack(e, m, width): c for e, c in x_schur_packed(nu, m, width)}
+                assert schur_jacobi_trudi(nu, m) == witness
+
+
+PIERI_SINGLE_CASES = [((3, 3), 3, 5), ((3, 1), 3, 5), ((4, 2), 2, 5)]
+
+
+def test_pieri_reports_equal_the_x_basis_witness():
+    cases = [(nu, n) for size in range(5) for nu in partitions_of(size) for n in range(1, 4)]
+    checked = PIERI_SINGLE_CASES + [
+        (nu, n, m) for m in range(2, 7) for nu, n in cases if m >= len(nu) + 1
+    ]
+    assert len(checked) == 3 + 15 + 27 + 33 + 36 + 36
+    for nu, n, m in checked:
+        report = pieri_check(nu, n, m)
+        assert report == x_pieri_check(nu, n, m)
+        assert report["pass"]
+
+
+def test_pieri_work_counts_e_monomials_of_at_most_d_parts():
+    # parts <= min(m, d): past m = d, more variables add no e-monomial
+    assert pieri_work((4,), 3, 7) == pieri_work((4,), 3, 10**9) < 500_000
+    assert pieri_work((2,), 1, 3) == pieri_work((2,), 1, 10) == 2**3 * 10  # C(5, 2)
+    assert pieri_work((), 0, 1) == 1
+    assert pieri_work((2, 1), 2, 3) == 2**4 * 21  # C(7, 2) < exp(pi * sqrt(10/3))
+    assert 2**7 * 885 < pieri_work((4,), 3, 7) < 2**7 * 886  # exp(pi * sqrt(14/3)) < C(13, 6)
+    assert pieri_work((12, 12), 12, 5) > 500_000
