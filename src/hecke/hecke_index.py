@@ -4,7 +4,8 @@ A monomial matrix is stored column by column: perm[c] is the (0-based) row
 of the unique nonzero entry in column c and entries[c] is that entry's
 field code.  A polynomial matrix in M_mu is an l-by-l grid of monic
 polynomials with nonzero constant terms whose degree row sums and degree
-column sums both equal mu.
+column sums both equal mu.  Only polymatrix_from_obj, which reads outside
+data, checks that; every function given a PolyMatrix relies on its caller.
 """
 
 from __future__ import annotations
@@ -56,17 +57,13 @@ def monomial_identity(n: int) -> MonomialMatrix:
     return MonomialMatrix(tuple(range(n)), (1,) * n)
 
 
-def validate_m_mu(K: Field, a: PolyMatrix) -> tuple:
-    """The degree matrix of a, or MembershipError if a is not in M_mu."""
-    l = len(a.mu)
-    if len(a.entries) != l or any(len(row) != l for row in a.entries):
-        raise MembershipError("entry grid does not match the length of mu")
-    for row in a.entries:
-        for f in row:
-            if not is_monic(f) or f[0] == 0:
-                raise MembershipError(
-                    f"entry {format_poly(K, f)} is not monic with nonzero constant term"
-                )
+def validate_m_mu(K: Field, a: PolyMatrix) -> PolyMatrix:
+    """a itself, or MembershipError if the l-by-l grid a is not in M_mu."""
+    for f in itertools.chain(*a.entries):
+        if not is_monic(f) or f[0] == 0:
+            raise MembershipError(
+                f"entry {format_poly(K, f)} is not monic with nonzero constant term"
+            )
     d = tuple(tuple(poly_deg(f) for f in row) for row in a.entries)
     row_sums = tuple(sum(row) for row in d)
     col_sums = tuple(sum(col) for col in zip(*d))
@@ -74,7 +71,7 @@ def validate_m_mu(K: Field, a: PolyMatrix) -> tuple:
         raise MembershipError(
             f"degree sums {row_sums} / {col_sums} do not both equal mu = {a.mu}"
         )
-    return d
+    return a
 
 
 # -- the map f -> v_(f) on 1x1 blocks ----------------------------------------
@@ -147,8 +144,8 @@ def v_block(K: Field, f: Poly, r: int) -> MonomialMatrix:
 
 
 def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
-    """The monomial matrix v_a of a polynomial matrix in M_mu."""
-    d = validate_m_mu(K, a)
+    """v_a for a polynomial matrix a, unchecked: the caller guarantees a in M_mu."""
+    d = [[poly_deg(f) for f in row] for row in a.entries]
     n = sum(a.mu)
     perm = [0] * n
     entries = [0] * n
@@ -164,7 +161,11 @@ def _decode(v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     """The polynomial matrix v encodes if v is in N_mu, unchecked: reads the
     degree matrix off the block pattern of v and decodes each sub-block with
     _poly_of_monomial.  Off N_mu it still returns a grid, which v_of_matrix
-    does not map back to v."""
+    does not map back to v.  Yet for any v of size |mu| it is in M_mu, as
+    matrix_of_v's unchecked re-encoding needs: d[i][j] counts the columns of
+    block column j whose row is in block row i, so the degree sums are mu;
+    each entry is 1 or has degree d[i][j], leading coefficient 1 and, as
+    constant term, v's nonzero entry in its sub-block's first column."""
     n = sum(mu)
     if v.n != n:
         raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
@@ -237,7 +238,7 @@ def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
     from hecke import oracle
 
     n = v.n
-    check_guard(K.q ** (n * (n - 1) // 2), 10**6, "|U|")
+    oracle._u_order(K.q, n)
     vm = oracle.monomial_to_matrix(K, v)
     vinv = oracle.mat_inv(K, vm)
     for u in oracle.enumerate_u(K, n):
@@ -478,4 +479,4 @@ def polymatrix_from_obj(K: Field, obj: dict) -> PolyMatrix:
     if len(obj["entries"]) != len(mu) or any(len(row) != len(mu) for row in obj["entries"]):
         raise ValueError(f"entries must be a {len(mu)}-by-{len(mu)} grid, one row per part of mu")
     grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])
-    return PolyMatrix(grid, mu)
+    return validate_m_mu(K, PolyMatrix(grid, mu))

@@ -33,7 +33,7 @@ from hecke.gf import (
     poly_key,
 )
 from hecke.guards import check_guard
-from hecke.hecke_index import PolyMatrix, check_m_mu_size, enumerate_m_mu, validate_m_mu
+from hecke.hecke_index import PolyMatrix, check_m_mu_size, enumerate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
 M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
@@ -128,10 +128,9 @@ def _rsk_classical(b: tuple) -> tuple:
 
 
 def phi_factor_matrix(K: Field, a: PolyMatrix) -> tuple:
-    """Entry-by-entry factorization of a in M_mu: for each irreducible label
-    dividing some entry, the matrix of multiplicities, in canonical label
-    order."""
-    validate_m_mu(K, a)
+    """Entry-by-entry factorization of a in M_mu, unchecked (the caller
+    guarantees a in M_mu): for each irreducible label dividing some entry,
+    the matrix of multiplicities, in canonical label order."""
     l = len(a.mu)
     mats: dict = {}
     for i in range(l):
@@ -145,9 +144,9 @@ def phi_factor_matrix(K: Field, a: PolyMatrix) -> tuple:
 
 
 def rsk_generalized(K: Field, a: PolyMatrix) -> tuple:
-    """Componentwise classical RSK over the factorization labels.  Both
-    families share their shape label by label, and both have degree-weighted
-    weight mu."""
+    """Componentwise classical RSK over the factorization labels of a, which
+    the caller guarantees is in M_mu.  Both families share their shape label
+    by label, and both have degree-weighted weight mu."""
     fam_p, fam_q = [], []
     for g, mat in phi_factor_matrix(K, a):
         P, Q = rsk_classical(mat)

@@ -50,16 +50,6 @@ def partitions_of(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def compositions_of(n: int):
-    """All compositions of n, in lex order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions_of(n - first):
-            yield (first,) + rest
-
-
 def weak_compositions(n: int, bounds: tuple):
     """All tuples w of nonnegative integers summing to n with w_i <= bounds[i],
     in lex order, as an odometer on one list: the next tuple raises the last

@@ -33,8 +33,9 @@ from hecke.rsk import (
     rsk_generalized,
     two_line_array,
 )
-from hecke.shapes import compositions_of, enumerate_cst, partitions_of, weak_compositions
+from hecke.shapes import enumerate_cst, partitions_of, weak_compositions
 from test_oracle import assert_table_associative
+from test_shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)

@@ -13,17 +13,19 @@ from pathlib import Path
 
 import pytest
 
+from hecke import hecke_index
 from hecke.cli import _encode, build_parser, main
 from hecke.gf import DEGREE_GUARD, Field
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
+    MembershipError,
     enumerate_m_mu,
     enumerate_n_mu,
     monomial_to_obj,
     polymatrix_to_obj,
     v_of_matrix,
 )
-from hecke.shapes import compositions_of
+from test_shapes import compositions_of
 
 
 def run_cli(capsys, *argv):
@@ -442,6 +444,46 @@ def test_malformed_map_input_exits_2(tmp_path, capsys, name):
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+NON_MEMBERS = {  # a well-formed grid outside M_mu -> its exact stderr line
+    "non_monic": (
+        {"mu": [2], "entries": [["1+1*X^1+2*X^2"]]},
+        "input rejected: entry 1+1*X^1+2*X^2 is not monic with nonzero constant term\n",
+    ),
+    "zero_constant_term": (
+        {"mu": [2], "entries": [["1*X^1+1*X^2"]]},
+        "input rejected: entry 1*X^1+1*X^2 is not monic with nonzero constant term\n",
+    ),
+    "wrong_degree_sums": (
+        {"mu": [2, 1], "entries": [["1+1*X^1", "1"], ["1", "1+1*X^1"]]},
+        "input rejected: degree sums (1, 1) / (1, 1) do not both equal mu = (2, 1)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_MEMBERS)
+@pytest.mark.parametrize("direction", ["a_to_v", "rsk_general"])
+def test_map_refuses_a_non_member_where_it_is_read(tmp_path, capsys, direction, name):
+    obj, message = NON_MEMBERS[name]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "map", direction, "--p", "3", "--input", str(path))
+    assert (code, out, err) == (4, "", message)
+
+
+@pytest.mark.parametrize("direction", ["a_to_v", "rsk_general"])
+def test_map_reads_a_polynomial_matrix_through_validate_m_mu(
+    monkeypatch, tmp_path, capsys, direction
+):
+    def refuse(K, a):
+        raise MembershipError("validate_m_mu was called")
+
+    monkeypatch.setattr(hecke_index, "validate_m_mu", refuse)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]}))
+    code, out, err = run_cli(capsys, "map", direction, "--p", "3", "--input", str(path))
+    assert (code, out, err) == (4, "", "input rejected: validate_m_mu was called\n")
 
 
 # -- verify ---------------------------------------------------------------------

@@ -20,13 +20,13 @@ from hecke.gf import Field
 from hecke.guards import GuardExceeded
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes, family_shape
 from hecke.shapes import (
-    compositions_of,
     conjugate,
     contains,
     enumerate_cst,
     partitions_of,
     weak_compositions,
 )
+from test_shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from hecke import hecke_index
 from hecke.gf import Field, enumerate_monic_units, poly_mul
+from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
     MonomialMatrix,
@@ -26,8 +28,10 @@ from hecke.hecke_index import (
     polymatrix_to_obj,
     v_of_poly,
     v_of_matrix,
+    validate_m_mu,
 )
-from hecke.shapes import boundary_set, compositions_of
+from hecke.shapes import boundary_set
+from test_shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)
@@ -191,6 +195,69 @@ def test_bijection_check_sees_a_wrong_decode(monkeypatch):
     assert len(changed) == 1
     assert not report["roundtrip_ok"] and not report["pass"]
     assert report["membership_ok"] and report["injective"] and report["image_equals_filter"]
+
+
+@pytest.mark.parametrize("K", [F2, F3, Field(2, 2)], ids=["q2", "q3", "q4"])
+def test_decode_of_any_monomial_matrix_is_in_m_mu(K):
+    """matrix_of_v re-encodes _decode's grid unchecked: for every monomial
+    matrix of size |mu|, in N_mu or not, the grid is in M_mu."""
+    for n in range(1, 5):
+        vs = list(enumerate_n(K, n))
+        for mu in compositions_of(n):
+            for v in vs:
+                a = hecke_index._decode(v, mu)
+                assert validate_m_mu(K, a) is a
+
+
+def refuse_to_validate(K, a):
+    raise MembershipError("validate_m_mu was called")
+
+
+@pytest.mark.parametrize(
+    "layer,check,K,mu",
+    [
+        ("hecke_index", "bijection_check", F3, (3, 2, 1)),
+        ("rsk", "rsk_bijectivity_check", F3, (2, 2, 1)),
+        ("oracle", "levi_embedding_check", F2, (2, 1)),
+    ],
+    ids=["bijection", "rsk_bijectivity", "levi"],
+)
+def test_checks_on_built_elements_never_validate(monkeypatch, layer, check, K, mu):
+    """enumerate_m_mu and the diagonal embedding build members of M_mu, so
+    the checks that walk them call no validator."""
+    monkeypatch.setattr(hecke_index, "validate_m_mu", refuse_to_validate)
+    assert getattr(importlib.import_module(f"hecke.{layer}"), check)(K, mu)["pass"]
+
+
+def test_only_hecke_index_holds_validate_m_mu():
+    for layer in ("cli", "decomp", "oracle", "rsk"):
+        assert not hasattr(importlib.import_module(f"hecke.{layer}"), "validate_m_mu"), layer
+
+
+def test_polymatrix_from_obj_refuses_non_members():
+    for entries, mu in [
+        ([["1+1*X^1+2*X^2"]], [2]),  # not monic
+        ([["1*X^1+1*X^2"]], [2]),  # zero constant term
+        ([["0"]], [1]),
+        ([["1+1*X^1", "1"], ["1", "1+1*X^1"]], [2, 1]),  # degree sums (1, 1)
+        ([["1+1*X^2", "1+1*X^1"], ["1", "1+1*X^1"]], [2, 1]),  # row sums (3, 1)
+    ]:
+        with pytest.raises(MembershipError):
+            polymatrix_from_obj(F3, {"mu": mu, "entries": entries})
+
+
+def test_is_in_n_mu_direct_refuses_over_the_oracle_u_guard(monkeypatch):
+    from hecke import oracle
+
+    def fail(K, n):
+        raise AssertionError("U was enumerated over the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(oracle, "enumerate_u", fail)
+    with pytest.raises(GuardExceeded, match=r"^\|U\| = 32768 exceeds the guard \(4096\)$"):
+        is_in_n_mu_direct(F2, monomial_identity(6), (6,))
+    with pytest.raises(GuardExceeded, match=r"^\|U\| = inf exceeds the guard \(4096\)$"):
+        is_in_n_mu_direct(Field(1021), monomial_identity(1000), (1000,))
 
 
 def test_map_v_to_a_non_member_exits_4(tmp_path, capsys):

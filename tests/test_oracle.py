@@ -28,7 +28,7 @@ from hecke.oracle import (
     structure_constants,
     t_v,
 )
-from hecke.shapes import compositions_of
+from test_shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)

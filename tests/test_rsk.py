@@ -24,13 +24,13 @@ from hecke.rsk import (
     two_line_array,
 )
 from hecke.shapes import (
-    compositions_of,
     cst_check,
     cst_weight,
     enumerate_cst,
     partitions_of,
     weak_compositions,
 )
+from test_shapes import compositions_of
 
 F2 = Field(2)
 F3 = Field(3)

@@ -4,7 +4,6 @@ import pytest
 
 from hecke.shapes import (
     boundary_set,
-    compositions_of,
     conjugate,
     contains,
     cst_check,
@@ -14,6 +13,16 @@ from hecke.shapes import (
     partitions_of,
     weak_compositions,
 )
+
+
+def compositions_of(n: int):
+    """All compositions of n, in lex order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions_of(n - first):
+            yield (first,) + rest
 
 
 def brute_force_cst(shape, weight):
