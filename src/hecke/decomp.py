@@ -23,7 +23,7 @@ from math import inf, lgamma, log, pi, sqrt
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
 from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
-from hecke.shapes import conjugate, contains, enumerate_cst, is_partition, kostka, partitions_of
+from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
 def shape_height(shape) -> int:
@@ -197,17 +197,12 @@ def _schur_packed(nu: tuple, m: int, width: int) -> tuple:
     return tuple(minors.get((1 << len(nuc)) - 1, {}).items())
 
 
-def _check_partition(nu: tuple):
-    if not is_partition(nu):
-        raise ValueError(f"not a partition: {list(nu)}")
-
-
 def schur_jacobi_trudi(nu: tuple, m: int) -> dict:
     """The Schur polynomial in m variables: _schur_packed with each e_r
     expanded into its C(m, r) x-monomials, over the integers.  Returns a
     fresh dict on every call."""
     nu = tuple(nu)
-    _check_partition(nu)
+    check_partition(nu)
     if m < len(nu):
         raise ValueError("need at least as many variables as rows")
     width = _width(sum(nu))
@@ -240,7 +235,7 @@ def pieri_work(nu: tuple, n: int, m: int) -> float:
 def check_pieri_input(nu: tuple, n: int, m: int):
     """Refuse a Pieri case before any work: ValueError for malformed input,
     GuardExceeded when pieri_work is over PIERI_GUARD."""
-    _check_partition(nu)
+    check_partition(nu)
     if n < 0:
         raise ValueError(f"the added row must have nonnegative length, not {n}")
     if m < len(nu) + 1:
@@ -269,19 +264,17 @@ def pieri_report(nu, add, m: int) -> dict:
 
 
 def pieri_check(nu: tuple, n: int, m: int) -> dict:
-    """s_nu * s_(n) against the sum of s_gamma over the shapes gamma obtained
-    from nu by adding n boxes with a weight-(n) skew filling; both sides are
-    compared as packed polynomials in e_1..e_m."""
+    """s_nu * s_(n) against the sum of s_gamma over the shapes gamma for which
+    gamma/nu is a horizontal n-strip, listed as partitions_of lists them; both
+    sides are compared as packed polynomials in e_1..e_m."""
     nu = tuple(nu)
     check_pieri_input(nu, n, m)
     width = _width(sum(nu) + n)
     lhs = _addmul({}, _schur_packed(nu, m, width), _schur_packed((n,) if n else (), m, width))
     rhs: dict = {}
-    gammas = []
-    for gamma in partitions_of(sum(nu) + n):
-        if contains(gamma, nu) and enumerate_cst((gamma, nu), (n,)):
-            gammas.append(gamma)
-            _addmul(rhs, _schur_packed(gamma, m, width), _ONE)
+    gammas = list(horizontal_strips(nu, n))[::-1]
+    for gamma in gammas:
+        _addmul(rhs, _schur_packed(gamma, m, width), _ONE)
     return {
         "check": "pieri",
         "nu": list(nu),

@@ -94,17 +94,19 @@ class Field:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        coords = [self.coords(a) for a in range(q)]
-        self._add = [
-            tuple(
-                self.from_coords(tuple((x + y) % p for x, y in zip(coords[a], coords[b])))
-                for b in range(q)
-            )
-            for a in range(q)
-        ]
         if k == 1:
+            self._add = [tuple((a + b) % p for b in range(q)) for a in range(q)]
             self._mul = [tuple((a * b) % p for b in range(q)) for a in range(q)]
+            self._neg = tuple(-a % p for a in range(q))
         else:
+            coords = [self.coords(a) for a in range(q)]
+            self._add = [
+                tuple(
+                    self.from_coords(tuple((x + y) % p for x, y in zip(coords[a], coords[b])))
+                    for b in range(q)
+                )
+                for a in range(q)
+            ]
             self._mul = [
                 tuple(
                     self.from_coords(_fp_poly_mulmod(p, self.modulus, coords[a], coords[b]))
@@ -112,7 +114,7 @@ class Field:
                 )
                 for a in range(q)
             ]
-        self._neg = tuple(self.from_coords(tuple((-x) % p for x in coords[a])) for a in range(q))
+            self._neg = tuple(self.from_coords(tuple(-x % p for x in c)) for c in coords)
         self._inv = (0,) + tuple(self.pow(a, q - 2) for a in range(1, q))
         # Tr(x) = x + x^p + ... + x^(p^(k-1)) lies in the prime subfield.
         trace = []

@@ -218,14 +218,10 @@ def gl_order(q: int, n: int) -> int:
     return order
 
 
-def _check_gl_order(q: int, n: int):
-    check_guard(gl_order(q, n), G_GUARD, "|GL_n(F_q)|")
-
-
 def enumerate_gl(K: Field, n: int) -> list:
     """All invertible n-by-n matrices, built row by row avoiding the span of
-    the previous rows."""
-    _check_gl_order(K.q, n)
+    the previous rows; |GL_n(F_q)| is refused over its guard first."""
+    check_guard(gl_order(K.q, n), G_GUARD, "|GL_n(F_q)|")
     vectors = list(itertools.product(K.elements(), repeat=n))
     out = []
 
@@ -650,8 +646,7 @@ def double_coset_reps(K: Field, n: int) -> list:
     The cosets come from _double_cosets; the disjointness and cover checks
     compare them with enumerate_gl, which builds G independently.
     """
-    _u_order(K.q, n)  # refuse a |U| or |GL_n(F_q)| over its guard before building either
-    _check_gl_order(K.q, n)
+    _u_order(K.q, n)  # refuse a |U| over its guard before enumerate_gl checks |GL_n(F_q)|
     G = enumerate_gl(K, n)
     seen: set = set()
     out = []

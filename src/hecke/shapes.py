@@ -1,25 +1,29 @@
-"""Compositions, partitions, skew shapes, and column-strict tableaux.
+"""Compositions, partitions, horizontal strips, and column-strict tableaux.
 
 Compositions and partitions are tuples of positive integers; a partition is
-weakly decreasing.  A tableau is a tuple of row tuples holding only the
-filled cells; for a skew shape the rows start at the inner margin.  Weights
-are tuples of nonnegative counts indexed from 1 and may carry trailing
-zeros, which never affect equality checks done through cst_weight.
+weakly decreasing.  A tableau is a tuple of row tuples.  A column-strict
+tableau of weight w is a chain of partitions, entry i adding a horizontal
+strip of w_i boxes (Macdonald I.1), so horizontal_strips serves both the
+tableau enumeration and the Pieri rule.  Weights are tuples of nonnegative
+counts indexed from 1 and may carry trailing zeros, which never affect
+equality checks done through cst_weight.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
+from operator import add, sub
 
 Partition = tuple
 Composition = tuple
 Rows = tuple
 
 
-def is_composition(mu) -> bool:
-    return all(isinstance(m, int) and m >= 1 for m in mu)
-
-
-def is_partition(nu) -> bool:
-    return is_composition(nu) and all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1))
+def check_partition(nu):
+    """Refuse anything but a weakly decreasing tuple of positive integers."""
+    positive = all(isinstance(m, int) and m >= 1 for m in nu)
+    if not positive or any(a < b for a, b in zip(nu, nu[1:])):
+        raise ValueError(f"not a partition: {list(nu)}")
 
 
 def conjugate(nu: Partition) -> Partition:
@@ -77,52 +81,46 @@ def weak_compositions(n: int, bounds: tuple):
             return
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
-    return len(inner) <= len(outer) and all(
-        inner[i] <= outer[i] for i in range(len(inner))
-    )
+def horizontal_strips(inner: Partition, n: int, outer: Partition | None = None):
+    """The partitions gamma containing inner for which gamma/inner is a
+    horizontal n-strip (no two of its boxes in one column), in lex order, and
+    with gamma inside outer when outer (containing inner) is given.  Row i of
+    inner may grow by at most inner_(i-1) - inner_i, the first row by n and a
+    new row by inner's last part (Macdonald I.1)."""
+    margins = inner + (0,)
+    bounds = (n, *map(sub, inner, margins[1:]))
+    if outer is not None:
+        bounds = tuple(map(min, bounds, map(sub, outer + (0,) * len(margins), margins)))
+    for grow in weak_compositions(n, bounds):
+        gamma = tuple(map(add, margins, grow))
+        yield gamma if gamma[-1] else gamma[:-1]
 
 
-def _split_shape(shape) -> tuple:
-    """Accept either a partition or an (outer, inner) skew pair."""
-    if shape and isinstance(shape[0], tuple):
-        outer, inner = shape
-        if not (is_partition(outer) and is_partition(inner) and contains(outer, inner)):
-            raise ValueError(f"invalid skew shape {shape}")
-        return outer, inner + (0,) * (len(outer) - len(inner))
-    if not is_partition(shape):
-        raise ValueError(f"invalid partition {shape}")
-    return shape, (0,) * len(shape)
-
-
-def cst_check(rows: Rows, shape) -> bool:
+def cst_check(rows: Rows, shape: Partition) -> bool:
     """True iff the filling weakly increases along rows and strictly
     increases down columns.  The rows must match the declared shape."""
-    outer, inner = _split_shape(shape)
-    if len(rows) != len(outer):
+    check_partition(shape)
+    if len(rows) != len(shape):
         raise ValueError("row count does not match shape")
     for r, row in enumerate(rows):
-        if len(row) != outer[r] - inner[r]:
+        if len(row) != shape[r]:
             raise ValueError("row lengths do not match shape")
     for r, row in enumerate(rows):
         for c in range(len(row) - 1):
             if row[c] > row[c + 1]:
                 return False
         if r > 0:
-            for col in range(max(inner[r], inner[r - 1]), min(outer[r], outer[r - 1])):
-                if rows[r - 1][col - inner[r - 1]] >= rows[r][col - inner[r]]:
+            for col in range(len(row)):
+                if rows[r - 1][col] >= row[col]:
                     return False
     return True
 
 
-def cst_weight(rows: Rows, shape=None) -> tuple:
+def cst_weight(rows: Rows) -> tuple:
     """wt(Q)_i = number of entries equal to i, indexed from 1.
 
-    The filling must be column strict; without an explicit shape the rows
-    are read as a straight shape."""
-    if shape is None:
-        shape = tuple(len(row) for row in rows)
-    if not cst_check(rows, shape):
+    The rows must be a column-strict filling of a straight shape."""
+    if not cst_check(rows, tuple(len(row) for row in rows)):
         raise ValueError("filling is not column strict")
     top = max((e for row in rows for e in row), default=0)
     wt = [0] * top
@@ -134,41 +132,27 @@ def cst_weight(rows: Rows, shape=None) -> tuple:
     return tuple(wt)
 
 
-def enumerate_cst(shape, weight) -> list:
+def enumerate_cst(shape: Partition, weight) -> list:
     """All column-strict fillings of the shape with the given weight, in
-    lexicographic order of the row reading word.  The count is the Kostka
-    number for straight shapes."""
-    outer, inner = _split_shape(shape)
-    if sum(outer) - sum(inner) != sum(weight):
+    lexicographic order of the row reading word.  A filling is a chain of
+    horizontal strips, the one of entry i having weight_i boxes, so each
+    tableau is grown strip by strip inside the shape.  The count is the
+    Kostka number."""
+    check_partition(shape)
+    if sum(shape) != sum(weight):
         raise ValueError("shape size and weight size differ")
-    cells = [
-        (r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])
-    ]
-    remaining = list(weight)
-    rows = [[0] * (outer[r] - inner[r]) for r in range(len(outer))]
-    out = []
-
-    def covered(r, c):
-        return r >= 0 and inner[r] <= c < outer[r]
-
-    def fill(idx):
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in rows))
-            return
-        r, c = cells[idx]
-        lo = rows[r][c - 1 - inner[r]] if c > inner[r] else 1
-        if covered(r - 1, c):
-            lo = max(lo, rows[r - 1][c - inner[r - 1]] + 1)
-        for v in range(lo, len(remaining) + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                rows[r][c - inner[r]] = v
-                fill(idx + 1)
-                remaining[v - 1] += 1
-        rows[r][c - inner[r]] = 0
-
-    fill(0)
-    return out
+    tableaux = [()]
+    for entry, count in enumerate(weight, start=1):
+        if count:
+            tableaux = [
+                tuple(
+                    row + (entry,) * (g - len(row))
+                    for row, g in zip_longest(rows, gamma, fillvalue=())
+                )
+                for rows in tableaux
+                for gamma in horizontal_strips(tuple(map(len, rows)), count, shape)
+            ]
+    return sorted(tableaux)
 
 
 def kostka(shape, weight) -> int:

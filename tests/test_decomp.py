@@ -21,12 +21,11 @@ from hecke.guards import GuardExceeded
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes, family_shape
 from hecke.shapes import (
     conjugate,
-    contains,
     enumerate_cst,
     partitions_of,
     weak_compositions,
 )
-from test_shapes import compositions_of
+from test_shapes import compositions_of, is_horizontal_strip
 
 F2 = Field(2)
 F3 = Field(3)
@@ -255,6 +254,13 @@ def test_pieri_square_of_single_box():
     assert lhs == rhs
 
 
+def test_pieri_validates_through_the_shapes_partition_check():
+    from hecke import decomp, shapes
+
+    assert decomp.check_partition is shapes.check_partition
+    assert not hasattr(decomp, "_check_partition")
+
+
 def test_pieri_small_grid():
     for size in range(5):
         for nu in partitions_of(size):
@@ -291,7 +297,7 @@ def x_pieri_check(nu, n, m):
     rhs: dict = {}
     gammas = []
     for gamma in partitions_of(sum(nu) + n):
-        if contains(gamma, nu) and enumerate_cst((gamma, nu), (n,)):
+        if is_horizontal_strip(gamma, nu):
             gammas.append(gamma)
             _addmul(rhs, x_schur_packed(gamma, m, width), ((0, 1),))
     return {

@@ -94,6 +94,16 @@ def test_field_builds_its_tables_once_on_first_use(monkeypatch):
     assert built == [K]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101])
+def test_prime_field_tables_equal_the_coordinate_construction(p):
+    K = Field(p)
+    coord = [K.coords(a)[0] for a in range(p)]
+    assert K._add == [
+        tuple(K.from_coords(((coord[a] + coord[b]) % p,)) for b in range(p)) for a in range(p)
+    ]
+    assert K._neg == tuple(K.from_coords(((-coord[a]) % p,)) for a in range(p))
+
+
 def test_equal_fields_hash_equally_and_hashing_builds_no_table(monkeypatch):
     fields = [Field(1021), Field(1021), Field(2, 3), Field(2, 3), Field(3, 2)]
 

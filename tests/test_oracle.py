@@ -439,6 +439,27 @@ def test_double_cosets_small():
     assert coset_check(F3, 2)["pass"]
 
 
+def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
+    from hecke import oracle
+
+    checked = []
+    check_guard, enumerate_gl = oracle.check_guard, oracle.enumerate_gl
+
+    def guard(size, limit, what):
+        checked.append(what)
+        return check_guard(size, limit, what)
+
+    def build(K, n):
+        checked.append("G")
+        return enumerate_gl(K, n)
+
+    monkeypatch.setattr(oracle, "check_guard", guard)
+    monkeypatch.setattr(oracle, "enumerate_gl", build)
+    double_coset_reps(F2, 2)
+    assert checked[:3] == ["|U|", "G", "|GL_n(F_q)|"]
+    assert checked.count("|GL_n(F_q)|") == 1
+
+
 # -- guards ---------------------------------------------------------------------------
 
 

@@ -4,11 +4,12 @@ import pytest
 
 from hecke.shapes import (
     boundary_set,
+    check_partition,
     conjugate,
-    contains,
     cst_check,
     cst_weight,
     enumerate_cst,
+    horizontal_strips,
     kostka,
     partitions_of,
     weak_compositions,
@@ -39,6 +40,17 @@ def brute_force_cst(shape, weight):
             pos += part
         seen.add(tuple(rows))
     return {rows for rows in seen if cst_check(rows, shape)}
+
+
+def cells(nu) -> set:
+    return {(r, c) for r, part in enumerate(nu) for c in range(part)}
+
+
+def is_horizontal_strip(gamma, nu) -> bool:
+    """Independent strip oracle: the diagram of gamma holds that of nu, and no
+    two of the added boxes share a column."""
+    added = cells(gamma) - cells(nu)
+    return cells(nu) <= cells(gamma) and len({c for _, c in added}) == len(added)
 
 
 # -- basic shape operations ---------------------------------------------------
@@ -90,10 +102,16 @@ def test_cst_check_shape_mismatch():
         cst_check(((1, 1, 1), (2,)), (2, 1))
 
 
-def test_cst_check_skew():
-    # Boxes of (3,2)/(1,): row 0 holds columns 1-2, row 1 holds columns 0-1.
-    assert cst_check(((1, 1), (1, 2)), ((3, 2), (1,)))
-    assert not cst_check(((1, 1), (2, 1)), ((3, 2), (1,)))
+def test_shapes_must_be_partitions():
+    with pytest.raises(ValueError, match=r"^not a partition: \[1, 2\]$"):
+        check_partition((1, 2))
+    for bad in [(1, 2), (2, 0), ((2, 1), (1,))]:
+        with pytest.raises(ValueError, match="not a partition"):
+            enumerate_cst(bad, (3,))
+        with pytest.raises(ValueError, match="not a partition"):
+            cst_check(((1,),), bad)
+    check_partition(())
+    check_partition((3, 3, 1))
 
 
 def test_cst_weight_paper_tableau():
@@ -155,6 +173,15 @@ def test_kostka_against_brute_force():
                 assert set(enumerate_cst(lam, mu)) == brute_force_cst(lam, mu)
 
 
+def test_enumerate_cst_lists_every_filling_in_reading_word_order():
+    # every weight of at most 4 parts, zeros allowed, as rsk._fillings passes them
+    for n in range(6):
+        for lam in partitions_of(n):
+            for length in range(5):
+                for w in weak_compositions(n, (n,) * length):
+                    assert enumerate_cst(lam, w) == sorted(brute_force_cst(lam, w)), (lam, w)
+
+
 def test_kostka_triangularity():
     # K_{lambda,lambda} = 1, and weights can only spread downward: filling
     # shape lambda with weight mu fails whenever mu does not fit.
@@ -164,25 +191,18 @@ def test_kostka_triangularity():
 
 
 def test_pieri_consistency():
-    # Shapes gamma over nu with a weight-(n) skew filling are exactly the
-    # gamma adding n boxes to nu with no two boxes in the same column.
-    for size in range(5):
+    # horizontal_strips(nu, n) lists, in lex order, exactly the gamma of size
+    # |nu|+n that the witness accepts; with outer, those inside outer.
+    for size in range(6):
         for nu in partitions_of(size):
-            for n in range(1, 4):
-                with_filling = set()
-                horizontal = set()
-                for gamma in partitions_of(size + n):
-                    if not contains(gamma, nu):
-                        continue
-                    if enumerate_cst((gamma, nu), (n,)):
-                        with_filling.add(gamma)
-                    padded = nu + (0,) * (len(gamma) - len(nu))
-                    cols_added = []
-                    for i, part in enumerate(gamma):
-                        cols_added.extend(range(padded[i], part))
-                    if len(set(cols_added)) == len(cols_added):
-                        horizontal.add(gamma)
-                assert with_filling == horizontal
+            for n in range(4):
+                strips = [g for g in partitions_of(size + n) if is_horizontal_strip(g, nu)]
+                assert list(horizontal_strips(nu, n)) == strips[::-1], (nu, n)
+                outers = (o for extra in range(n + 2) for o in partitions_of(size + extra))
+                for outer in outers:
+                    if cells(nu) <= cells(outer):
+                        inside = [g for g in strips if cells(g) <= cells(outer)]
+                        assert list(horizontal_strips(nu, n, outer)) == inside[::-1], (nu, outer)
 
 
 def test_weak_compositions():
