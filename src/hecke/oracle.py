@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from hecke.gf import Field, enumerate_monic_units
 from hecke.guards import check_guard
@@ -218,29 +218,28 @@ def gl_order(q: int, n: int) -> int:
     return order
 
 
-def enumerate_gl(K: Field, n: int) -> list:
-    """All invertible n-by-n matrices, built row by row avoiding the span of
-    the previous rows; |GL_n(F_q)| is refused over its guard first."""
+def enumerate_gl(K: Field, n: int) -> Iterator[tuple]:
+    """Stream all invertible n-by-n matrices, built row by row avoiding the
+    span of the previous rows.  |GL_n(F_q)| is refused over its guard here,
+    at the call, before anything is yielded; G itself is never held."""
     check_guard(gl_order(K.q, n), G_GUARD, "|GL_n(F_q)|")
     vectors = list(itertools.product(K.elements(), repeat=n))
-    out = []
+    add = K.add
 
     def extend(rows, span):
         for vec in vectors:
             if vec in span:
                 continue
             if len(rows) == n - 1:  # a leaf: its span is never read
-                out.append(tuple(rows) + (vec,))
+                yield tuple(rows) + (vec,)
             else:
-                grown = {
-                    tuple(K.add(x, K.mul(c, y)) for x, y in zip(s, vec))
-                    for s in span
-                    for c in K.elements()
-                }
-                extend(rows + [vec], grown)
+                grown = set(span)
+                for c in K.units():
+                    m = tuple(K.mul(c, y) for y in vec)
+                    grown.update(tuple(map(add, s, m)) for s in span)
+                yield from extend(rows + [vec], grown)
 
-    extend([], {(0,) * n})
-    return out
+    return extend([], {(0,) * n})
 
 
 # -- the character psi_mu and the idempotent e_mu -------------------------------
@@ -392,7 +391,14 @@ def t_v(K: Field, v: MonomialMatrix, mu: tuple) -> AlgebraElement:
                 counts = acc[g] = [0] * p
             counts[-(e + f) % p] += 1
     den = len(U) ** 2
-    terms = {tuple(zip(*g)): Cyclotomic(p, counts, den) for g, counts in acc.items()}
+    # One Cyclotomic per distinct count vector, shared: it has no mutators.
+    made: dict = {}
+    terms = {}
+    for g, counts in acc.items():
+        key = tuple(counts)
+        if key not in made:
+            made[key] = Cyclotomic(p, counts, den)
+        terms[tuple(zip(*g))] = made[key]
     return AlgebraElement(K, v.n, terms)
 
 
@@ -643,19 +649,26 @@ def _double_cosets(K: Field, n: int):
 def double_coset_reps(K: Field, n: int) -> list:
     """Confirms G = union of UvU over monomial v, returning (v, |UvU|) pairs.
 
-    The cosets come from _double_cosets; the disjointness and cover checks
-    compare them with enumerate_gl, which builds G independently.
+    The cosets come from _double_cosets and are checked disjoint as their
+    union `seen` grows.  G comes from enumerate_gl, which builds it
+    independently and streams it: each g is removed from `seen`, so a g
+    missing or repeated, or an element of `seen` left over, means the
+    cosets do not cover G.  The check holds one set of |G| matrices.
     """
     _u_order(K.q, n)  # refuse a |U| over its guard before enumerate_gl checks |GL_n(F_q)|
     G = enumerate_gl(K, n)
     seen: set = set()
     out = []
     for v, coset in _double_cosets(K, n):
-        if coset & seen:
+        if not seen.isdisjoint(coset):
             raise CosetError("double cosets are not disjoint")
         seen |= coset
         out.append((v, len(coset)))
-    if len(seen) != len(G) or seen != set(G):
+    for g in G:
+        if g not in seen:
+            raise CosetError("double cosets do not cover the group")
+        seen.remove(g)
+    if seen:
         raise CosetError("double cosets do not cover the group")
     return out
 

@@ -5,8 +5,7 @@ weakly decreasing.  A tableau is a tuple of row tuples.  A column-strict
 tableau of weight w is a chain of partitions, entry i adding a horizontal
 strip of w_i boxes (Macdonald I.1), so horizontal_strips serves both the
 tableau enumeration and the Pieri rule.  Weights are tuples of nonnegative
-counts indexed from 1 and may carry trailing zeros, which never affect
-equality checks done through cst_weight.
+counts indexed from 1 and may carry trailing zeros.
 """
 
 from __future__ import annotations
@@ -114,22 +113,6 @@ def cst_check(rows: Rows, shape: Partition) -> bool:
                 if rows[r - 1][col] >= row[col]:
                     return False
     return True
-
-
-def cst_weight(rows: Rows) -> tuple:
-    """wt(Q)_i = number of entries equal to i, indexed from 1.
-
-    The rows must be a column-strict filling of a straight shape."""
-    if not cst_check(rows, tuple(len(row) for row in rows)):
-        raise ValueError("filling is not column strict")
-    top = max((e for row in rows for e in row), default=0)
-    wt = [0] * top
-    for row in rows:
-        for e in row:
-            if e < 1:
-                raise ValueError("tableau entries must be positive")
-            wt[e - 1] += 1
-    return tuple(wt)
 
 
 def enumerate_cst(shape: Partition, weight) -> list:

@@ -7,6 +7,7 @@ from hecke.guards import GuardExceeded
 from hecke.hecke_index import MonomialMatrix, enumerate_n, enumerate_n_mu, monomial_identity
 from hecke.oracle import (
     AlgebraElement,
+    CosetError,
     Cyclotomic,
     _bruhat,
     _double_cosets,
@@ -33,6 +34,7 @@ from test_shapes import compositions_of
 F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
+F5 = Field(5)
 
 
 def delta(K, g: tuple) -> AlgebraElement:
@@ -104,9 +106,49 @@ def test_mat_inv_singular_raises():
 def test_enumerate_sizes():
     assert len(enumerate_u(F2, 3)) == 8
     assert len(enumerate_u(F3, 2)) == 3
-    assert len(enumerate_gl(F2, 2)) == gl_order(2, 2) == 6
-    assert len(enumerate_gl(F3, 2)) == gl_order(3, 2) == 48
-    assert len(enumerate_gl(F2, 3)) == gl_order(2, 3) == 168
+    assert len(list(enumerate_gl(F2, 2))) == gl_order(2, 2) == 6
+    assert len(list(enumerate_gl(F3, 2))) == gl_order(3, 2) == 48
+    assert len(list(enumerate_gl(F2, 3))) == gl_order(2, 3) == 168
+
+
+def gl_list(K, n) -> list:
+    """The list builder enumerate_gl streams: every invertible matrix, row by
+    row, each span grown entry by entry from all q multiples of the row."""
+    vectors = list(itertools.product(K.elements(), repeat=n))
+    out = []
+
+    def extend(rows, span):
+        for vec in vectors:
+            if vec in span:
+                continue
+            if len(rows) == n - 1:
+                out.append(tuple(rows) + (vec,))
+            else:
+                grown = {
+                    tuple(K.add(x, K.mul(c, y)) for x, y in zip(s, vec))
+                    for s in span
+                    for c in K.elements()
+                }
+                extend(rows + [vec], grown)
+
+    extend([], {(0,) * n})
+    return out
+
+
+@pytest.mark.parametrize(
+    "K,n",
+    [(F3, 1), (F2, 2), (F3, 2), (F4, 2), (F5, 2), (F2, 3), (F3, 3), (F2, 4)],
+    ids=["3-1", "2-2", "3-2", "4-2", "5-2", "2-3", "3-3", "2-4"],
+)
+def test_enumerate_gl_streams_the_list_in_order(K, n):
+    G = enumerate_gl(K, n)
+    assert not isinstance(G, list)
+    assert list(G) == gl_list(K, n)
+
+
+def test_enumerate_gl_guard_fires_at_the_call():
+    with pytest.raises(GuardExceeded):
+        enumerate_gl(F5, 3)
 
 
 def test_unipotent_predicate():
@@ -458,6 +500,43 @@ def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
     double_coset_reps(F2, 2)
     assert checked[:3] == ["|U|", "G", "|GL_n(F_q)|"]
     assert checked.count("|GL_n(F_q)|") == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda G: itertools.chain(G, [next(enumerate_gl(F2, 3))]),
+        lambda G: itertools.islice(G, 1, None),
+        lambda G: itertools.chain(G, [((1, 1, 0), (1, 1, 0), (0, 0, 1))]),
+    ],
+    ids=["repeated", "dropped", "singular"],
+)
+def test_double_coset_reps_refuses_a_wrong_group(monkeypatch, change):
+    from hecke import oracle
+
+    monkeypatch.setattr(oracle, "enumerate_gl", lambda K, n: change(enumerate_gl(K, n)))
+    with pytest.raises(CosetError, match="do not cover the group"):
+        double_coset_reps(F2, 3)
+    assert not coset_check(F2, 3)["pass"]
+
+
+def test_double_coset_reps_refuses_overlapping_cosets(monkeypatch):
+    from hecke import oracle
+
+    double_cosets = oracle._double_cosets
+
+    def overlapping(K, n):
+        first = None
+        for v, coset in double_cosets(K, n):
+            if first is None:
+                first = next(iter(coset))
+            else:
+                coset = coset | {first}
+            yield v, coset
+
+    monkeypatch.setattr(oracle, "_double_cosets", overlapping)
+    with pytest.raises(CosetError, match="not disjoint"):
+        double_coset_reps(F2, 3)
 
 
 # -- guards ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from hecke.rsk import (
 )
 from hecke.shapes import (
     cst_check,
-    cst_weight,
     enumerate_cst,
     partitions_of,
     weak_compositions,
 )
-from test_shapes import compositions_of
+from test_shapes import compositions_of, cst_weight
 
 F2 = Field(2)
 F3 = Field(3)

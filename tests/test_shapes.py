@@ -7,7 +7,6 @@ from hecke.shapes import (
     check_partition,
     conjugate,
     cst_check,
-    cst_weight,
     enumerate_cst,
     horizontal_strips,
     kostka,
@@ -24,6 +23,22 @@ def compositions_of(n: int):
     for first in range(1, n + 1):
         for rest in compositions_of(n - first):
             yield (first,) + rest
+
+
+def cst_weight(rows) -> tuple:
+    """wt(Q)_i = number of entries equal to i, indexed from 1.
+
+    The rows must be a column-strict filling of a straight shape."""
+    if not cst_check(rows, tuple(len(row) for row in rows)):
+        raise ValueError("filling is not column strict")
+    top = max((e for row in rows for e in row), default=0)
+    wt = [0] * top
+    for row in rows:
+        for e in row:
+            if e < 1:
+                raise ValueError("tableau entries must be positive")
+            wt[e - 1] += 1
+    return tuple(wt)
 
 
 def brute_force_cst(shape, weight):
