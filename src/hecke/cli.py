@@ -2,11 +2,16 @@
 
 Each enum kind, map direction and verify check has its own sub-parser that
 declares only the flags its driver reads, so argparse refuses a missing,
-malformed or unknown flag (exit 2) before any work is done.  A driver
-imports the layer it calls (rsk, decomp, oracle) when it runs, so a command
-loads only the modules its job needs.  Every job makes its field from --p
-(and --k) with Field, which builds its tables on first use: a verify
-check's guard, which opens the check, reads only q and runs before them.
+malformed or unknown flag (exit 2) before any work is done; a line that
+names its job gets that job's sub-parser alone.  This module loads only gf
+and guards.  The driver-time layers (hecke_index, rsk, decomp, oracle) load
+only for a job that calls them: main imports the named job's layers before
+it builds the parser, and a driver reaches them through _load.  So a
+command loads only the modules its job needs: `verify pieri` loads decomp
+and shapes, `enum irreducibles` nothing more.  Every job makes its field
+from --p (and --k) with Field, which builds its tables on first use: a
+verify check's guard, which opens the check, reads only q and runs before
+them.
 `enum` streams: each record is one write, made as the enumeration yields
 it, then a count footer.
 Every command is deterministic; identical inputs give byte-identical output.
@@ -27,18 +32,7 @@ import sys
 import time
 
 from hecke.gf import Field, element_to_obj, enumerate_irreducibles, format_poly
-from hecke.guards import GuardExceeded
-from hecke.hecke_index import (
-    MembershipError,
-    matrix_of_v,
-    monomial_from_obj,
-    monomial_to_obj,
-    polymatrix_from_obj,
-    polymatrix_to_obj,
-    v_block,
-    v_of_matrix,
-    walk_m_mu,
-)
+from hecke.guards import GuardExceeded, MembershipError
 
 
 def _parse_mu(text: str) -> tuple:
@@ -121,21 +115,23 @@ class _Writer:
 def _enum_m_mu(K: Field, a):
     l = len(a.mu)
     mu, rows = _encode(list(a.mu)), range(0, l * l, l)
-    for _, choices in walk_m_mu(K, a.mu, lambda f, r: _encode(format_poly(K, f))):
+    walk = _load("hecke_index").walk_m_mu(K, a.mu, lambda f, r: _encode(format_poly(K, f)))
+    for _, choices in walk:
         for flat in choices:
             yield mu, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
 
 
-def _block_texts(K: Field, f, r) -> tuple:
-    block = v_block(K, f, r)
-    return (
-        ",".join(str(x + 1) for x in block.perm),
-        ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
-    )
-
-
 def _enum_n_mu(K: Field, a):
-    for columns, choices in walk_m_mu(K, a.mu, lambda f, r: _block_texts(K, f, r)):
+    index = _load("hecke_index")
+
+    def block_texts(f, r) -> tuple:
+        block = index.v_block(K, f, r)
+        return (
+            ",".join(str(x + 1) for x in block.perm),
+            ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
+        )
+
+    for columns, choices in index.walk_m_mu(K, a.mu, block_texts):
         for flat in choices:
             perms, entries = zip(*[flat[k] for k in columns])
             yield "[" + ",".join(perms) + "]", "[" + ",".join(entries) + "]"
@@ -183,17 +179,20 @@ def _read_input(args):
 
 
 def _a_to_v(K: Field, data, args) -> dict:
-    a = polymatrix_from_obj(K, data)
-    return {"mu": list(a.mu), **monomial_to_obj(K, v_of_matrix(K, a))}
+    index = _load("hecke_index")
+    a = index.polymatrix_from_obj(K, data)
+    return {"mu": list(a.mu), **index.monomial_to_obj(K, index.v_of_matrix(K, a))}
 
 
 def _v_to_a(K: Field, data, args) -> dict:
-    return polymatrix_to_obj(K, matrix_of_v(K, monomial_from_obj(K, data), args.mu))
+    index = _load("hecke_index")
+    v = index.monomial_from_obj(K, data)
+    return index.polymatrix_to_obj(K, index.matrix_of_v(K, v, args.mu))
 
 
 def _rsk_general(K: Field, data, args) -> dict:
     rsk = _load("rsk")
-    pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
+    pair = rsk.rsk_generalized(K, _load("hecke_index").polymatrix_from_obj(K, data))
     return {**rsk.pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
 
 
@@ -279,25 +278,43 @@ COMMANDS = {  # command -> (help, job dest, jobs, flags every job shares, handle
 }
 
 
+# The layers each job's driver loads.  main imports those of the job named on
+# the command line before it builds the parser: compiled after the parser,
+# on top of its objects, they raised a child's peak RSS by about 0.2 MB.
+LAYERS = {
+    **dict.fromkeys(("n_mu", "m_mu", "a_to_v", "v_to_a", "bijection"), ("hecke_index",)),
+    **dict.fromkeys(("pairs", "rsk", "rsk_general", "rsk_bijectivity"), ("rsk",)),
+    **dict.fromkeys(("basis", "commutativity", "levi", "cosets"), ("oracle",)),
+    "dim_identity": ("rsk", "decomp"),
+    "pieri": ("decomp",),
+}
+
+
+def _named_job(argv):
+    """(command, job) when argv names a command and one of its jobs, else None."""
+    jobs = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    return tuple(argv[:2]) if argv[1:2] and argv[1] in jobs else None
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser of every command and job.  When argv names a command and
-    one of its jobs, only that job gets its flags: argparse hands the rest
-    of that line to that job's parser alone."""
+    one of its jobs, that job's sub-parser is the only one built: argparse
+    hands the rest of that line to it alone, and the three command parsers
+    keep the root usage line and every message as the full parser has them."""
     parser = argparse.ArgumentParser(
         prog="hecke",
         description="Unipotent Hecke algebra combinatorics for GL_n(F_q).",
     )
-    named_jobs = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
-    named = tuple(argv[:2]) if argv[1:2] and argv[1] in named_jobs else None
+    named = _named_job(argv)
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, dest, jobs, shared, handler) in COMMANDS.items():
         job_parsers = commands.add_parser(command, help=help_text).add_subparsers(
             dest=dest, required=True
         )
         for job, (flags, *_) in jobs.items():
-            job_parser = job_parsers.add_parser(job)
-            job_parser.set_defaults(func=handler)
             if named in (None, (command, job)):
+                job_parser = job_parsers.add_parser(job)
+                job_parser.set_defaults(func=handler)
                 for flag in ("--p", *flags, *shared, "--output"):
                     job_parser.add_argument(flag, **FLAGS[flag])
     return parser
@@ -305,6 +322,10 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    named = _named_job(argv)
+    if named:
+        for layer in LAYERS.get(named[1], ()):
+            _load(layer)
     try:
         args = build_parser(argv).parse_args(argv)
     except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help

@@ -22,7 +22,6 @@ from math import inf, lgamma, log, pi, sqrt
 
 from hecke.gf import Field, format_poly, poly_deg
 from hecke.guards import check_guard
-from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
 from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
@@ -56,6 +55,7 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
     """|N_mu| four ways: the monomial matrices passing the pattern test
     (enumerate_pattern_n_mu), the elements of M_mu streamed, the closed form
     m_mu_size, and the sum of squared filling counts."""
+    from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
     mu = tuple(mu)
     check_guard(sum(mu), 5, "n")
     check_guard(K.q, 4, "q")

@@ -1,4 +1,5 @@
-"""Desk-scale guards for the exhaustive computations.
+"""Desk-scale guards for the exhaustive computations, and the two error
+types that the CLI maps to exits 3 and 4: GuardExceeded and MembershipError.
 
 Guarded operations refuse oversized inputs instead of degrading.  Setting
 the environment variable HECKE_GUARD_OVERRIDE to an integer raises every
@@ -11,6 +12,10 @@ import os
 
 class GuardExceeded(RuntimeError):
     pass
+
+
+class MembershipError(ValueError):
+    """Input outside M_mu or N_mu."""
 
 
 def guard_limit(default: int) -> int:

@@ -29,14 +29,10 @@ from hecke.gf import (
     parse_poly,
     poly_deg,
 )
-from hecke.guards import check_guard
+from hecke.guards import MembershipError, check_guard
 from hecke.shapes import boundary_set, weak_compositions
 
 N_GUARD = 1_000_000  # monomial matrices bijection_check enumerates
-
-
-class MembershipError(ValueError):
-    """Input outside M_mu or N_mu."""
 
 
 class MonomialMatrix(NamedTuple):

@@ -10,9 +10,12 @@ A label family (the P and Q of the generalized correspondence) is a tuple
 of (irreducible polynomial, tableau rows) pairs in the canonical label
 order, with empty tableaux omitted.  The correspondence is classical RSK
 label by label, so one label's pair depends only on its multiplicity
-matrix, and the fillings of a label shape depend on its labels only
-through their degrees: each is made once per matrix, per degree signature
-and per (shape, weight) of a tableau, and kept as immutable tuples.
+matrix, and so do its shapes and contents, which the bijectivity check
+reads once per matrix and weights by the label's degree.  The fillings of a
+label shape depend on its labels only through their degrees.  Each pair
+and summary is made once per matrix, each filling list once per degree
+signature, each tableau list once per (shape, weight), all kept as
+immutable tuples.
 """
 
 from __future__ import annotations
@@ -147,12 +150,47 @@ def rsk_generalized(K: Field, a: PolyMatrix) -> tuple:
     """Componentwise classical RSK over the factorization labels of a, which
     the caller guarantees is in M_mu.  Both families share their shape label
     by label, and both have degree-weighted weight mu."""
+    return _families(phi_factor_matrix(K, a))
+
+
+def _families(labels) -> tuple:
+    """The P and Q families of the labelled multiplicity matrices."""
     fam_p, fam_q = [], []
-    for g, mat in phi_factor_matrix(K, a):
-        P, Q = rsk_classical(mat)
+    for g, mat in labels:
+        P, Q = _rsk_classical(mat)
         fam_p.append((g, P))
         fam_q.append((g, Q))
     return tuple(fam_p), tuple(fam_q)
+
+
+@lru_cache(maxsize=None)
+def _shapes_and_contents(b: tuple) -> tuple:
+    """Whether the P and Q of the square matrix b share their shape, and the
+    number of entries i of P and of Q for i = 1..len(b): read once per
+    matrix from its pair."""
+    P, Q = _rsk_classical(b)
+    contents = []
+    for rows in (P, Q):
+        counts = [0] * len(b)
+        for e in itertools.chain.from_iterable(rows):
+            counts[e - 1] += 1
+        contents.append(tuple(counts))
+    return (tuple(map(len, P)) == tuple(map(len, Q)), *contents)
+
+
+def _label_weights(labels, l: int) -> tuple:
+    """Whether the families of the labelled l-by-l matrices share their
+    shape label by label, and the degree-weighted weights of P and of Q over
+    1..l: each label's contents times deg(label), summed."""
+    same, wt_p, wt_q = True, [0] * l, [0] * l
+    for g, mat in labels:
+        ok, c_p, c_q = _shapes_and_contents(mat)
+        d = poly_deg(g)
+        same = same and ok
+        for i in range(l):
+            wt_p[i] += d * c_p[i]
+            wt_q[i] += d * c_q[i]
+    return same, tuple(wt_p), tuple(wt_q)
 
 
 def family_shape(fam) -> tuple:
@@ -264,10 +302,11 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     weights_ok = True
     shapes_ok = True
     for a in enumerate_m_mu(K, mu):
-        p, q = rsk_generalized(K, a)
-        shapes_ok = shapes_ok and family_shape(p) == family_shape(q)
-        weights_ok = weights_ok and family_weight(p) == mu == family_weight(q)
-        image.append((p, q))
+        labels = phi_factor_matrix(K, a)
+        same, wt_p, wt_q = _label_weights(labels, len(mu))
+        shapes_ok = shapes_ok and same
+        weights_ok = weights_ok and wt_p == mu == wt_q
+        image.append(_families(labels))
     injective = len(set(image)) == len(image)
     codomain = list(enumerate_pairs(K, mu))
     onto = set(image) == set(codomain)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hecke import hecke_index
-from hecke.cli import _encode, build_parser, main
+from hecke.cli import COMMANDS, FLAGS, _encode, build_parser, main
 from hecke.gf import DEGREE_GUARD, Field
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
@@ -253,13 +253,13 @@ PARSER_LINES = [  # help texts and argparse errors, each parsed by the full pars
 
 
 def parse_outcome(capsys, parser, argv):
+    """The namespace argv parses to, or argparse's exit code, and what it printed."""
     try:
-        parser.parse_args(argv)
-        code = None
+        outcome = vars(parser.parse_args(argv))
     except SystemExit as err:
-        code = err.code
+        outcome = err.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return outcome, captured.out, captured.err
 
 
 @pytest.mark.parametrize("line", PARSER_LINES)
@@ -274,11 +274,45 @@ def test_only_the_named_job_gets_its_flags(capsys):
     basis = ["verify", "basis", "--p", "2", "--mu", "2"]
     parser = build_parser(["enum", "m_mu", "--p", "2"])
     assert parser.parse_args(["enum", "m_mu", "--p", "2", "--mu", "2,1"]).mu == (2, 1)
-    with pytest.raises(SystemExit):  # verify basis got no flags
+    with pytest.raises(SystemExit):  # verify basis was not built
         parser.parse_args(basis)
-    assert "unrecognized arguments: --p 2 --mu 2" in capsys.readouterr().err
+    assert "invalid choice: 'basis'" in capsys.readouterr().err
     for argv in ([], ["enum"], ["enum", "--help"], ["frobnicate", "m_mu"], basis):
         assert build_parser(argv).parse_args(basis).mu == (2,)
+
+
+def every_job():
+    return [(command, job) for command, (_, _, jobs, *_) in COMMANDS.items() for job in jobs]
+
+
+def job_lines(command, job) -> dict:
+    """A valid line of the job and its help and malformed variants."""
+    values = {"--mu": "2,1", "--n": "2", "--max-deg": "2"}
+    flags = COMMANDS[command][2][job][0]
+    required = [part for f in flags if FLAGS[f].get("required") for part in (f, values[f])]
+    valid = [command, job, "--p", "2", *required]
+    return {
+        "valid": valid,
+        "help": [command, job, "--help"],
+        "no --p": [command, job, *required],
+        "bad --mu": [command, job, "--p", "2", "--mu", "2,x"],
+        "unknown flag": [*valid, "--seed", "1"],
+        "stray positional": [*valid, "extra"],
+        "--format": [*valid, "--format", "json"],
+    }
+
+
+@pytest.mark.parametrize("command,job", every_job(), ids=lambda name: name)
+def test_named_job_parser_equals_the_full_parser(capsys, command, job):
+    """The parser built for the job's own line gives the full parser's
+    namespace, help text, and stderr and exit code on each malformed line."""
+    for case, argv in job_lines(command, job).items():
+        named = parse_outcome(capsys, build_parser(argv), argv)
+        assert named == parse_outcome(capsys, build_parser(), argv), case
+        if case == "valid" or (case == "--format" and command != "verify"):
+            assert isinstance(named[0], dict), case
+        else:
+            assert named[0] == (0 if case == "help" else 2), case
 
 
 def test_readme_command_lines_parse():
@@ -1062,19 +1096,27 @@ def test_stdout_closed_before_any_output(argv, stdin, code, buffered):
 
 FOOTPRINT = """
 import sys
-import time
-from hecke.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "hecke"), file=sys.stderr)
+from hecke import cli
+
+def loaded(when):
+    print(when, *(m for m in sys.modules if m.split(".")[0] == "hecke"), file=sys.stderr)
+
+build = cli.build_parser
+cli.build_parser = lambda argv=(): loaded("parser:") or build(argv)
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded("end:")
 sys.exit(code)
 """
 
-LAZY = {"hecke.rsk", "hecke.decomp", "hecke.oracle"}
+SHARED = {"hecke", "hecke.gf", "hecke.guards", "hecke.cli"}
+INDEX = {"hecke.hecke_index", "hecke.shapes"}  # hecke_index imports shapes
 A_OBJ = json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]})
+V_OBJ = json.dumps({"perm": [1, 2, 3], "entries": [1, 1, 1]})
 
 
 def loaded_modules(*argv, stdin=""):
-    """The hecke modules a fresh interpreter holds after running one command."""
+    """The hecke modules a fresh interpreter holds when it builds the parser
+    of one command (when it runs one) and after running it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1087,41 +1129,58 @@ def loaded_modules(*argv, stdin=""):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    lines = [line.split() for line in proc.stderr.splitlines()]
+    return {line[0]: set(line[1:]) for line in lines if line[0] in ("parser:", "end:")}
 
 
 def test_import_cli_loads_only_the_shared_layers():
-    assert loaded_modules() == {
-        "hecke",
-        "hecke.gf",
-        "hecke.guards",
-        "hecke.shapes",
-        "hecke.hecke_index",
-        "hecke.cli",
-    }
+    assert loaded_modules() == {"end:": SHARED}
 
 
-@pytest.mark.parametrize(
-    "argv,stdin,needs",
-    [
-        (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", set()),
-        (("map", "a_to_v", "--p", "2"), A_OBJ, set()),
-        # From n = 4 over F_2, |U| > 27 and bijection_check skips the literal
-        # membership test, the one part of it that calls the oracle.
-        (("verify", "bijection", "--p", "2", "--mu", "2,2"), "", set()),
-        (("map", "rsk_general", "--p", "2"), A_OBJ, {"hecke.rsk"}),
-        (("verify", "basis", "--p", "2", "--mu", "2"), "", {"hecke.oracle"}),
-        (("verify", "pieri", "--p", "2", "--nu", "2,1", "--vars", "3"), "", {"hecke.decomp"}),
-    ],
-    ids=[
-        "enum_m_mu",
-        "map_a_to_v",
-        "verify_bijection",
-        "map_rsk_general",
-        "verify_basis",
-        "verify_pieri",
-    ],
-)
-def test_each_job_loads_only_its_layers(argv, stdin, needs):
-    loaded = loaded_modules(*argv, stdin=stdin)
-    assert loaded & LAZY == needs
+FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
+    "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", INDEX),
+    "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", INDEX),
+    "enum_irreducibles": (("enum", "irreducibles", "--p", "2", "--max-deg", "3"), "", set()),
+    "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", INDEX | {"hecke.rsk"}),
+    "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, INDEX),
+    "map_v_to_a": (("map", "v_to_a", "--p", "2", "--mu", "2,1"), V_OBJ, INDEX),
+    "map_rsk": (("map", "rsk", "--p", "2"), '{"b": [[1, 0], [0, 1]]}', INDEX | {"hecke.rsk"}),
+    "map_rsk_general": (("map", "rsk_general", "--p", "2"), A_OBJ, INDEX | {"hecke.rsk"}),
+    # From n = 4 over F_2, |U| > 27 and bijection_check skips the literal
+    # membership test, the one part of it that calls the oracle.
+    "verify_bijection": (("verify", "bijection", "--p", "2", "--mu", "2,2"), "", INDEX),
+    "verify_dim_identity": (
+        ("verify", "dim_identity", "--p", "2", "--mu", "2,1"),
+        "",
+        INDEX | {"hecke.decomp", "hecke.rsk"},
+    ),
+    "verify_rsk_bijectivity": (
+        ("verify", "rsk_bijectivity", "--p", "2", "--mu", "2,1"),
+        "",
+        INDEX | {"hecke.rsk"},
+    ),
+    "verify_basis": (("verify", "basis", "--p", "2", "--mu", "2"), "", INDEX | {"hecke.oracle"}),
+    "verify_commutativity": (
+        ("verify", "commutativity", "--p", "2", "--n", "2"),
+        "",
+        INDEX | {"hecke.oracle"},
+    ),
+    "verify_levi": (("verify", "levi", "--p", "2", "--mu", "2,1"), "", INDEX | {"hecke.oracle"}),
+    "verify_cosets": (("verify", "cosets", "--p", "2", "--n", "2"), "", INDEX | {"hecke.oracle"}),
+    "verify_pieri": (
+        ("verify", "pieri", "--p", "2", "--nu", "2,1", "--vars", "3"),
+        "",
+        {"hecke.decomp", "hecke.shapes"},
+    ),
+}
+
+
+def test_footprints_cover_every_job():
+    assert set(FOOTPRINTS) == {f"{command}_{job}" for command, job in every_job()}
+
+
+@pytest.mark.parametrize("job", FOOTPRINTS)
+def test_each_job_loads_only_its_layers(job):
+    """Exactly its layers, each loaded before the job's parser is built."""
+    argv, stdin, extra = FOOTPRINTS[job]
+    assert loaded_modules(*argv, stdin=stdin) == {"parser:": SHARED | extra, "end:": SHARED | extra}

@@ -131,11 +131,11 @@ def test_dim_identity_exhaustive_small():
 
 
 def test_dim_identity_fails_on_a_wrong_closed_form(monkeypatch):
-    from hecke import decomp
+    from hecke import hecke_index
 
     report = dim_identity_check(F2, (2, 1))
     assert report["m_mu_closed_form"] == 3 and report["pass"]
-    monkeypatch.setattr(decomp, "m_mu_size", lambda q, mu: 4)
+    monkeypatch.setattr(hecke_index, "m_mu_size", lambda q, mu: 4)
     report = dim_identity_check(F2, (2, 1))
     assert report["n_mu_count"] == report["m_mu_count"] == report["sum_of_squares"] == 3
     assert report["m_mu_closed_form"] == 4 and not report["pass"]

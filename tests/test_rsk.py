@@ -424,6 +424,58 @@ def test_generalized_rsk_bijectivity_small(K):
             assert set(image) == set(codomain)
 
 
+BIJECTIVITY_SIZES = [  # every (field, mu) at which the tests run rsk_bijectivity_check
+    *((K, mu) for K in (F2, F3) for n in range(1, 5) for mu in compositions_of(n)),
+    (F3, (2, 2, 1)),
+    (Field(5), (2, 2)),
+]
+
+
+def test_label_weights_equal_the_walk_of_every_pair():
+    """The shapes and degree-weighted weights read once per multiplicity
+    matrix, against family_shape and family_weight walked over both families
+    of each pair."""
+    for K, mu in BIJECTIVITY_SIZES:
+        for a in enumerate_m_mu(K, mu):
+            labels = phi_factor_matrix(K, a)
+            p, q = rsk_generalized(K, a)
+            walked = (family_shape(p) == family_shape(q), family_weight(p), family_weight(q))
+            assert rsk._label_weights(labels, len(mu)) == walked == (True, mu, mu), (K.q, a)
+
+
+def test_label_weights_scale_each_label_by_its_degree():
+    quad, cubic = (1, 1, 1), (1, 1, 0, 1)  # 1+X+X^2 and 1+X+X^3 over F_2
+    labels = ((quad, ((1, 0), (0, 0))), (cubic, ((0, 0), (1, 1))))
+    assert rsk._label_weights(labels, 2) == (True, (5, 3), (2, 6))
+
+
+@pytest.fixture
+def fresh_label_summaries():
+    """No summary read from a pair before the test, nor one read from a
+    patched pair after it."""
+    rsk._shapes_and_contents.cache_clear()
+    yield
+    rsk._shapes_and_contents.cache_clear()
+
+
+def test_bijectivity_check_sees_a_q_of_another_shape(fresh_label_summaries, monkeypatch):
+    """A Q transposed keeps its content and loses its shape wherever it is
+    not self-conjugate: over F_2 at mu = (2,), the Q of (1+X)^2."""
+    original = rsk._rsk_classical
+
+    def transposed_q(b):
+        P, Q = original(b)
+        return P, rsk._transpose(Q)
+
+    monkeypatch.setattr(rsk, "_rsk_classical", transposed_q)
+    report = rsk.rsk_bijectivity_check(F2, (2,))
+    assert (report["shapes_match"], report["weights_match"], report["pass"]) == (
+        False,
+        True,
+        False,
+    )
+
+
 def test_family_serialization_roundtrip():
     P, Q = rsk_generalized(F2, worked_example_matrix())
     for fam in (P, Q):
