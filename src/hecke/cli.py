@@ -12,8 +12,9 @@ and shapes, `enum irreducibles` nothing more.  Every job makes its field
 from --p (and --k) with Field, which builds its tables on first use: a
 verify check's guard, which opens the check, reads only q and runs before
 them.
-`enum` streams: each record is one write, made as the enumeration yields
-it, then a count footer.
+`enum` streams: the first record is written and flushed alone as soon as
+the enumeration yields it; the rest go out in blocks of BLOCK records, one
+write call each, and the last block carries the count footer.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
@@ -69,6 +70,9 @@ def _field(args) -> Field:
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
+BLOCK = 256  # records per write after the first: 18-30 KiB at 70-120 bytes a record
+
+
 class _Writer:
     """Writes records given as the JSON texts of their values, under keys
     given once when the writer is made: a JSON object per line, or TSV rows
@@ -78,28 +82,44 @@ class _Writer:
         self.fmt = args.format
         self.path = args.output
         self.handle = open(self.path, "w") if self.path else sys.stdout
+        self.block = []  # the lines made and not yet written
         if self.fmt == "json":
             self.row = "{" + ",".join(f"{_encode(key)}:%s" for key in keys) + "}\n"
-            self.line = self.row
+            self.first = self.row
         else:
             self.row = "\t".join("%s" for _ in keys) + "\n"
-            self.line = "\t".join(keys) + "\n" + self.row  # the header shares the first row
+            self.first = "\t".join(keys) + "\n" + self.row  # the header shares the first row
 
     def record(self, texts: tuple):
-        # One write call per record: on unbuffered stdout each call is one
-        # write(2) into the pipe.
+        # The first record is written and flushed alone, so a reader sees it
+        # at once; the rest go out BLOCK lines per write call, since on
+        # unbuffered stdout each call is one write(2) into the pipe.
         if self.fmt == "tsv":
             texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
-        self.handle.write(self.line % texts)
-        self.line = self.row
+        if self.first:
+            self.handle.write(self.first % texts)
+            self.handle.flush()
+            self.first = None
+            return
+        self.block.append(self.row % texts)
+        if len(self.block) == BLOCK:
+            self._write_block()
+
+    def _write_block(self):
+        if self.block:
+            self.handle.write("".join(self.block))
+            self.block = []
 
     def footer(self, count: int):
+        # The last block carries the footer.
         if self.fmt == "tsv":
-            self.handle.write(f"# count={count}\n")
+            self.block.append(f"# count={count}\n")
         else:
-            self.handle.write(json.dumps({"count": count}) + "\n")
+            self.block.append(json.dumps({"count": count}) + "\n")
+        self._write_block()
 
     def close(self):
+        self._write_block()
         if self.path:
             self.handle.close()
 
@@ -160,11 +180,13 @@ def cmd_enum(args) -> int:
     K = _field(args)
     writer = _Writer(args, keys)
     count = 0
-    for texts in driver(K, args):
-        writer.record(texts)
-        count += 1
-    writer.footer(count)
-    writer.close()
+    try:
+        for texts in driver(K, args):
+            writer.record(texts)
+            count += 1
+        writer.footer(count)
+    finally:  # a stream cut short still writes the records it made
+        writer.close()
     return 0
 
 

@@ -32,7 +32,7 @@ from hecke.gf import (
 from hecke.guards import MembershipError, check_guard
 from hecke.shapes import boundary_set, weak_compositions
 
-N_GUARD = 1_000_000  # monomial matrices bijection_check enumerates
+N_GUARD = 1_000_000  # |M_mu| = |N_mu|: the elements bijection_check enumerates on each side
 
 
 class MonomialMatrix(NamedTuple):
@@ -193,31 +193,45 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
 # -- membership tests for N_mu ------------------------------------------------
 
 
-def _pattern_ties(perm: tuple, mu: tuple):
-    """The entry-free part of the pattern test, in one pass over the columns.
+def _block_ends(mu: tuple) -> int:
+    """The bitmask of E, the 0-based last index of each block of mu."""
+    return sum(1 << (b - 1) for b in boundary_set(mu))
 
-    With E the 0-based last index of each block of mu, the pairs c < c' with
-    perm[c] < perm[c'] avoid the forbidden superdiagonal configurations iff no
-    column c has: c not in E, perm[c] in E and perm[c+1] > perm[c]; c in E,
-    perm[c] not in E and row perm[c]+1 right of c; or c, perm[c] not in E,
-    perm[c+1] != perm[c]+1, and perm[c+1] > perm[c] or row perm[c]+1 right
-    of c.  Returns None if some column does, else the columns c (c, perm[c]
-    not in E and perm[c+1] = perm[c]+1) whose entry must equal column c+1's.
+
+def _column_rule(ends: int, c: int, r: int, following, placed: int):
+    """The pattern test at column c, whose row is r: None if the column
+    fails, else whether its entry is tied to column c+1's.
+
+    ends is _block_ends(mu); following is perm[c+1], read only when c is not
+    in E; placed is the bitmask of the rows of columns 0..c, so row r+1 lies
+    right of c exactly when it is not in placed.  Column c fails when: c not
+    in E, r in E and perm[c+1] > r; c in E, r not in E and row r+1 right of
+    c; or c, r not in E, perm[c+1] != r+1, and perm[c+1] > r or row r+1
+    right of c.  It is tied when c, r not in E and perm[c+1] = r+1.
     """
-    last = {b - 1 for b in boundary_set(mu)}
-    inverse = {r: c for c, r in enumerate(perm)}
-    ties = []
-    for c, r in enumerate(perm):
-        if r in last:
-            if c not in last and perm[c + 1] > r:
-                return None
-        elif c in last:
-            if inverse[r + 1] > c:
-                return None
-        elif perm[c + 1] == r + 1:
-            ties.append(c)
-        elif perm[c + 1] > r or inverse[r + 1] > c:
+    if ends >> r & 1:
+        return None if not ends >> c & 1 and following > r else False
+    if ends >> c & 1:
+        return False if placed >> (r + 1) & 1 else None
+    if following == r + 1:
+        return True
+    return None if following > r or not placed >> (r + 1) & 1 else False
+
+
+def _pattern_ties(perm: tuple, mu: tuple):
+    """The entry-free part of the pattern test, in one pass over the columns:
+    the pairs c < c' with perm[c] < perm[c'] avoid the forbidden
+    superdiagonal configurations iff every column passes _column_rule.
+    Returns None if some column fails, else the columns tied to the next,
+    whose entry must equal column c+1's."""
+    ends, placed, ties = _block_ends(mu), 0, []
+    for c, (r, following) in enumerate(zip(perm, (*perm[1:], None))):
+        placed |= 1 << r
+        tie = _column_rule(ends, c, r, following, placed)
+        if tie is None:
             return None
+        if tie:
+            ties.append(c)
     return tuple(ties)
 
 
@@ -351,20 +365,43 @@ def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
 
 def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
     """Stream the monomial matrices that pass the pattern test, in the order
-    of enumerate_n: each permutation is tested once, units are chosen freely
-    on the columns not tied to the one before and copied along the ties."""
-    n = sum(mu)
-    for perm in itertools.permutations(range(n)):
-        ties = _pattern_ties(perm, mu)
-        if ties is None:
-            continue
-        copies = {c + 1 for c in ties}
-        for units in itertools.product(K.units(), repeat=n - len(copies)):
-            free = iter(units)
-            entries = []
-            for c in range(n):
-                entries.append(entries[-1] if c in copies else next(free))
-            yield MonomialMatrix(perm, tuple(entries))
+    of enumerate_n: units are chosen freely on the columns not tied to the
+    one before and copied along the ties.
+
+    Only the permutations that pass are reached, by a depth-first walk in
+    lexicographic order that cuts a prefix as soon as a column fails (Knuth,
+    TAOCP 4A, 7.2.1.2, Algorithm X): column c is decided by _column_rule
+    when perm[c+1] is placed, or at once when c is in E.  The work is
+    |N_mu| = |M_mu| plus the prefixes cut, never n!."""
+    n, ends = sum(mu), _block_ends(mu)
+    perm = [0] * n
+
+    def extend(k: int, placed: int, copies: tuple):
+        if k == n:
+            done = tuple(perm)
+            for units in itertools.product(K.units(), repeat=n - len(copies)):
+                free = iter(units)
+                entries = []
+                for c in range(n):
+                    entries.append(entries[-1] if c in copies else next(free))
+                yield MonomialMatrix(done, tuple(entries))
+            return
+        for x in range(n):
+            if placed >> x & 1:
+                continue
+            now, tied = placed | 1 << x, copies
+            if k and not ends >> (k - 1) & 1:  # column k-1 waited for perm[k]
+                tie = _column_rule(ends, k - 1, perm[k - 1], x, placed)
+                if tie is None:
+                    continue
+                if tie:
+                    tied = copies + (k,)
+            if ends >> k & 1 and _column_rule(ends, k, x, None, now) is None:
+                continue
+            perm[k] = x
+            yield from extend(k + 1, now, tied)
+
+    yield from extend(0, 0, ())
 
 
 def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
@@ -381,12 +418,13 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     """Exhaustive verification that a -> v_a maps M_mu bijectively onto the
     monomial matrices passing the pattern test, with exact roundtrips.  The
     image is compared with enumerate_pattern_n_mu, which never calls
-    v_of_matrix, so it is an independent witness for surjectivity.  For small
-    rank the fast test is also compared with the literal definition over all
-    of U."""
+    v_of_matrix, so it is an independent witness for surjectivity.  Each
+    side has |M_mu| elements, so |M_mu| is priced before anything is
+    enumerated.  Where |U| <= 27 the fast test is also compared with the
+    literal definition over all of U, on every monomial matrix."""
     mu = tuple(mu)
     n = sum(mu)
-    check_guard(monomial_count(K.q, n), N_GUARD, "monomial matrices |N| = n! (q-1)^n")
+    check_m_mu_size(K.q, mu, N_GUARD)
     image = []
     roundtrip_ok = True
     membership_ok = True
@@ -396,9 +434,10 @@ def bijection_check(K: Field, mu: tuple) -> dict:
         # v = v_of_matrix(a), so _decode(v) == a is also matrix_of_v's gate.
         roundtrip_ok = roundtrip_ok and _decode(v, mu) == a
         image.append(v)
-    injective = len(set(image)) == len(image)
+    image_set = set(image)
+    injective = len(image_set) == len(image)
     filtered = set(enumerate_pattern_n_mu(K, mu))
-    surjective = set(image) == filtered
+    surjective = image_set == filtered
     direct_checked = K.q ** (n * (n - 1) // 2) <= 3**3
     direct_ok = True
     if direct_checked:

@@ -193,10 +193,6 @@ def _label_weights(labels, l: int) -> tuple:
     return same, tuple(wt_p), tuple(wt_q)
 
 
-def family_shape(fam) -> tuple:
-    return tuple((g, tuple(len(row) for row in rows)) for g, rows in fam)
-
-
 def family_weight(fam) -> tuple:
     """Degree-weighted weight: wt_i = sum over labels of deg(label) times
     the number of entries i, with trailing zeros trimmed."""

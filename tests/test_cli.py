@@ -86,17 +86,24 @@ def test_enum_tsv_footer(capsys):
     assert lines[-1] == "# count=2"
 
 
-class CountingHandle:
-    """A stdout stand-in that keeps each write call."""
+FLUSH = None  # a flush call, among the write calls a RecordingHandle keeps
+
+
+class RecordingHandle:
+    """A stdout or --output stand-in that keeps each write call, and FLUSH
+    for each flush."""
 
     def __init__(self):
-        self.writes = []
+        self.calls = []
 
     def write(self, text):
-        self.writes.append(text)
+        self.calls.append(text)
         return len(text)
 
     def flush(self):
+        self.calls.append(FLUSH)
+
+    def close(self):
         pass
 
 
@@ -106,20 +113,73 @@ M_MU_21 = (  # the entries of the three elements of M_(2,1) over F_2
     '[["1+1*X^1+1*X^2","1"],["1","1+1*X^1"]]',
 )
 
-ENUM_WRITES = {  # one write per record; in TSV the header shares the first
-    "json": [f'{{"mu":[2,1],"entries":{e}}}\n' for e in M_MU_21] + ['{"count": 3}\n'],
-    "tsv": ["mu\tentries\n[2,1]\t" + M_MU_21[0] + "\n"]
-    + [f"[2,1]\t{e}\n" for e in M_MU_21[1:]]
-    + ["# count=3\n"],
+M_MU_21_BYTES = {  # what `enum m_mu --p 2 --mu 2,1` wrote when each record was its own write
+    "json": "".join(f'{{"mu":[2,1],"entries":{e}}}\n' for e in M_MU_21) + '{"count": 3}\n',
+    "tsv": "mu\tentries\n" + "".join(f"[2,1]\t{e}\n" for e in M_MU_21) + "# count=3\n",
 }
 
 
+def enum_calls(monkeypatch, argv: list, to_file: bool) -> list:
+    """The write and flush calls `hecke enum` makes on stdout or --output."""
+    from hecke import cli
+
+    handle = RecordingHandle()
+    if to_file:
+        monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
+        argv = [*argv, "--output", "records"]
+    else:
+        monkeypatch.setattr(sys, "stdout", handle)
+    assert main(argv) == 0
+    return handle.calls
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
-def test_enum_writes_each_record_once(monkeypatch, fmt):
-    handle = CountingHandle()
+def test_enum_writes_the_first_record_alone_then_blocks(monkeypatch, fmt, to_file):
+    """The writer contract: the first record (under the TSV header) is one
+    write, flushed at once; every later write holds whole lines, BLOCK
+    records each but the last, which carries the rest and the footer; and
+    the writes join to the bytes that one write per record made.  M_(2,1)
+    over F_2 fits in one block; M_(2,2,1) over F_3, 496 records, fills one
+    and starts another."""
+    from hecke.cli import BLOCK
+
+    K = Field(3)
+    big = witness_lines([polymatrix_to_obj(K, a) for a in enumerate_m_mu(K, (2, 2, 1))], fmt)
+    streams = {
+        ("--p", "2", "--mu", "2,1"): M_MU_21_BYTES[fmt],
+        ("--p", "3", "--mu", "2,2,1"): "".join(line + "\n" for line in big),
+    }
+    for args, expected in streams.items():
+        calls = enum_calls(monkeypatch, ["enum", "m_mu", *args, "--format", fmt], to_file)
+        first, flush, *rest = calls
+        assert first.count("\n") == (1 if fmt == "json" else 2) and first.endswith("\n")
+        assert flush is FLUSH
+        writes = [text for text in rest if text is not FLUSH]
+        assert all(text.endswith("\n") for text in writes), args
+        later = expected.count("\n") - first.count("\n") - 1  # records after the first
+        blocks = [BLOCK] * (later // BLOCK) + [later % BLOCK + 1]  # the last with the footer
+        assert [text.count("\n") for text in writes] == blocks, args
+        assert first + "".join(writes) == expected, args
+
+
+def test_enum_cut_short_writes_the_records_it_made(monkeypatch, capsys):
+    """A stream that fails after a block and a half still writes every
+    record it made, then exits 2 without a footer."""
+    from hecke import cli
+
+    def driver(K, args):
+        yield from ((str(i),) for i in range(300))
+        raise ValueError("cut short")
+
+    monkeypatch.setitem(cli.ENUMS, "irreducibles", (("--k", "--max-deg"), ("poly",), driver))
+    handle = RecordingHandle()
     monkeypatch.setattr(sys, "stdout", handle)
-    assert main(["enum", "m_mu", "--p", "2", "--mu", "2,1", "--format", fmt]) == 0
-    assert handle.writes == ENUM_WRITES[fmt]
+    assert main(["enum", "irreducibles", "--p", "2", "--max-deg", "1"]) == 2
+    assert "".join(text for text in handle.calls if text) == "".join(
+        f'{{"poly":{i}}}\n' for i in range(300)
+    )
+    assert capsys.readouterr().err == "error: cut short\n"
 
 
 def witness_lines(objs: list, fmt: str) -> list:
@@ -579,22 +639,38 @@ def test_verify_guard_exits_3(capsys):
     assert "guard" in err
 
 
-@pytest.mark.parametrize(
-    "mu,estimate", [("24", "620448401733239439360000"), ("10000000", "inf")], ids=["24", "1e7"]
-)
+@pytest.mark.parametrize("mu,estimate", [("24", "8388608"), ("10000000", "inf")], ids=["24", "1e7"])
 def test_bijection_guard_exits_3_before_any_enumeration(monkeypatch, capsys, mu, estimate):
     from hecke import hecke_index
 
     def refuse(*args):
-        raise AssertionError("M_mu or N was enumerated before the guard")
+        raise AssertionError("M_mu, N_mu or N was enumerated before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_n"):
+    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu", "enumerate_n"):
         monkeypatch.setattr(hecke_index, name, refuse)
     code, out, err = run_cli(capsys, "verify", "bijection", "--p", "2", "--mu", mu)
     assert code == 3
     assert out == ""
-    assert f"|N| = n! (q-1)^n = {estimate} exceeds the guard (1000000)" in err
+    assert f"|M_mu| = {estimate} exceeds the guard (1000000)" in err
+
+
+@pytest.mark.parametrize("mu", ["10", "4,4,3"])
+def test_verify_bijection_where_n_factorial_is_over_the_guard(monkeypatch, capsys, mu):
+    """n! > 10^6 while |M_mu| is not: the check walks only the permutations
+    that pass the pattern test, and never all of N."""
+    from hecke import hecke_index
+
+    def refuse(*args):
+        raise AssertionError("all of N was enumerated")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(hecke_index, "enumerate_n", refuse)
+    code, out, _ = run_cli(capsys, "verify", "bijection", "--p", "2", "--mu", mu)
+    report = json.loads(out)
+    assert (code, report["pass"], report["direct_test_checked"]) == (0, True, False)
+    size = hecke_index.m_mu_size(2, tuple(map(int, mu.split(","))))
+    assert report["m_mu_count"] == report["n_mu_count"] == size
 
 
 @pytest.mark.parametrize(
@@ -755,9 +831,7 @@ def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
 
 
 GUARD_REFUSALS = {  # verify arguments -> message: one size over each guarded driver's guard
-    "bijection --p 1021 --mu 3": (
-        "monomial matrices |N| = n! (q-1)^n = 6367248000 exceeds the guard (1000000)"
-    ),
+    "bijection --p 1021 --mu 3": "|M_mu| = 1063289820 exceeds the guard (1000000)",
     "rsk_bijectivity --p 1021 --mu 100000": "|M_mu| = inf exceeds the guard (1000000)",
     "dim_identity --p 1021 --mu 1": "q = 1021 exceeds the guard (4)",
     "dim_identity --p 2 --mu 6": "n = 6 exceeds the guard (5)",

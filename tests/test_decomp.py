@@ -18,13 +18,14 @@ from hecke.decomp import (
 )
 from hecke.gf import Field
 from hecke.guards import GuardExceeded
-from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes, family_shape
+from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import (
     conjugate,
     enumerate_cst,
     partitions_of,
     weak_compositions,
 )
+from test_rsk import family_shape
 from test_shapes import compositions_of, is_horizontal_strip
 
 F2 = Field(2)

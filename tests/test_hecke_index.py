@@ -312,6 +312,80 @@ def test_pattern_split_equals_the_pairwise_test(K, nmax):
             assert len(set(filtered)) == len(filtered) == m_mu_size(K.q, mu)
 
 
+def filter_pattern_n_mu(K, mu):
+    """The all-permutations filter: every one of the n! permutations tested
+    with _pattern_ties, units chosen freely on the columns not tied to the
+    one before and copied along the ties, in the order of enumerate_n.  The
+    witness for the walk of enumerate_pattern_n_mu."""
+    n = sum(mu)
+    for perm in itertools.permutations(range(n)):
+        ties = hecke_index._pattern_ties(perm, mu)
+        if ties is None:
+            continue
+        copies = {c + 1 for c in ties}
+        for units in itertools.product(K.units(), repeat=n - len(copies)):
+            free = iter(units)
+            entries = []
+            for c in range(n):
+                entries.append(entries[-1] if c in copies else next(free))
+            yield MonomialMatrix(perm, tuple(entries))
+
+
+def passing_permutations(n):
+    """{_block_ends(mu): the permutations that pass the pattern test for mu,
+    in lexicographic order}, every composition mu of n read in one pass over
+    the n! permutations.
+
+    A composition is its set E of block ends, which holds n-1: the mask
+    e | 1 << (n-1) for some e < 2^(n-1).  An int holds one bit per e, and
+    holding[j] has the bits of the e whose E holds j.  Each column keeps the
+    e under which it passes, by the case split of _pattern_ties on whether c
+    and perm[c] are in E, written out here afresh; a permutation passes for
+    the e that all its columns keep."""
+    sets = 1 << (n - 1)
+    every = (1 << sets) - 1
+    holding = [sum(1 << e for e in range(sets) if e >> j & 1) for j in range(n - 1)] + [every]
+    passing = {}
+    for perm in itertools.permutations(range(n)):
+        keep, placed = every, 0
+        for c, r in enumerate(perm):
+            placed |= 1 << r
+            following = perm[c + 1] if c + 1 < n else n
+            below = placed >> (r + 1) & 1  # row r+1 is in a column <= c
+            if_r_ends = holding[c] | (every if following < r else 0)
+            if_r_inner = (holding[c] if below else 0) | (
+                every ^ holding[c] if following == r + 1 or (following < r and below) else 0
+            )
+            keep &= (holding[r] & if_r_ends) | ((every ^ holding[r]) & if_r_inner)
+            if not keep:
+                break
+        while keep:
+            low = keep & -keep
+            passing.setdefault(low.bit_length() - 1 | sets, []).append(perm)
+            keep ^= low
+    return passing
+
+
+def test_walk_equals_the_all_permutations_filter():
+    """enumerate_pattern_n_mu equals the all-permutations filter as lists,
+    order and entries included, on every composition of n <= 6 over F_3."""
+    for n in range(1, 7):
+        for mu in compositions_of(n):
+            assert list(enumerate_pattern_n_mu(F3, mu)) == list(filter_pattern_n_mu(F3, mu)), mu
+
+
+def test_walk_equals_the_one_pass_filter_over_f2():
+    """Over F_2, where every entry is 1, the walk equals passing_permutations
+    on every composition of n <= 8: the per-composition filter would make
+    2^(n-1) n! pattern tests (16 s at n = 8), one pass reads all of them."""
+    for n in range(1, 9):
+        passing = passing_permutations(n)
+        for mu in compositions_of(n):
+            perms = passing.get(hecke_index._block_ends(mu), [])
+            expected = [MonomialMatrix(perm, (1,) * n) for perm in perms]
+            assert list(enumerate_pattern_n_mu(F2, mu)) == expected, mu
+
+
 def closed_form_blocks(mu, d):
     """The sub-block offsets as closed-form sums, the layout v_of_matrix used
     before the blocks were walked: block (i, j) starts at row

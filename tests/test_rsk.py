@@ -14,7 +14,6 @@ from hecke.rsk import (
     enumerate_phi_fillings,
     enumerate_phi_shapes,
     family_from_obj,
-    family_shape,
     family_to_obj,
     family_weight,
     insert_column,
@@ -35,6 +34,12 @@ F2 = Field(2)
 F3 = Field(3)
 
 PAPER_B = ((1, 1, 0), (0, 0, 2), (0, 1, 0))
+
+
+def family_shape(fam) -> tuple:
+    """The (label, shape) of each tableau of a family: the per-pair witness
+    for the shapes rsk_bijectivity_check reads per multiplicity matrix."""
+    return tuple((g, tuple(len(row) for row in rows)) for g, rows in fam)
 
 
 def all_matrices(size, max_entry, max_sum=None):
