@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import inf, lgamma, log, pi, sqrt
 
 from hecke.gf import Field, format_poly, poly_deg
-from hecke.guards import check_guard
+from hecke.guards import price_dim_identity, price_pieri
 from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
@@ -55,10 +54,9 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
     """|N_mu| four ways: the monomial matrices passing the pattern test
     (enumerate_pattern_n_mu), the elements of M_mu streamed, the closed form
     m_mu_size, and the sum of squared filling counts."""
+    price_dim_identity(K.q, mu)
     from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
     mu = tuple(mu)
-    check_guard(sum(mu), 5, "n")
-    check_guard(K.q, 4, "q")
     n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))
     m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
     closed_form = m_mu_size(K.q, mu)
@@ -134,9 +132,6 @@ def weight_space_dims(K: Field, lam, mu: tuple) -> tuple:
 # are at most the number of factors, again <= d.  Hence no add carries from
 # one variable into the next.  Public functions speak dicts keyed by exponent
 # tuples.
-
-PIERI_GUARD = 500_000  # pieri_work, in monomials
-
 
 def _width(degree: int) -> int:
     """Bits per variable that hold every exponent up to `degree`."""
@@ -217,30 +212,15 @@ def schur_jacobi_trudi(nu: tuple, m: int) -> dict:
     return {_unpack(key, m, width): c for key, c in out.items() if c}
 
 
-def pieri_work(nu: tuple, n: int, m: int) -> float:
-    """Estimated work of pieri_check: 2^(nu_1+n) Laplace minors times a bound
-    on the e-monomials of degree d = |nu|+n with parts <= k = min(m, d): the
-    smaller of C(d+k-1, k-1) and p(d) < exp(pi*sqrt(2d/3)) (Erdos).  Formed
-    through logarithms, so that an absurd input costs nothing to refuse."""
-    a = (nu[0] if nu else 0) + n
-    d = sum(nu) + n
-    k = min(m, max(d, 1))
-    bound = min(lgamma(d + k) - lgamma(d + 1) - lgamma(k), pi * sqrt(2 * d / 3))
-    try:
-        return round(2.0 ** (a + bound / log(2)))
-    except OverflowError:
-        return inf
-
-
 def check_pieri_input(nu: tuple, n: int, m: int):
     """Refuse a Pieri case before any work: ValueError for malformed input,
-    GuardExceeded when pieri_work is over PIERI_GUARD."""
+    then its price, guards.price_pieri."""
     check_partition(nu)
     if n < 0:
         raise ValueError(f"the added row must have nonnegative length, not {n}")
     if m < len(nu) + 1:
         raise ValueError("need at least len(nu)+1 variables")
-    check_guard(pieri_work(nu, n, m), PIERI_GUARD, "pieri work estimate (monomials)")
+    price_pieri(nu, n, m)
 
 
 def pieri_report(nu, add, m: int) -> dict:
@@ -267,8 +247,8 @@ def pieri_check(nu: tuple, n: int, m: int) -> dict:
     """s_nu * s_(n) against the sum of s_gamma over the shapes gamma for which
     gamma/nu is a horizontal n-strip, listed as partitions_of lists them; both
     sides are compared as packed polynomials in e_1..e_m."""
-    nu = tuple(nu)
     check_pieri_input(nu, n, m)
+    nu = tuple(nu)
     width = _width(sum(nu) + n)
     lhs = _addmul({}, _schur_packed(nu, m, width), _schur_packed((n,) if n else (), m, width))
     rhs: dict = {}

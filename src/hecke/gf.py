@@ -18,15 +18,11 @@ import math
 import re
 from functools import lru_cache
 
-from hecke.guards import check_guard
+from hecke.guards import BITS, DEGREE_GUARD, FIELD_GUARD, check_guard
 
 Poly = tuple  # tuple of element codes, lowest degree first
 
 ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
-
-DEGREE_GUARD = 100_000  # largest degree parse_poly accepts
-
-FIELD_GUARD = 1024  # largest q a Field builds tables for
 
 
 def is_prime(n: int) -> bool:
@@ -73,8 +69,7 @@ class Field:
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError(f"k = {k} must be positive")
-        # p**k has at most k * p.bit_length() bits: do not form a huge one.
-        q = p**k if k * p.bit_length() <= 4096 else math.inf
+        q = p**k if k * p.bit_length() <= BITS else math.inf  # never a huge p**k
         check_guard(q, FIELD_GUARD, f"field size q = {p}**{k}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -29,10 +28,8 @@ from hecke.gf import (
     parse_poly,
     poly_deg,
 )
-from hecke.guards import MembershipError, check_guard
+from hecke.guards import MembershipError, price_m_mu, u_order
 from hecke.shapes import boundary_set, weak_compositions
-
-N_GUARD = 1_000_000  # |M_mu| = |N_mu|: the elements bijection_check enumerates on each side
 
 
 class MonomialMatrix(NamedTuple):
@@ -248,7 +245,7 @@ def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
     from hecke import oracle
 
     n = v.n
-    oracle._u_order(K.q, n)
+    u_order(K.q, n)
     vm = oracle.monomial_to_matrix(K, v)
     vinv = oracle.mat_inv(K, vm)
     for u in oracle.enumerate_u(K, n):
@@ -297,25 +294,6 @@ def m_mu_size(q: int, mu: tuple) -> int:
     return sum(counts.values())
 
 
-def check_m_mu_size(q: int, mu: tuple, limit: int):
-    """Refuse |M_mu| over the guard on a lower bound formed without counting:
-    the prod_k m_k! degree matrices that permute the m_k parts equal to k in
-    diag(mu), each with prod_i (q-1) q^(mu_i-1) fillings, which is |M_mu|
-    when mu has one part or only parts 1; then on the row-by-row count.
-    The bound's bits come from logarithms first: past 4096 it is inf."""
-    mults = Counter(mu).values()
-    bits = sum(math.lgamma(m + 1) for m in mults) / math.log(2)
-    bits += len(mu) * math.log2(q - 1) + (sum(mu) - len(mu)) * math.log2(q)
-    bound = math.inf
-    if bits < 4096.5:
-        fillings = math.prod((q - 1) * q ** (m - 1) for m in mu)
-        bound = math.prod(map(math.factorial, mults)) * fillings
-    exact = len(mu) == 1 or max(mu) == 1
-    what = "|M_mu|" if exact else "|M_mu| >= prod_k m_k! prod_i (q-1) q^(mu_i-1)"
-    check_guard(bound, limit, what)
-    check_guard(m_mu_size(q, mu), limit, "|M_mu|")
-
-
 def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
     """M_mu as products of pieces, each made once.
 
@@ -346,14 +324,6 @@ def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:
     for _, choices in walk_m_mu(K, mu, lambda f, r: f):
         for flat in choices:
             yield PolyMatrix(tuple(flat[k : k + l] for k in range(0, l * l, l)), mu)
-
-
-def monomial_count(q: int, n: int) -> int:
-    """|N| = n! (q-1)^n, or math.inf past 4096 bits, so an absurd n never
-    forms n!."""
-    if n * (n * (q - 1)).bit_length() > 4096:  # (n (q-1))^n bounds |N|
-        return math.inf
-    return math.factorial(n) * (q - 1) ** n
 
 
 def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
@@ -419,25 +389,24 @@ def bijection_check(K: Field, mu: tuple) -> dict:
     monomial matrices passing the pattern test, with exact roundtrips.  The
     image is compared with enumerate_pattern_n_mu, which never calls
     v_of_matrix, so it is an independent witness for surjectivity.  Each
-    side has |M_mu| elements, so |M_mu| is priced before anything is
-    enumerated.  Where |U| <= 27 the fast test is also compared with the
+    side has |M_mu| elements, which guards.price_m_mu prices before anything
+    is enumerated.  Where |U| <= 27 the fast test is also compared with the
     literal definition over all of U, on every monomial matrix."""
+    price_m_mu(K.q, mu)
     mu = tuple(mu)
     n = sum(mu)
-    check_m_mu_size(K.q, mu, N_GUARD)
-    image = []
-    roundtrip_ok = True
-    membership_ok = True
+    image, count = set(), 0
+    roundtrip_ok = membership_ok = True
     for a in enumerate_m_mu(K, mu):
         v = v_of_matrix(K, a)
         membership_ok = membership_ok and is_in_n_mu_fast(v, mu)
         # v = v_of_matrix(a), so _decode(v) == a is also matrix_of_v's gate.
         roundtrip_ok = roundtrip_ok and _decode(v, mu) == a
-        image.append(v)
-    image_set = set(image)
-    injective = len(image_set) == len(image)
+        image.add(v)
+        count += 1
+    injective = len(image) == count
     filtered = set(enumerate_pattern_n_mu(K, mu))
-    surjective = image_set == filtered
+    surjective = image == filtered
     direct_checked = K.q ** (n * (n - 1) // 2) <= 3**3
     direct_ok = True
     if direct_checked:
@@ -449,7 +418,7 @@ def bijection_check(K: Field, mu: tuple) -> dict:
         "check": "bijection",
         "q": K.q,
         "mu": list(mu),
-        "m_mu_count": len(image),
+        "m_mu_count": count,
         "n_mu_count": len(filtered),
         "membership_ok": membership_ok,
         "roundtrip_ok": roundtrip_ok,

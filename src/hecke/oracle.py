@@ -20,10 +20,9 @@ T_w = 0 for w outside N_mu and psi(y)^-1 = zeta^-e for the exponent e of
 y in `_u_psi`; the commutativity and Levi checks read its tables.  The
 tests compare these paths with the convolution wherever it reaches.
 
-Guards (hecke.guards) refuse before e_mu, U or G is built: |U| <= 4096,
-|GL_n(F_q)| <= 200000, (|N| + 1) |U|^2 <= 10^6 group products in
-`basis_check`, and sum |N_mu|^2 |U| <= 10^6 eliminations over the tables
-a check builds.
+Each check opens with its price from hecke.guards, before e_mu, U or G is
+built; `_u_psi` and `enumerate_gl` also refuse |U| and |GL_n(F_q)| over
+their guards there.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hecke.gf import Field, enumerate_monic_units
-from hecke.guards import check_guard
+from hecke.guards import G_GUARD, check_guard, gl_order, price_basis, price_bruhat, u_order
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
@@ -42,16 +41,10 @@ from hecke.hecke_index import (
     enumerate_n_mu,
     is_in_n_mu_fast,
     m_mu_size,
-    monomial_count,
     monomial_to_obj,
     v_of_matrix,
 )
 from hecke.shapes import boundary_set
-
-U_GUARD = 4096
-G_GUARD = 200_000
-PRODUCT_GUARD = 1_000_000
-BRUHAT_GUARD = 1_000_000
 
 
 # -- exact cyclotomic rationals ------------------------------------------------
@@ -202,22 +195,6 @@ def enumerate_u(K: Field, n: int) -> list:
     return out
 
 
-def _u_order(q: int, n: int) -> int:
-    """|U| = q^(n(n-1)/2), refused over the guard before U is enumerated
-    (and never formed when it is astronomically large)."""
-    e = n * (n - 1) // 2
-    size = q**e if e * q.bit_length() <= 4096 else math.inf
-    check_guard(size, U_GUARD, "|U|")
-    return size
-
-
-def gl_order(q: int, n: int) -> int:
-    order = 1
-    for i in range(n):
-        order *= q**n - q**i
-    return order
-
-
 def enumerate_gl(K: Field, n: int) -> Iterator[tuple]:
     """Stream all invertible n-by-n matrices, built row by row avoiding the
     span of the previous rows.  |GL_n(F_q)| is refused over its guard here,
@@ -331,7 +308,7 @@ def _u_psi(K: Field, n: int, mu: tuple) -> tuple:
     ((u, e), ...); refused over the |U| guard before U is built."""
     if sum(mu) != n:
         raise ValueError(f"mu = {mu} is not a composition of {n}")
-    _u_order(K.q, n)
+    u_order(K.q, n)
     cols = _psi_columns(mu)
     return tuple((u, _psi_exponent(K, u, cols)) for u in enumerate_u(K, n))
 
@@ -452,16 +429,6 @@ def _sandwich(K: Field, u: MonomialMatrix, y: tuple, v: MonomialMatrix) -> list:
     return rows
 
 
-def _check_bruhat_work(q: int, mus) -> None:
-    """Refuse, before any U is built, tables whose eliminations
-    sum |N_mu|^2 |U| over mus exceed the guard."""
-    work = 0
-    for mu in mus:
-        size_u = _u_order(q, sum(mu))  # bounds the degree matrices counted next
-        work += m_mu_size(q, mu) ** 2 * size_u
-    check_guard(work, BRUHAT_GUARD, "Bruhat eliminations sum |N_mu|^2 * |U|")
-
-
 # -- verification drivers --------------------------------------------------------
 
 
@@ -479,12 +446,11 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     unity, over the single denominator |U|.
     """
     mu = tuple(mu)
-    _check_bruhat_work(K.q, [mu])
     p, trace = K.p, K.trace
+    U = _u_psi(K, sum(mu), mu)  # refuses |U| over its guard before N_mu is listed
     basis = tuple(enumerate_n_mu(K, mu))
     index = {v: k for k, v in enumerate(basis)}
     cols = _psi_columns(mu)
-    U = _u_psi(K, sum(mu), mu)
     table = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
@@ -507,11 +473,9 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
 def basis_check(K: Field, mu: tuple) -> dict:
     """T_v != 0 exactly on N_mu, e_mu is idempotent, and the nonzero count
     matches |N_mu| (the dimension of e_mu CG e_mu)."""
+    price_basis(K.q, sum(mu))
     mu = tuple(mu)
     n = sum(mu)
-    # Before U is built: e_mu * e_mu, then e_mu * v * e_mu for each monomial v.
-    products = (monomial_count(K.q, n) + 1) * _u_order(K.q, n) ** 2
-    check_guard(products, PRODUCT_GUARD, "group products (|N| + 1) * |U|^2")
     e = e_mu(K, n, mu)
     idempotent = e * e == e
     mismatches = []
@@ -541,6 +505,7 @@ def basis_check(K: Field, mu: tuple) -> dict:
 
 def commutativity_check(K: Field, n: int) -> dict:
     """T_u T_v = T_v T_u for the one-part composition (Gelfand-Graev case)."""
+    price_bruhat(K.q, [(n,)])
     sc = structure_constants(K, (n,))
     counterexample = None
     for i, j in itertools.combinations(range(len(sc.basis)), 2):
@@ -570,8 +535,8 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     T_a for the diagonal polynomial matrix a = diag(f_i) with off-diagonal
     entries 1; the check compares multiplication tables exactly.
     """
+    price_bruhat(K.q, [(m,) for m in mu] + [tuple(mu)])  # the factor tables and the full one
     mu = tuple(mu)
-    _check_bruhat_work(K.q, [(m,) for m in mu] + [mu])  # the factor tables and the full one
     factor_sc = [structure_constants(K, (m,)) for m in mu]
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
@@ -655,7 +620,6 @@ def double_coset_reps(K: Field, n: int) -> list:
     missing or repeated, or an element of `seen` left over, means the
     cosets do not cover G.  The check holds one set of |G| matrices.
     """
-    _u_order(K.q, n)  # refuse a |U| over its guard before enumerate_gl checks |GL_n(F_q)|
     G = enumerate_gl(K, n)
     seen: set = set()
     out = []
@@ -674,6 +638,7 @@ def double_coset_reps(K: Field, n: int) -> list:
 
 
 def coset_check(K: Field, n: int) -> dict:
+    u_order(K.q, n)  # the price: |U|, before enumerate_gl checks |GL_n(F_q)|
     try:
         reps = double_coset_reps(K, n)
         ok = True

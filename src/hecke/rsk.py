@@ -35,12 +35,9 @@ from hecke.gf import (
     poly_deg,
     poly_key,
 )
-from hecke.guards import check_guard
-from hecke.hecke_index import PolyMatrix, check_m_mu_size, enumerate_m_mu
+from hecke.guards import TWO_LINE_GUARD, check_guard, price_m_mu
+from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
-
-M_MU_GUARD = 1_000_000  # |M_mu|: rsk_bijectivity_check holds one pair per element
-TWO_LINE_GUARD = 10_000  # sum b_ij: classical_record's insertions cost its square
 
 
 def _transpose(lines) -> tuple:
@@ -89,7 +86,7 @@ def classical_record(data) -> dict:
     """The `map rsk` record of {"b": b} or of b itself: the two-line array of
     the nonnegative integer matrix b and its pair (P, Q); ValueError for any
     other input, and GuardExceeded, before the array is built, when its
-    length sum b_ij is over TWO_LINE_GUARD."""
+    length sum b_ij is over guards.TWO_LINE_GUARD."""
     b = data.get("b") if isinstance(data, dict) else data
     rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
     if not rows or any(len(row) != len(rows[0]) for row in rows):
@@ -292,26 +289,29 @@ def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
 def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
+    price_m_mu(K.q, mu)
     mu = tuple(mu)
-    check_m_mu_size(K.q, mu, M_MU_GUARD)
-    image = []
-    weights_ok = True
-    shapes_ok = True
+    image, codomain = set(), set()
+    m_mu_count = pairs_count = 0
+    weights_ok = shapes_ok = True
     for a in enumerate_m_mu(K, mu):
         labels = phi_factor_matrix(K, a)
         same, wt_p, wt_q = _label_weights(labels, len(mu))
         shapes_ok = shapes_ok and same
         weights_ok = weights_ok and wt_p == mu == wt_q
-        image.append(_families(labels))
-    injective = len(set(image)) == len(image)
-    codomain = list(enumerate_pairs(K, mu))
-    onto = set(image) == set(codomain)
+        image.add(_families(labels))
+        m_mu_count += 1
+    injective = len(image) == m_mu_count
+    for pair in enumerate_pairs(K, mu):
+        codomain.add(pair)
+        pairs_count += 1
+    onto = image == codomain
     return {
         "check": "rsk_bijectivity",
         "q": K.q,
         "mu": list(mu),
-        "m_mu_count": len(image),
-        "pairs_count": len(codomain),
+        "m_mu_count": m_mu_count,
+        "pairs_count": pairs_count,
         "shapes_match": shapes_ok,
         "weights_match": weights_ok,
         "injective": injective,

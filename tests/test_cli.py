@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke import hecke_index
+from hecke import guards, hecke_index
 from hecke.cli import COMMANDS, FLAGS, _encode, build_parser, main
 from hecke.gf import DEGREE_GUARD, Field
 from hecke.guards import GuardExceeded
@@ -953,6 +953,94 @@ def test_guard_override_admits_oracle_work(monkeypatch, argv):
         monkeypatch.setattr(oracle, name, admitted)
     with pytest.raises(Admitted):
         main(list(argv))
+
+
+PRICES = {  # verify check -> its price, called on q and the parsed --mu or --n
+    "bijection": guards.price_m_mu,
+    "rsk_bijectivity": guards.price_m_mu,
+    "dim_identity": guards.price_dim_identity,
+    "basis": lambda q, mu: guards.price_basis(q, sum(mu)),
+    "levi": lambda q, mu: guards.price_bruhat(q, [(m,) for m in mu] + [mu]),
+    "commutativity": lambda q, n: guards.price_bruhat(q, [(n,)]),
+    "cosets": guards.u_order,  # enumerate_gl then checks |GL_n(F_q)| at its call
+}
+
+PRICE_REFUSALS = {  # every GUARD_REFUSALS and ORACLE_REFUSALS line -> its whole message
+    **GUARD_REFUSALS,
+    "levi --p 2 --mu 100000": "|U| = inf exceeds the guard (4096)",
+}
+
+
+def test_price_refusals_cover_every_refusal_line():
+    for argv, message in ORACLE_REFUSALS:
+        assert PRICE_REFUSALS[" ".join(argv[1:])].startswith(message)
+
+
+@pytest.mark.parametrize("line", PRICE_REFUSALS)
+def test_each_price_refuses_alone_before_any_work(monkeypatch, line):
+    from hecke import gf, oracle
+
+    def refuse(*args):
+        raise AssertionError("a table, U, G, M_mu or N_mu was built by a price")
+
+    build_g = oracle.enumerate_gl
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(gf.Field, "_build_tables", refuse)
+    for name in ("enumerate_u", "enumerate_gl"):
+        monkeypatch.setattr(oracle, name, refuse)
+    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu"):
+        monkeypatch.setattr(hecke_index, name, refuse)
+    args = build_parser(["verify", *line.split()]).parse_args(["verify", *line.split()])
+    size = args.mu if hasattr(args, "mu") else args.n
+    message = PRICE_REFUSALS[line]
+    if message.startswith("|GL_n(F_q)|"):  # the price admits it; G's builder refuses it
+        PRICES[args.check](args.p**args.k, size)
+        with pytest.raises(GuardExceeded) as refusal:
+            build_g(Field(args.p, args.k), size)
+    else:
+        with pytest.raises(GuardExceeded) as refusal:
+            PRICES[args.check](args.p**args.k, size)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("levi", "--p", "2", "--mu", "2,1"), ("commutativity", "--p", "2", "--n", "3")],
+    ids=["levi", "commutativity"],
+)
+def test_the_bruhat_total_is_checked_once(monkeypatch, capsys, argv):
+    from hecke import gf, oracle, rsk
+
+    checked = []
+    check_guard = guards.check_guard
+
+    def guard(value, limit, what):
+        checked.append(what)
+        return check_guard(value, limit, what)
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    for module in (guards, gf, hecke_index, rsk, oracle):
+        if hasattr(module, "check_guard"):
+            monkeypatch.setattr(module, "check_guard", guard)
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert (code, json.loads(out)["pass"]) == (0, True)
+    assert sum(what.startswith("Bruhat") for what in checked) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bijection", "--p", "2", "--mu", "2,1"),
+        ("enum", "irreducibles", "--p", "2", "--max-deg", "1"),
+    ],
+    ids=["verify_bijection", "enum_irreducibles"],
+)
+def test_a_malformed_guard_override_is_named(monkeypatch, capsys, argv, value):
+    monkeypatch.setenv("HECKE_GUARD_OVERRIDE", value)
+    code, out, err = run_cli(capsys, *argv)
+    message = f"error: HECKE_GUARD_OVERRIDE = {value!r} is not an integer\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_output_file(tmp_path, capsys):

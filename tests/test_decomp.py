@@ -11,13 +11,12 @@ from hecke.decomp import (
     enumerate_levi_weights,
     h_hat,
     pieri_check,
-    pieri_work,
     schur_jacobi_trudi,
     shape_height,
     weight_space_dims,
 )
 from hecke.gf import Field
-from hecke.guards import GuardExceeded
+from hecke.guards import GuardExceeded, pieri_work
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import (
     conjugate,

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hecke.gf import Field
-from hecke.guards import GuardExceeded
+from hecke.guards import GuardExceeded, gl_order
 from hecke.hecke_index import MonomialMatrix, enumerate_n, enumerate_n_mu, monomial_identity
 from hecke.oracle import (
     AlgebraElement,
@@ -18,7 +18,6 @@ from hecke.oracle import (
     e_mu,
     enumerate_gl,
     enumerate_u,
-    gl_order,
     identity_matrix,
     is_unipotent_upper,
     levi_embedding_check,
@@ -482,10 +481,10 @@ def test_double_cosets_small():
 
 
 def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
-    from hecke import oracle
+    from hecke import guards, oracle
 
     checked = []
-    check_guard, enumerate_gl = oracle.check_guard, oracle.enumerate_gl
+    check_guard, enumerate_gl = guards.check_guard, oracle.enumerate_gl
 
     def guard(size, limit, what):
         checked.append(what)
@@ -495,9 +494,11 @@ def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
         checked.append("G")
         return enumerate_gl(K, n)
 
+    # |U| is checked by the price in guards, |GL_n(F_q)| by enumerate_gl.
+    monkeypatch.setattr(guards, "check_guard", guard)
     monkeypatch.setattr(oracle, "check_guard", guard)
     monkeypatch.setattr(oracle, "enumerate_gl", build)
-    double_coset_reps(F2, 2)
+    assert coset_check(F2, 2)["pass"]
     assert checked[:3] == ["|U|", "G", "|GL_n(F_q)|"]
     assert checked.count("|GL_n(F_q)|") == 1
 

@@ -481,6 +481,27 @@ def test_bijectivity_check_sees_a_q_of_another_shape(fresh_label_summaries, monk
     )
 
 
+@pytest.mark.parametrize(
+    "change",
+    [lambda pairs: pairs[:-1], lambda pairs: pairs + pairs[:1]],
+    ids=["dropped", "repeated"],
+)
+def test_bijectivity_check_compares_the_codomain_it_streams(monkeypatch, change):
+    streamed = change(list(enumerate_pairs(F3, (2, 1))))
+    monkeypatch.setattr(rsk, "enumerate_pairs", lambda K, mu: iter(streamed))
+    report = rsk.rsk_bijectivity_check(F3, (2, 1))
+    onto = set(streamed) == set(enumerate_pairs(F3, (2, 1)))
+    assert (report["pairs_count"], report["image_equals_codomain"]) == (len(streamed), onto)
+    assert report["pass"] == onto
+
+
+def test_bijectivity_check_counts_the_elements_it_streams(monkeypatch):
+    monkeypatch.setattr(rsk, "_families", lambda labels: ((), ()))
+    report = rsk.rsk_bijectivity_check(F3, (2, 1))
+    size = sum(1 for _ in enumerate_m_mu(F3, (2, 1)))
+    assert (report["m_mu_count"], report["injective"], report["pass"]) == (size, False, False)
+
+
 def test_family_serialization_roundtrip():
     P, Q = rsk_generalized(F2, worked_example_matrix())
     for fam in (P, Q):
