@@ -361,11 +361,11 @@ def factorize(K: Field, f: Poly) -> tuple:
 # A field element is its code for prime fields and its coordinate vector
 # "[c0,c1,...]" for extension fields; either form is read back.  Polynomial
 # terms "c*X^d" are joined by "+", lowest degree first: X^3 + X + 1 over F_2
-# prints as "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".
+# prints as "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".  The
+# term pattern is compiled by re on its first use (and cached there), not at
+# import: only parse_poly reads it.
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>\[[^\]]*\]|\d+)?\s*\*?\s*(?P<var>X(\^(?P<deg>\d+))?)?\s*$"
-)
+_TERM_RE = r"^\s*(?P<coeff>\[[^\]]*\]|\d+)?\s*\*?\s*(?P<var>X(\^(?P<deg>\d+))?)?\s*$"
 
 
 def _is_int(x) -> bool:
@@ -410,7 +410,7 @@ def parse_poly(K: Field, s: str) -> Poly:
         return ()
     coeffs: dict = {}
     for term in s.split("+"):
-        m = _TERM_RE.match(term)
+        m = re.match(_TERM_RE, term)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"cannot parse polynomial term {term!r}")
         c = 1 if m.group("coeff") is None else parse_coeff(K, m.group("coeff"))

@@ -9,9 +9,11 @@ check is an exact equality.  Group elements are tuples of row tuples.
 `e_mu`, `t_v` and `structure_constants`.  `AlgebraElement.__mul__` is the
 brute-force convolution, one `mat_mul` per pair of terms; `basis_check`
 runs it for e_mu e_mu = e_mu.  `t_v` and `double_coset_reps` form the
-products u v u' (u, u' in U, v monomial) without `mat_mul`: a monomial
-factor on the right moves and scales columns, and the right U-orbit of a
-matrix is built column by column (`_right_u_orbit`).
+products u v u' on integer codes: vector c of F_q^n is the c-th in
+itertools.product order, a matrix with row codes r_i is sum r_i
+(q^n)^(n-1-i), `_u_orbit` builds U v u' row by row, and `_vector_codes`
+adds and scales codes by tables of q^(2n) + q^(n+1) entries (K's own at
+n = 1; at n >= 2 at most 4 |G| and twice the priced `verify basis` work).
 `structure_constants` forms no group-algebra element: e_mu x =
 x e_mu = psi(x) e_mu for x in U, so from the Bruhat decomposition
 u y v = x_y w_y z_y (Gaussian elimination, O(n^3)),
@@ -20,15 +22,16 @@ T_w = 0 for w outside N_mu and psi(y)^-1 = zeta^-e for the exponent e of
 y in `_u_psi`; the commutativity and Levi checks read its tables.  The
 tests compare these paths with the convolution wherever it reaches.
 
-Each check opens with its price from hecke.guards, before e_mu, U or G is
-built; `_u_psi` and `enumerate_gl` also refuse |U| and |GL_n(F_q)| over
-their guards there.
+Each check opens with its price from hecke.guards, before e_mu, U, G or a
+code table is built; `_u_psi` and `enumerate_gl` also refuse |U| and
+|GL_n(F_q)| over their guards there.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -197,26 +200,61 @@ def enumerate_u(K: Field, n: int) -> list:
 
 def enumerate_gl(K: Field, n: int) -> Iterator[tuple]:
     """Stream all invertible n-by-n matrices, built row by row avoiding the
-    span of the previous rows.  |GL_n(F_q)| is refused over its guard here,
-    at the call, before anything is yielded; G itself is never held."""
+    span of the previous rows, a set of codes.  |GL_n(F_q)| is refused over
+    its guard at the call, before any table is built; G is never held."""
     check_guard(gl_order(K.q, n), G_GUARD, "|GL_n(F_q)|")
-    vectors = list(itertools.product(K.elements(), repeat=n))
-    add = K.add
+    vectors, _, add, scale = _vector_codes(K, n)
 
     def extend(rows, span):
-        for vec in vectors:
-            if vec in span:
-                continue
-            if len(rows) == n - 1:  # a leaf: its span is never read
-                yield tuple(rows) + (vec,)
-            else:
-                grown = set(span)
-                for c in K.units():
-                    m = tuple(K.mul(c, y) for y in vec)
-                    grown.update(tuple(map(add, s, m)) for s in span)
-                yield from extend(rows + [vec], grown)
+        free = itertools.filterfalse(span.__contains__, range(len(vectors)))
+        if len(rows) == n - 1:  # the last rows: one C-level map, not a frame per level
+            yield map(rows.__add__, zip(map(vectors.__getitem__, free)))
+            return
+        for vec in free:  # grown: span plus every c vec + s, c a unit
+            grown = span.union(*(map(add[s[vec]].__getitem__, span) for s in scale[1:]))
+            yield from extend(rows + (vectors[vec],), grown)
 
-    return extend([], {(0,) * n})
+    return (g for last_rows in extend((), {0}) for g in last_rows)  # a generator: traceable
+
+
+@lru_cache(maxsize=None)
+def _vector_codes(K: Field, n: int) -> tuple:
+    """(vectors, index, add, scale) for the codes of F_q^n: vector c is
+    vectors[c], index maps it back, add[a][b] is the code of a + b and
+    scale[c][a] that of c a.  At n = 1 codes are field elements."""
+    vectors = list(itertools.product(K.elements(), repeat=n))
+    index = {vec: c for c, vec in enumerate(vectors)}
+    if n == 1:
+        return vectors, index, K._add, K._mul
+    q, (add, scale) = K.q, _vector_codes(K, n - 1)[2:]
+    codes = list(range(q**n))  # one int per code, shared by every entry that holds it
+    # a code is q times the code of the first n-1 entries, plus the last entry
+    add = [tuple([codes[h * q + l] for h in add[a // q] for l in K._add[a % q]]) for a in codes]
+    scale = [tuple([h * q + l for h in s for l in m]) for s, m in zip(scale, K._mul)]
+    return vectors, index, add, scale
+
+
+def _u_orbit(K: Field, x: list, cols: frozenset = frozenset()) -> dict:
+    """{e: [codes of u x]} over all u in U, grouped by psi_mu(u) = zeta_p ** e
+    for the psi_mu whose _psi_columns are cols; x is a list of row codes.
+
+    Row i of u x is row i of x plus sum_{j>i} u[i][j] (row j of x), and
+    psi_mu reads only u[i][i+1] of that row, so from the bottom up each row
+    ranges over its own q^(n-1-i) candidates, each carrying its share of e.
+    """
+    (add, scale), p, Q = _vector_codes(K, len(x))[2:], K.p, K.q ** len(x)
+    orbit, combos, shift = {0: [x[-1]]}, [0], 1
+    for i in range(len(x) - 2, -1, -1):
+        # sum_{j>i} c_j (row j of x) over all (c_(i+1), ...), c_(i+1) slowest
+        combos = [add[s[x[i + 1]]][t] for s in scale for t in combos]
+        psi = K._trace if i + 1 in cols else (0,)  # the exponent of each c_(i+1)
+        row, size, shift = add[x[i]], len(combos) // len(psi), shift * Q
+        orbit, below = {}, orbit  # below: the orbit codes of rows i+1, ..., n-1
+        for c, f in enumerate(psi):
+            heads = [row[t] * shift for t in combos[c * size : c * size + size]]
+            for e, tails in below.items():
+                orbit.setdefault((e + f) % p, []).extend([h + t for h in heads for t in tails])
+    return orbit
 
 
 # -- the character psi_mu and the idempotent e_mu -------------------------------
@@ -320,63 +358,36 @@ def e_mu(K: Field, n: int, mu: tuple) -> AlgebraElement:
     return AlgebraElement(K, n, terms)
 
 
-def _times_monomial(K: Field, g: tuple, v: MonomialMatrix) -> tuple:
-    """The columns of g v: column c is column v.perm[c] of g times v.entries[c]."""
-    mul = K.mul
-    cols = tuple(zip(*g))
-    return tuple(tuple(mul(x, s) for x in cols[r]) for r, s in zip(v.perm, v.entries))
-
-
-def _right_u_orbit(K: Field, x: tuple, psi_cols: frozenset = frozenset()) -> list:
-    """[(x u, e)] over all u in U, where psi_mu(u) = zeta_p ** e for the
-    psi_mu whose _psi_columns are psi_cols; x and x u are tuples of columns.
-
-    Column j of x u is column j of x plus sum_{i<j} u[i][j] * (column i of x),
-    and psi_mu reads only u[j-1][j] of that column, so each column of x u
-    ranges over its own q^j candidates, each carrying its share of e.
-    """
-    add, mul, trace = K.add, K.mul, K.trace
-    orbit = [((), 0)]
-    for j, col in enumerate(x):
-        options = []
-        for coeffs in itertools.product(K.elements(), repeat=j):
-            new = col
-            for c, other in zip(coeffs, x):
-                if c:
-                    new = tuple(add(a, mul(c, b)) for a, b in zip(new, other))
-            options.append((new, trace(coeffs[-1]) if j in psi_cols else 0))
-        orbit = [(head + (new,), e + f) for head, e in orbit for new, f in options]
-    return orbit
-
-
 def t_v(K: Field, v: MonomialMatrix, mu: tuple) -> AlgebraElement:
     """The double-coset element T_v = e_mu v e_mu; nonzero iff v is in N_mu.
 
-    The |U|^2 pairs u v u' are counted as `AlgebraElement.__mul__` counts
-    them, each with psi_mu(u)^-1 psi_mu(u')^-1 over |U|^2, but u v is a
-    column move (_times_monomial) and u v U one right orbit (_right_u_orbit).
+    The |U|^2 pairs u v u' are counted as `AlgebraElement.__mul__` counts them,
+    each with psi_mu(u)^-1 psi_mu(u')^-1 over |U|^2, but as codes: v u' moves
+    and scales rows, U v u' is one _u_orbit, and only nonzero terms (p counts
+    not all equal) are decoded.
     """
-    mu = tuple(mu)
-    U = _u_psi(K, v.n, mu)
-    cols = _psi_columns(mu)
-    p = K.p
-    acc: dict = {}  # columns of u v u' -> p integer counts over |U|^2
+    n, p, mu = v.n, K.p, tuple(mu)
+    U, cols = _u_psi(K, n, mu), _psi_columns(mu)
+    vectors, index, _, scale = _vector_codes(K, n)
+    moves = [(c, scale[v.entries[c]]) for c in sorted(range(n), key=v.perm.__getitem__)]
+    pairs: dict = {}  # k -> u v u', once per pair (u, u') with zeta^k
     for u, e in U:
-        for g, f in _right_u_orbit(K, _times_monomial(K, u, v), cols):
-            counts = acc.get(g)
-            if counts is None:
-                counts = acc[g] = [0] * p
-            counts[-(e + f) % p] += 1
-    den = len(U) ** 2
-    # One Cyclotomic per distinct count vector, shared: it has no mutators.
-    made: dict = {}
-    terms = {}
-    for g, counts in acc.items():
-        key = tuple(counts)
-        if key not in made:
-            made[key] = Cyclotomic(p, counts, den)
-        terms[tuple(zip(*g))] = made[key]
-    return AlgebraElement(K, v.n, terms)
+        x = [s[index[u[c]]] for c, s in moves]  # row v.perm[c] of v u: v.entries[c] (row c of u)
+        for f, orbit in _u_orbit(K, x, cols).items():
+            pairs.setdefault(-(e + f) % p, []).extend(orbit)
+    counts = {k: Counter(g) for k, g in pairs.items()}
+    weights = [len(vectors) ** i for i in reversed(range(n))]
+    made, terms = {}, {}  # one Cyclotomic per count vector, shared: it has no mutators
+    for g in set().union(*counts.values()):
+        key = [0] * p
+        for k, c in counts.items():
+            key[k] = c.get(g, 0)
+        if key.count(key[0]) < p:  # not all equal: a nonzero coefficient
+            key = tuple(key)
+            if key not in made:
+                made[key] = Cyclotomic(p, key, len(U) ** 2)
+            terms[tuple([vectors[g // w % len(vectors)] for w in weights])] = made[key]
+    return AlgebraElement(K, n, terms)
 
 
 # -- Hecke products by the Bruhat decomposition ----------------------------------
@@ -593,21 +604,23 @@ class CosetError(RuntimeError):
 
 
 def _double_cosets(K: Field, n: int):
-    """Yield (v, UvU as a set of matrices) for each monomial v.
+    """Yield (v, UvU as a set of _u_orbit's matrix codes) for each monomial v.
 
-    U v U is the union of the right cosets x U over x in U v, and those
+    U v U is the union of the left cosets U x over x in v U, and those
     cosets are equal or disjoint, so an x already in the coset adds nothing.
     """
-    U = enumerate_u(K, n)
-    # One tuple per row vector, shared as in enumerate_gl: a stored element
-    # costs one tuple, not n + 1.
-    row = {r: r for r in itertools.product(K.elements(), repeat=n)}.__getitem__
+    _, index, _, scale = _vector_codes(K, n)
+    U = [[index[row] for row in u] for u in enumerate_u(K, n)]
     for v in enumerate_n(K, n):
+        moves = [(c, scale[v.entries[c]]) for c in sorted(range(n), key=v.perm.__getitem__)]
         coset: set = set()
         for u in U:
-            x = _times_monomial(K, u, v)
-            if tuple(zip(*x)) not in coset:
-                coset.update(tuple(map(row, zip(*g))) for g, _ in _right_u_orbit(K, x))
+            x = [s[u[c]] for c, s in moves]
+            code = 0
+            for row in x:
+                code = code * len(index) + row
+            if code not in coset:
+                coset.update(_u_orbit(K, x)[0])
         yield v, coset
 
 
@@ -616,9 +629,9 @@ def double_coset_reps(K: Field, n: int) -> list:
 
     The cosets come from _double_cosets and are checked disjoint as their
     union `seen` grows.  G comes from enumerate_gl, which builds it
-    independently and streams it: each g is removed from `seen`, so a g
-    missing or repeated, or an element of `seen` left over, means the
-    cosets do not cover G.  The check holds one set of |G| matrices.
+    independently and streams it: each g is removed from `seen` by its code,
+    so a g missing or repeated, or a code in `seen` left over, means the
+    cosets do not cover G.  The check holds one set of |G| codes.
     """
     G = enumerate_gl(K, n)
     seen: set = set()
@@ -628,10 +641,14 @@ def double_coset_reps(K: Field, n: int) -> list:
             raise CosetError("double cosets are not disjoint")
         seen |= coset
         out.append((v, len(coset)))
+    index, Q = _vector_codes(K, n)[1], K.q**n
     for g in G:
-        if g not in seen:
+        code = 0
+        for row in g:
+            code = code * Q + index[row]
+        if code not in seen:
             raise CosetError("double cosets do not cover the group")
-        seen.remove(g)
+        seen.remove(code)
     if seen:
         raise CosetError("double cosets do not cover the group")
     return out
@@ -640,9 +657,7 @@ def double_coset_reps(K: Field, n: int) -> list:
 def coset_check(K: Field, n: int) -> dict:
     u_order(K.q, n)  # the price: |U|, before enumerate_gl checks |GL_n(F_q)|
     try:
-        reps = double_coset_reps(K, n)
-        ok = True
-        detail = None
+        reps, ok, detail = double_coset_reps(K, n), True, None
     except CosetError as err:
         reps, ok, detail = [], False, str(err)
     report = {

@@ -907,6 +907,30 @@ def test_coset_guard_exits_3_not_a_counterexample(monkeypatch, capsys):
     assert "|GL_n(F_q)| = 1488000 exceeds the guard" in err
 
 
+def test_code_tables_follow_the_guards_and_reuse_the_field_at_n_1(monkeypatch, capsys):
+    from hecke import oracle
+
+    built = []  # (K, n, K's own add and mul tables returned) per table request
+    vector_codes = oracle._vector_codes
+
+    def record(K, n):
+        tables = vector_codes(K, n)
+        built.append((K, n, tables[2] is K._add and tables[3] is K._mul))
+        return tables
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(oracle, "_vector_codes", record)
+    code, out, err = run_cli(capsys, "verify", "cosets", "--p", "1021", "--n", "2")
+    assert (code, out) == (3, "")
+    assert "|GL_n(F_q)| = 1085617864800 exceeds the guard (200000)" in err
+    assert built == []  # refused before any table was built
+    code, out, _ = run_cli(capsys, "verify", "basis", "--p", "1021", "--mu", "1")
+    assert code == 0 and json.loads(out)["pass"]
+    # At n = 1 the codes are field elements: K's own tables, no q-by-q copy.
+    assert built and all(n == 1 and own for _, n, own in built)
+    assert all(K.q == 1021 for K, _, _ in built)
+
+
 ORACLE_REFUSALS = [
     (
         ("verify", "basis", "--p", "2", "--mu", "3,2"),

@@ -11,6 +11,10 @@ from hecke.oracle import (
     Cyclotomic,
     _bruhat,
     _double_cosets,
+    _psi_columns,
+    _u_orbit,
+    _u_psi,
+    _vector_codes,
     basis_check,
     commutativity_check,
     coset_check,
@@ -39,6 +43,13 @@ F5 = Field(5)
 def delta(K, g: tuple) -> AlgebraElement:
     """The group element g as an element of the group algebra."""
     return AlgebraElement(K, len(g), {g: Cyclotomic.root_power(K.p, 0)})
+
+
+def decode_matrix(K, n, code: int) -> tuple:
+    """The matrix of a code: its n^2 entries, row by row, are the base-q
+    digits of the code, most significant first."""
+    digits = [code // K.q ** (n * n - 1 - k) % K.q for k in range(n * n)]
+    return tuple(tuple(digits[i * n : i * n + n]) for i in range(n))
 
 
 def x_elem(K, n, i, j, t):
@@ -248,11 +259,12 @@ def test_t_v_gelfand_graev_example():
         (F4, (1, 1)),
         (F4, (2,)),
         (Field(5), (1, 1)),
+        (F2, (2, 2)),
     ],
-    ids=["2-21", "2-111", "3-21", "3-12", "4-11", "4-2", "5-11"],
+    ids=["2-21", "2-111", "3-21", "3-12", "4-11", "4-2", "5-11", "2-22"],
 )
 def test_t_v_matches_the_generic_product(K, mu):
-    # t_v moves columns and builds right U-orbits; the witness is
+    # t_v moves rows and builds left U-orbits over codes; the witness is
     # AlgebraElement.__mul__, one mat_mul per pair of terms.
     n = sum(mu)
     e = e_mu(K, n, mu)
@@ -263,18 +275,60 @@ def test_t_v_matches_the_generic_product(K, mu):
 
 @pytest.mark.parametrize(
     "K,n",
-    [(F2, 3), (F3, 2), (F4, 2), (Field(5), 2), (F3, 3)],
-    ids=["2-3", "3-2", "4-2", "5-2", "3-3"],
+    [(F2, 3), (F3, 2), (F4, 2), (Field(5), 2), (F3, 3), (F2, 4)],
+    ids=["2-3", "3-2", "4-2", "5-2", "3-3", "2-4"],
 )
 def test_double_cosets_match_mat_mul(K, n):
     U = enumerate_u(K, n)
     cosets = list(_double_cosets(K, n))
     assert [v for v, _ in cosets] == list(enumerate_n(K, n))
-    for v, coset in cosets:
+    for v, codes in cosets:
+        coset = {decode_matrix(K, n, g) for g in codes}
+        assert len(coset) == len(codes)
         vm = monomial_to_matrix(K, v)
         left = [mat_mul(K, u, vm) for u in U]
         assert coset == {mat_mul(K, x, u) for x in left for u in U}, v
     assert double_coset_reps(K, n) == [(v, len(coset)) for v, coset in cosets]
+
+
+FIELDS_TO_16 = [  # every F_q with q <= 16
+    Field(p, k)
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+]
+
+
+@pytest.mark.parametrize("K", FIELDS_TO_16, ids=lambda K: str(K.q))
+def test_code_tables_are_the_coordinatewise_field_operations(K):
+    # n = 3 only up to q = 5 (q^6 = 15625 entries): no check builds a table
+    # past q = 4 at n = 3, and at q = 16 the table would hold 16.7 million.
+    for n in (1, 2, 3) if K.q <= 5 else (1, 2):
+        vectors, index, add, scale = _vector_codes(K, n)
+        assert vectors == list(itertools.product(K.elements(), repeat=n))
+        assert [index[vec] for vec in vectors] == list(range(len(vectors)))
+        for a, x in enumerate(vectors):
+            assert [vectors[s] for s in add[a]] == [tuple(map(K.add, x, y)) for y in vectors]
+        for c in K.elements():
+            expected = [tuple(K.mul(c, y) for y in x) for x in vectors]
+            assert [vectors[s] for s in scale[c]] == expected
+
+
+@pytest.mark.parametrize(
+    "K,n,v_step,u_step",
+    [(F3, 3, 1, 9), (F5, 2, 1, 1), (F2, 4, 1, 32), (F4, 3, 7, 16)],
+    ids=["3-3", "5-2", "2-4", "4-3"],
+)
+def test_u_orbit_is_the_left_orbit_by_mat_mul(K, n, v_step, u_step):
+    # x = v u over the monomials v and the u in U (every v_step-th and
+    # u_step-th); the witness is {(w x, psi exponent of w) : w in U} by
+    # mat_mul, with psi_(n), which reads every superdiagonal entry.
+    index = _vector_codes(K, n)[1]
+    U = _u_psi(K, n, (n,))
+    for v in list(enumerate_n(K, n))[::v_step]:
+        for u, _ in U[::u_step]:
+            x = mat_mul(K, monomial_to_matrix(K, v), u)
+            orbit = _u_orbit(K, [index[row] for row in x], _psi_columns((n,)))
+            got = [(decode_matrix(K, n, g), e) for e, codes in orbit.items() for g in codes]
+            assert sorted(got) == sorted((mat_mul(K, w, x), e % K.p) for w, e in U), (v, u)
 
 
 @pytest.mark.parametrize("K,n", [(F2, 2), (F3, 2)], ids=["22", "23"])
