@@ -95,6 +95,18 @@ def price_m_mu(q: int, mu: tuple):
     check_guard(m_mu_size(q, mu), WORK_GUARD, "|M_mu|")
 
 
+def price_labels(q: int, degree: int):
+    """The trial divisions `verify rsk_bijectivity` makes, once |M_mu| has
+    passed, to list the labels and factor every entry, all of degree at most
+    D = max(mu): each of the q^d monic polynomials of degree d <= D is tried
+    by at most q + ... + q^(d//2) monic divisors."""
+    if (degree + degree // 2 + 1) * q.bit_length() > BITS:
+        work = math.inf
+    else:
+        work = sum(q**d * sum(q**e for e in range(1, d // 2 + 1)) for d in range(1, degree + 1))
+    check_guard(work, WORK_GUARD, "label trial divisions sum_d q^d (q + ... + q^(d/2))")
+
+
 def price_dim_identity(q: int, mu: tuple):
     check_guard(sum(mu), DIM_N_GUARD, "n")
     check_guard(q, DIM_Q_GUARD, "q")

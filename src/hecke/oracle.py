@@ -9,11 +9,12 @@ check is an exact equality.  Group elements are tuples of row tuples.
 `e_mu`, `t_v` and `structure_constants`.  `AlgebraElement.__mul__` is the
 brute-force convolution, one `mat_mul` per pair of terms; `basis_check`
 runs it for e_mu e_mu = e_mu.  `t_v` and `double_coset_reps` form the
-products u v u' on integer codes: vector c of F_q^n is the c-th in
-itertools.product order, a matrix with row codes r_i is sum r_i
-(q^n)^(n-1-i), `_u_orbit` builds U v u' row by row, and `_vector_codes`
-adds and scales codes by tables of q^(2n) + q^(n+1) entries (K's own at
-n = 1; at n >= 2 at most 4 |G| and twice the priced `verify basis` work).
+products u v u' on integer codes, and `enumerate_gl` streams G as codes:
+vector c of F_q^n is the c-th in itertools.product order, a matrix with
+row codes r_i is sum r_i (q^n)^(n-1-i), `_u_orbit` builds U v u' row by
+row, and `_vector_codes` adds and scales codes by tables of
+q^(2n) + q^(n+1) entries (K's own at n = 1; at n >= 2 at most 4 |G| and
+twice the priced `verify basis` work).
 `structure_constants` forms no group-algebra element: e_mu x =
 x e_mu = psi(x) e_mu for x in U, so from the Bruhat decomposition
 u y v = x_y w_y z_y (Gaussian elimination, O(n^3)),
@@ -187,34 +188,30 @@ def monomial_to_matrix(K: Field, v: MonomialMatrix) -> tuple:
 
 
 def enumerate_u(K: Field, n: int) -> list:
-    """All unipotent upper-triangular matrices, |U| = q^(n(n-1)/2)."""
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for values in itertools.product(K.elements(), repeat=len(positions)):
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), val in zip(positions, values):
-            rows[i][j] = val
-        out.append(tuple(tuple(r) for r in rows))
-    return out
+    """All unipotent upper-triangular matrices, |U| = q^(n(n-1)/2): the
+    product of the rows, row i being e_i followed by any tail."""
+    tails = [itertools.product(K.elements(), repeat=n - 1 - i) for i in range(n)]
+    rows = [[(0,) * i + (1,) + t for t in ts] for i, ts in enumerate(tails)]
+    return list(itertools.product(*rows))
 
 
-def enumerate_gl(K: Field, n: int) -> Iterator[tuple]:
-    """Stream all invertible n-by-n matrices, built row by row avoiding the
-    span of the previous rows, a set of codes.  |GL_n(F_q)| is refused over
-    its guard at the call, before any table is built; G is never held."""
+def enumerate_gl(K: Field, n: int) -> Iterator[int]:
+    """Stream the code of every invertible n-by-n matrix, built row by row
+    avoiding the span of the previous rows, a set of codes.  |GL_n(F_q)| is
+    refused over its guard at the call, before any table is built."""
     check_guard(gl_order(K.q, n), G_GUARD, "|GL_n(F_q)|")
-    vectors, _, add, scale = _vector_codes(K, n)
+    (add, scale), Q = _vector_codes(K, n)[2:], K.q**n
 
-    def extend(rows, span):
-        free = itertools.filterfalse(span.__contains__, range(len(vectors)))
-        if len(rows) == n - 1:  # the last rows: one C-level map, not a frame per level
-            yield map(rows.__add__, zip(map(vectors.__getitem__, free)))
+    def extend(head, rows, span):  # head: the code of the rows so far
+        free = itertools.filterfalse(span.__contains__, range(Q))
+        if rows == n - 1:  # the last row: one C-level map, not a frame per level
+            yield map((head * Q).__add__, free)
             return
         for vec in free:  # grown: span plus every c vec + s, c a unit
             grown = span.union(*(map(add[s[vec]].__getitem__, span) for s in scale[1:]))
-            yield from extend(rows + (vectors[vec],), grown)
+            yield from extend(head * Q + vec, rows + 1, grown)
 
-    return (g for last_rows in extend((), {0}) for g in last_rows)  # a generator: traceable
+    return (g for last_rows in extend(0, 0, {0}) for g in last_rows)  # a generator: traceable
 
 
 @lru_cache(maxsize=None)
@@ -609,8 +606,9 @@ def _double_cosets(K: Field, n: int):
     U v U is the union of the left cosets U x over x in v U, and those
     cosets are equal or disjoint, so an x already in the coset adds nothing.
     """
-    _, index, _, scale = _vector_codes(K, n)
-    U = [[index[row] for row in u] for u in enumerate_u(K, n)]
+    q, Q, scale = K.q, K.q**n, _vector_codes(K, n)[3]
+    # U by row codes: row i is e_i, code q^(n-1-i), plus any tail below that
+    U = list(itertools.product(*(range(q**i, 2 * q**i) for i in reversed(range(n)))))
     for v in enumerate_n(K, n):
         moves = [(c, scale[v.entries[c]]) for c in sorted(range(n), key=v.perm.__getitem__)]
         coset: set = set()
@@ -618,7 +616,7 @@ def _double_cosets(K: Field, n: int):
             x = [s[u[c]] for c, s in moves]
             code = 0
             for row in x:
-                code = code * len(index) + row
+                code = code * Q + row
             if code not in coset:
                 coset.update(_u_orbit(K, x)[0])
         yield v, coset
@@ -629,8 +627,8 @@ def double_coset_reps(K: Field, n: int) -> list:
 
     The cosets come from _double_cosets and are checked disjoint as their
     union `seen` grows.  G comes from enumerate_gl, which builds it
-    independently and streams it: each g is removed from `seen` by its code,
-    so a g missing or repeated, or a code in `seen` left over, means the
+    independently and streams it as codes: each g is removed from `seen`, so
+    a g missing or repeated, or a code in `seen` left over, means the
     cosets do not cover G.  The check holds one set of |G| codes.
     """
     G = enumerate_gl(K, n)
@@ -641,14 +639,10 @@ def double_coset_reps(K: Field, n: int) -> list:
             raise CosetError("double cosets are not disjoint")
         seen |= coset
         out.append((v, len(coset)))
-    index, Q = _vector_codes(K, n)[1], K.q**n
     for g in G:
-        code = 0
-        for row in g:
-            code = code * Q + index[row]
-        if code not in seen:
+        if g not in seen:
             raise CosetError("double cosets do not cover the group")
-        seen.remove(code)
+        seen.remove(g)
     if seen:
         raise CosetError("double cosets do not cover the group")
     return out

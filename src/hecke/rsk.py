@@ -35,7 +35,7 @@ from hecke.gf import (
     poly_deg,
     poly_key,
 )
-from hecke.guards import TWO_LINE_GUARD, check_guard, price_m_mu
+from hecke.guards import TWO_LINE_GUARD, check_guard, price_labels, price_m_mu
 from hecke.hecke_index import PolyMatrix, enumerate_m_mu
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
@@ -290,6 +290,7 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
     """The generalized correspondence is injective on M_mu and fills out the
     enumerated codomain exactly; weights come out degree-weighted to mu."""
     price_m_mu(K.q, mu)
+    price_labels(K.q, max(mu))
     mu = tuple(mu)
     image, codomain = set(), set()
     m_mu_count = pairs_count = 0

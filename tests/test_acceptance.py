@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the line per
 criterion alongside the pytest verdicts.
 """
 
+import ast
 import itertools
+import pathlib
+import sys
 import time
 
 from hecke.decomp import dim_identity_check, h_hat, pieri_check, schur_jacobi_trudi, weight_space_dims
@@ -188,3 +191,23 @@ def test_bijection_report_consistency():
     rep = bijection_check(F3, (2, 2))
     assert rep["pass"]
     assert rep["m_mu_count"] == rep["n_mu_count"]
+
+
+def test_hecke_imports_only_the_standard_library():
+    # The north star: a verifier that uses only the standard library.
+    sources = sorted((pathlib.Path(__file__).parents[1] / "src" / "hecke").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:  # not an import, or a relative one: within hecke
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "hecke" and top not in sys.stdlib_module_names:
+                    outside.append((path.name, name))
+    assert outside == []

@@ -833,6 +833,19 @@ def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
 GUARD_REFUSALS = {  # verify arguments -> message: one size over each guarded driver's guard
     "bijection --p 1021 --mu 3": "|M_mu| = 1063289820 exceeds the guard (1000000)",
     "rsk_bijectivity --p 1021 --mu 100000": "|M_mu| = inf exceeds the guard (1000000)",
+    **{  # |M_mu| admits these; the trial divisions that list and factor the labels do not
+        f"rsk_bijectivity --p {p} --mu {d}": (
+            f"label trial divisions sum_d q^d (q + ... + q^(d/2)) = {work} exceeds the guard"
+            " (1000000)"
+        )
+        for p, d, work in [
+            (31, 4, 917086144),
+            (13, 5, 72804186),
+            (7, 6, 48020343),
+            (2, 16, 47672760),
+            (11, 4, 1948584),
+        ]
+    },
     "dim_identity --p 1021 --mu 1": "q = 1021 exceeds the guard (4)",
     "dim_identity --p 2 --mu 6": "n = 6 exceeds the guard (5)",
     "basis --p 1021 --mu 3": "|U| = 1064332261 exceeds the guard (4096)",
@@ -889,6 +902,50 @@ def test_each_check_guards_itself_before_the_field_is_built(monkeypatch, line):
     with pytest.raises(GuardExceeded) as refusal:
         check(Field(args.p, args.k), args.mu if hasattr(args, "mu") else args.n)
     assert str(refusal.value) == GUARD_REFUSALS[line]
+
+
+LABEL_REFUSALS = [line for line in GUARD_REFUSALS if "label" in GUARD_REFUSALS[line]]
+
+
+@pytest.mark.parametrize("line", LABEL_REFUSALS)
+def test_rsk_bijectivity_prices_its_labels_before_listing_them(monkeypatch, capsys, line):
+    from hecke import gf, rsk
+
+    def refuse(*args):
+        raise AssertionError("the labels or M_mu were listed before the guard")
+
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(gf, "_irreducibles_through", refuse)
+    monkeypatch.setattr(rsk, "_irreducibles_through", refuse)
+    monkeypatch.setattr(rsk, "enumerate_m_mu", refuse)
+    code, out, err = run_cli(capsys, "verify", *line.split())
+    assert (code, out, err) == (3, "", f"guard exceeded: {GUARD_REFUSALS[line]}\n")
+
+
+def test_guard_override_admits_the_label_stream(monkeypatch):
+    from hecke import rsk
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setenv("HECKE_GUARD_OVERRIDE", str(10**9))
+    monkeypatch.setattr(rsk, "enumerate_m_mu", admitted)
+    with pytest.raises(Admitted):
+        main(["verify", "rsk_bijectivity", "--p", "31", "--mu", "4"])
+
+
+@pytest.mark.parametrize(
+    "q,mu",
+    [(3, (2, 2, 1)), (5, (2, 2)), (31, (3,)), (3, (8,)), (2, (12,)), (17, (3,)), (7, (4,))],
+    ids=["3-221", "5-22", "31-3", "3-8", "2-12", "17-3", "7-4"],
+)
+def test_label_price_admits_the_sizes_that_run(monkeypatch, q, mu):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    guards.price_m_mu(q, mu)
+    guards.price_labels(q, max(mu))
 
 
 def test_rsk_bijectivity_refuses_over_f1021_at_once(monkeypatch, capsys):
@@ -981,7 +1038,7 @@ def test_guard_override_admits_oracle_work(monkeypatch, argv):
 
 PRICES = {  # verify check -> its price, called on q and the parsed --mu or --n
     "bijection": guards.price_m_mu,
-    "rsk_bijectivity": guards.price_m_mu,
+    "rsk_bijectivity": lambda q, mu: (guards.price_m_mu(q, mu), guards.price_labels(q, max(mu))),
     "dim_identity": guards.price_dim_identity,
     "basis": lambda q, mu: guards.price_basis(q, sum(mu)),
     "levi": lambda q, mu: guards.price_bruhat(q, [(m,) for m in mu] + [mu]),

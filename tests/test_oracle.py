@@ -104,13 +104,57 @@ def test_cyclotomic_canonical_form():
 
 def test_mat_inv_roundtrip():
     for K, n in [(F2, 2), (F2, 3), (F3, 2)]:
-        for A in enumerate_gl(K, n):
+        for g in enumerate_gl(K, n):
+            A = decode_matrix(K, n, g)
             assert mat_mul(K, A, mat_inv(K, A)) == identity_matrix(n)
 
 
 def test_mat_inv_singular_raises():
     with pytest.raises(ValueError):
         mat_inv(F2, ((1, 1), (1, 1)))
+
+
+def u_list(K, n) -> list:
+    """The position-by-position builder enumerate_u replaces: every choice of
+    the entries above the diagonal, the last position fastest."""
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for values in itertools.product(K.elements(), repeat=len(positions)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), val in zip(positions, values):
+            rows[i][j] = val
+        out.append(tuple(tuple(r) for r in rows))
+    return out
+
+
+U_SIZES = [  # q in {2, 3, 4, 5} at every n <= 4 whose |U| the guard admits
+    (K, n) for K in (F2, F3, F4, F5) for n in range(1, 5) if K.q ** (n * (n - 1) // 2) <= 4096
+]
+
+
+@pytest.mark.parametrize("K,n", U_SIZES, ids=lambda x: str(getattr(x, "q", x)))
+def test_enumerate_u_is_the_position_by_position_list(K, n):
+    assert enumerate_u(K, n) == u_list(K, n)
+
+
+@pytest.mark.parametrize("K,n", U_SIZES, ids=lambda x: str(getattr(x, "q", x)))
+def test_double_cosets_walk_the_row_codes_of_u_in_order(monkeypatch, K, n):
+    # At v = 1 each x is u's row codes; an empty orbit adds nothing to the
+    # coset, so every u reaches _u_orbit.
+    from hecke import oracle
+
+    walked = []
+
+    def record(K, x, cols=frozenset()):
+        walked.append(x)
+        return {0: []}
+
+    monkeypatch.setattr(oracle, "enumerate_n", lambda K, n: iter([monomial_identity(n)]))
+    monkeypatch.setattr(oracle, "_u_orbit", record)
+    list(_double_cosets(K, n))
+    Q = K.q**n
+    codes = [sum(r * Q ** (n - 1 - i) for i, r in enumerate(x)) for x in walked]
+    assert [decode_matrix(K, n, g) for g in codes] == enumerate_u(K, n)
 
 
 def test_enumerate_sizes():
@@ -153,7 +197,9 @@ def gl_list(K, n) -> list:
 def test_enumerate_gl_streams_the_list_in_order(K, n):
     G = enumerate_gl(K, n)
     assert not isinstance(G, list)
-    assert list(G) == gl_list(K, n)
+    codes = list(G)
+    assert all(type(g) is int for g in codes)
+    assert [decode_matrix(K, n, g) for g in codes] == gl_list(K, n)
 
 
 def test_enumerate_gl_guard_fires_at_the_call():
@@ -438,7 +484,8 @@ def factor_product(K, n, factors):
 
 @pytest.mark.parametrize("K,n", [(F2, 3), (F3, 2), (F4, 2)], ids=["2-3", "3-2", "4-2"])
 def test_bruhat_decomposes_every_element(K, n):
-    for g in enumerate_gl(K, n):
+    for code in enumerate_gl(K, n):
+        g = decode_matrix(K, n, code)
         x, w, z = _bruhat(K, g)
         assert all(i < j for i, j, _ in x + z)
         xm, zm = factor_product(K, n, x), factor_product(K, n, z)
@@ -453,7 +500,8 @@ def test_e_mu_g_e_mu_is_psi_times_t_w():
     for mu in compositions_of(n):
         e = e_mu(F2, n, mu)
         t_of = {}
-        for g in enumerate_gl(F2, n):
+        for code in enumerate_gl(F2, n):
+            g = decode_matrix(F2, n, code)
             x, w, z = _bruhat(F2, g)
             if w not in t_of:
                 t_of[w] = t_v(F2, w, mu)
@@ -562,7 +610,7 @@ def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
     [
         lambda G: itertools.chain(G, [next(enumerate_gl(F2, 3))]),
         lambda G: itertools.islice(G, 1, None),
-        lambda G: itertools.chain(G, [((1, 1, 0), (1, 1, 0), (0, 0, 1))]),
+        lambda G: itertools.chain(G, [0b110_110_001]),  # rows (1,1,0), (1,1,0), (0,0,1)
     ],
     ids=["repeated", "dropped", "singular"],
 )
