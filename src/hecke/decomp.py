@@ -20,7 +20,7 @@ import itertools
 from functools import lru_cache
 
 from hecke.gf import Field, format_poly, poly_deg
-from hecke.guards import price_dim_identity, price_pieri
+from hecke.guards import price_labels, price_m_mu, price_pieri
 from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
@@ -53,8 +53,9 @@ def h_hat(K: Field, mu: tuple) -> tuple:
 def dim_identity_check(K: Field, mu: tuple) -> dict:
     """|N_mu| four ways: the monomial matrices passing the pattern test
     (enumerate_pattern_n_mu), the elements of M_mu streamed, the closed form
-    m_mu_size, and the sum of squared filling counts."""
-    price_dim_identity(K.q, mu)
+    m_mu_size, and the sum of squared filling counts; priced as rsk_bijectivity."""
+    price_m_mu(K.q, mu)
+    price_labels(K.q, max(mu))
     from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
     mu = tuple(mu)
     n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))

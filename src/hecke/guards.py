@@ -12,12 +12,10 @@ import math
 import os
 from collections import Counter
 
-WORK_GUARD = 1_000_000  # |M_mu|, group products, Bruhat eliminations
+WORK_GUARD = 1_000_000  # |M_mu| grid entries, label work, group products, Bruhat eliminations
 U_GUARD = 4096  # |U|, before U is built
 G_GUARD = 200_000  # |GL_n(F_q)|, before G is streamed
 PIERI_GUARD = 500_000  # pieri_work, in monomials
-DIM_N_GUARD = 5  # n, where dim_identity lists N_mu, M_mu and every filling
-DIM_Q_GUARD = 4  # q, likewise
 FIELD_GUARD = 1024  # largest q a Field builds tables for
 DEGREE_GUARD = 100_000  # largest degree parse_poly accepts
 TWO_LINE_GUARD = 10_000  # sum b_ij: classical_record's insertions cost its square
@@ -75,41 +73,40 @@ def pieri_work(nu: tuple, n: int, m: int) -> float:
 
 
 def price_m_mu(q: int, mu: tuple):
-    """|M_mu|, for `verify bijection` and `verify rsk_bijectivity`: first a
-    lower bound formed without counting, the prod_k m_k! degree matrices
+    """|M_mu| l^2, the entries of the l-by-l grids of M_mu that `verify
+    bijection`, `rsk_bijectivity` and `dim_identity` walk: first a lower
+    bound formed without counting, l^2 times the prod_k m_k! degree matrices
     that permute the m_k parts equal to k in diag(mu), each with
-    prod_i (q-1) q^(mu_i-1) fillings (|M_mu| when mu has one part or only
+    prod_i (q-1) q^(mu_i-1) fillings (|M_mu| l^2 when mu has one part or only
     parts 1), its bits from logarithms; then the row-by-row count."""
-    mults = Counter(mu).values()
-    bits = sum(math.lgamma(m + 1) for m in mults) / math.log(2)
+    mults, grid = Counter(mu).values(), len(mu) ** 2
+    bits = sum(math.lgamma(m + 1) for m in mults) / math.log(2) + math.log2(grid)
     bits += len(mu) * math.log2(q - 1) + (sum(mu) - len(mu)) * math.log2(q)
     bound = math.inf
     if bits < BITS + 0.5:  # the half bit absorbs rounding; check_guard shows the rest
         fillings = math.prod((q - 1) * q ** (m - 1) for m in mu)
-        bound = math.prod(map(math.factorial, mults)) * fillings
+        bound = math.prod(map(math.factorial, mults)) * fillings * grid
     exact = len(mu) == 1 or max(mu) == 1
-    what = "|M_mu|" if exact else "|M_mu| >= prod_k m_k! prod_i (q-1) q^(mu_i-1)"
+    what = "|M_mu| * l^2" if exact else "|M_mu| * l^2 >= l^2 prod_k m_k! prod_i (q-1) q^(mu_i-1)"
     check_guard(bound, WORK_GUARD, what)
     from hecke.hecke_index import m_mu_size
 
-    check_guard(m_mu_size(q, mu), WORK_GUARD, "|M_mu|")
+    check_guard(m_mu_size(q, mu) * grid, WORK_GUARD, "|M_mu| * l^2")
 
 
 def price_labels(q: int, degree: int):
-    """The trial divisions `verify rsk_bijectivity` makes, once |M_mu| has
-    passed, to list the labels and factor every entry, all of degree at most
-    D = max(mu): each of the q^d monic polynomials of degree d <= D is tried
-    by at most q + ... + q^(d//2) monic divisors."""
+    """The trial divisions `verify rsk_bijectivity` and `dim_identity` make,
+    once |M_mu| has passed, to list the labels and factor every entry, all of
+    degree at most D = max(mu): each of the (q-1) q^(d-1) polynomials of
+    degree 2 <= d <= D is tested as a label and factored as an entry, each
+    pass trying at most ceil(q^e/e) monic irreducibles of each degree
+    e <= d/2 (X among them)."""
     if (degree + degree // 2 + 1) * q.bit_length() > BITS:
         work = math.inf
     else:
-        work = sum(q**d * sum(q**e for e in range(1, d // 2 + 1)) for d in range(1, degree + 1))
-    check_guard(work, WORK_GUARD, "label trial divisions sum_d q^d (q + ... + q^(d/2))")
-
-
-def price_dim_identity(q: int, mu: tuple):
-    check_guard(sum(mu), DIM_N_GUARD, "n")
-    check_guard(q, DIM_Q_GUARD, "q")
+        ceils = [-(-(q**e) // e) for e in range(1, degree // 2 + 1)]  # ceil(q^e/e)
+        work = 2 * (q - 1) * sum(q ** (d - 1) * sum(ceils[: d // 2]) for d in range(2, degree + 1))
+    check_guard(work, WORK_GUARD, "label trial divisions sum_d 2 (q-1) q^(d-1) sum_e ceil(q^e/e)")
 
 
 def price_basis(q: int, n: int):

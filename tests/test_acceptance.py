@@ -211,3 +211,58 @@ def test_hecke_imports_only_the_standard_library():
                 if top != "hecke" and top not in sys.stdlib_module_names:
                     outside.append((path.name, name))
     assert outside == []
+
+
+KEPT_WITHOUT_A_READER = {  # top-level name in src/hecke that nothing there names -> why kept
+    "__all__": "read by `from hecke import *`, not by name",
+    "schur_jacobi_trudi": "public: the tests' entry point and the tracer's hook",
+    "poly_add": "the tests' witness for polynomial arithmetic",
+    "poly_eval": "the tests' witness for polynomial arithmetic",
+    "poly_pow": "the tests' witness for polynomial arithmetic",
+    "monomial_identity": "a test fixture",
+    "identity_matrix": "a test fixture",
+    "insert_column": "the tests' witness for column insertion",
+    "family_from_obj": "reads tableau-family pairs, for the inverse RSK still to come",
+    "weight_space_dims": "Levi weight spaces, for the `verify` job still to come",
+}
+
+
+def _top_level_names(statement) -> set:
+    """The names a top-level statement defines: a def or class, or an
+    assignment's targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        nodes = [node for target in targets for node in ast.walk(target)]
+        return {node.id for node in nodes if isinstance(node, ast.Name)}
+    return set()
+
+
+def _names_read(statement) -> set:
+    """Every name a statement reads: a loaded name, an attribute, an imported
+    name, or a string, which is how the CLI finds each check."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_top_level_name_in_hecke_has_a_reader():
+    # A name defined at the top of a module must be named somewhere in
+    # src/hecke outside its own definition, or be kept on purpose above.
+    sources = sorted((pathlib.Path(__file__).parents[1] / "src" / "hecke").glob("*.py"))
+    defined, read = set(), set()
+    for path in sources:
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            own = _top_level_names(statement)
+            defined |= own
+            read |= _names_read(statement) - own
+    assert defined - read == set(KEPT_WITHOUT_A_READER)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import select
 import shlex
 import subprocess
@@ -400,6 +401,43 @@ def test_readme_command_lines_run(monkeypatch, capsys, line):
         assert json.loads(out)["pass"] is True
 
 
+def readme_guard_examples():
+    """(argv, stdin, estimate) for each "refused, for example" cell of the
+    README guard table, read as "`example`: `estimate`".  The example is a
+    whole command line; or the flags of the first job its row names; or, if
+    it is JSON, the input of that job, run with --p 2, which `map` needs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| job | what is counted | limit | refused, for example |"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    examples = []
+    for row in rows:
+        cells = [cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", row)]
+        cells = cells[1:-1]  # the row's outer pipes
+        if not cells[3]:
+            continue
+        example, estimate = re.fullmatch(r"`([^`]*)`: `([^`]*)`", cells[3]).groups()
+        job = re.findall(r"`([^`]*)`", cells[0])[:1]
+        if example.startswith("{"):
+            argv, stdin = [*job[0].split(), "--p", "2"], example
+        elif example.startswith("--"):
+            argv, stdin = [*job[0].split(), *example.split()], ""
+        else:
+            argv, stdin = example.split(), ""
+        examples.append(pytest.param(argv, stdin, estimate, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv,stdin,estimate", readme_guard_examples())
+def test_readme_guard_examples_are_refused_with_their_estimate(
+    monkeypatch, capsys, argv, stdin, estimate
+):
+    monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert estimate in err
+
+
 # -- map ----------------------------------------------------------------------
 
 
@@ -634,7 +672,7 @@ def test_verify_pieri_single(capsys):
 
 
 def test_verify_guard_exits_3(capsys):
-    code, _, err = run_cli(capsys, "verify", "dim_identity", "--p", "2", "--mu", "6")
+    code, _, err = run_cli(capsys, "verify", "dim_identity", "--p", "2", "--mu", "1,1,1,1,1,1,1,1")
     assert code == 3
     assert "guard" in err
 
@@ -652,7 +690,7 @@ def test_bijection_guard_exits_3_before_any_enumeration(monkeypatch, capsys, mu,
     code, out, err = run_cli(capsys, "verify", "bijection", "--p", "2", "--mu", mu)
     assert code == 3
     assert out == ""
-    assert f"|M_mu| = {estimate} exceeds the guard (1000000)" in err
+    assert f"|M_mu| * l^2 = {estimate} exceeds the guard (1000000)" in err
 
 
 @pytest.mark.parametrize("mu", ["10", "4,4,3"])
@@ -738,7 +776,7 @@ def test_rsk_bijectivity_guard_exits_3_before_any_enumeration(monkeypatch, capsy
     code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", "21")
     assert code == 3
     assert out == ""
-    assert "|M_mu| = 1048576 exceeds the guard (1000000)" in err
+    assert "|M_mu| * l^2 = 1048576 exceeds the guard (1000000)" in err
 
 
 def test_rsk_bijectivity_guard_counts_ten_parts_by_rows(monkeypatch, capsys):
@@ -755,7 +793,7 @@ def test_rsk_bijectivity_guard_counts_ten_parts_by_rows(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", mu)
     assert code == 3
     assert out == ""
-    assert "|M_mu| = 3628800 exceeds the guard (1000000)" in err
+    assert "|M_mu| * l^2 = 362880000 exceeds the guard (1000000)" in err  # 10! * 10^2
 
 
 def test_rsk_bijectivity_guard_counts_sixteen_parts_at_once(monkeypatch, capsys):
@@ -774,21 +812,26 @@ def test_rsk_bijectivity_guard_counts_sixteen_parts_at_once(monkeypatch, capsys)
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    assert "|M_mu| = 20922789888000 exceeds the guard (1000000)" in err
+    assert "|M_mu| * l^2 = 5356234211328000 exceeds the guard (1000000)" in err  # 16! * 16^2
 
 
 @pytest.mark.parametrize(
     "p,mu,message",
     [
-        # one part or every part 1: the bound is |M_mu| = 300! (q-1)^300
-        ("2", ",".join(["1"] * 300), f"|M_mu| = {math.factorial(300)} exceeds"),
-        # 3! degree matrices permute the parts, each with (2^499)^3 fillings
-        ("2", "500,500,500", f"|M_mu| >= prod_k m_k! prod_i (q-1) q^(mu_i-1) = {6 * 2**1497} "),
+        # one part or every part 1: the bound is |M_mu| l^2 = 300! (q-1)^300 300^2
+        ("2", ",".join(["1"] * 300), f"|M_mu| * l^2 = {math.factorial(300) * 300**2} exceeds"),
+        # 3! degree matrices permute the parts, each with (2^499)^3 fillings of 3^2 entries
+        (
+            "2",
+            "500,500,500",
+            "|M_mu| * l^2 >= l^2 prod_k m_k! prod_i (q-1) q^(mu_i-1) ="
+            f" {3**2 * 6 * 2**1497} ",
+        ),
         # 1020 * 1021^99999 has over 4096 bits
-        ("1021", "100000", "|M_mu| = inf exceeds the guard (1000000)"),
+        ("1021", "100000", "|M_mu| * l^2 = inf exceeds the guard (1000000)"),
         # 2 * 3^2583 has 4095 bits and 2 * 3^2584 has 4097
-        ("3", "2584", f"|M_mu| = {2 * 3**2583} exceeds"),
-        ("3", "2585", "|M_mu| = inf exceeds"),
+        ("3", "2584", f"|M_mu| * l^2 = {2 * 3**2583} exceeds"),
+        ("3", "2585", "|M_mu| * l^2 = inf exceeds"),
     ],
     ids=["ones300", "three500", "p1021", "bits4095", "bits4097"],
 )
@@ -831,23 +874,29 @@ def test_field_guard_exits_3_before_any_table(monkeypatch, capsys, field):
 
 
 GUARD_REFUSALS = {  # verify arguments -> message: one size over each guarded driver's guard
-    "bijection --p 1021 --mu 3": "|M_mu| = 1063289820 exceeds the guard (1000000)",
-    "rsk_bijectivity --p 1021 --mu 100000": "|M_mu| = inf exceeds the guard (1000000)",
+    "bijection --p 1021 --mu 3": "|M_mu| * l^2 = 1063289820 exceeds the guard (1000000)",
+    "bijection --p 2 --mu 1,1,1,1,1,1,1,1,1": "|M_mu| * l^2 = 29393280 exceeds the guard (1000000)",
+    # the lower bound, 5! 2^5 6^2 = 138240, passes; the row-by-row count does not
+    "bijection --p 2 --mu 2,2,2,2,2,1": "|M_mu| * l^2 = 5336280 exceeds the guard (1000000)",
+    "rsk_bijectivity --p 2 --mu 1,1,1,1,1,1,1,1,1": "|M_mu| * l^2 = 29393280 exceeds the guard (1000000)",
+    "rsk_bijectivity --p 1021 --mu 100000": "|M_mu| * l^2 = inf exceeds the guard (1000000)",
     **{  # |M_mu| admits these; the trial divisions that list and factor the labels do not
-        f"rsk_bijectivity --p {p} --mu {d}": (
-            f"label trial divisions sum_d q^d (q + ... + q^(d/2)) = {work} exceeds the guard"
-            " (1000000)"
+        f"{check} --p {p} --mu {d}": (
+            "label trial divisions sum_d 2 (q-1) q^(d-1) sum_e ceil(q^e/e) ="
+            f" {work} exceeds the guard (1000000)"
         )
-        for p, d, work in [
-            (31, 4, 917086144),
-            (13, 5, 72804186),
-            (7, 6, 48020343),
-            (2, 16, 47672760),
-            (11, 4, 1948584),
+        for check, p, d, work in [
+            ("rsk_bijectivity", 31, 4, 917024640),
+            ("rsk_bijectivity", 13, 5, 72399600),
+            ("rsk_bijectivity", 7, 6, 30705948),
+            ("rsk_bijectivity", 2, 16, 8023832),
+            ("rsk_bijectivity", 11, 4, 1945680),
+            ("rsk_bijectivity", 31, 3, 1845120),
+            ("rsk_bijectivity", 29, 3, 1412880),
+            ("dim_identity", 31, 4, 917024640),
         ]
     },
-    "dim_identity --p 1021 --mu 1": "q = 1021 exceeds the guard (4)",
-    "dim_identity --p 2 --mu 6": "n = 6 exceeds the guard (5)",
+    "dim_identity --p 2 --mu 1,1,1,1,1,1,1,1": "|M_mu| * l^2 = 2580480 exceeds the guard (1000000)",
     "basis --p 1021 --mu 3": "|U| = 1064332261 exceeds the guard (4096)",
     "basis --p 2 --mu 3,2": (
         "group products (|N| + 1) * |U|^2 = 126877696 exceeds the guard (1000000)"
@@ -912,12 +961,14 @@ def test_rsk_bijectivity_prices_its_labels_before_listing_them(monkeypatch, caps
     from hecke import gf, rsk
 
     def refuse(*args):
-        raise AssertionError("the labels or M_mu were listed before the guard")
+        raise AssertionError("the labels, M_mu or N_mu were listed before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(gf, "_irreducibles_through", refuse)
     monkeypatch.setattr(rsk, "_irreducibles_through", refuse)
     monkeypatch.setattr(rsk, "enumerate_m_mu", refuse)
+    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu"):  # dim_identity's listings
+        monkeypatch.setattr(hecke_index, name, refuse)
     code, out, err = run_cli(capsys, "verify", *line.split())
     assert (code, out, err) == (3, "", f"guard exceeded: {GUARD_REFUSALS[line]}\n")
 
@@ -939,8 +990,8 @@ def test_guard_override_admits_the_label_stream(monkeypatch):
 
 @pytest.mark.parametrize(
     "q,mu",
-    [(3, (2, 2, 1)), (5, (2, 2)), (31, (3,)), (3, (8,)), (2, (12,)), (17, (3,)), (7, (4,))],
-    ids=["3-221", "5-22", "31-3", "3-8", "2-12", "17-3", "7-4"],
+    [(3, (2, 2, 1)), (5, (2, 2)), (3, (8,)), (2, (12,)), (2, (13,)), (17, (3,)), (7, (4,))],
+    ids=["3-221", "5-22", "3-8", "2-12", "2-13", "17-3", "7-4"],
 )
 def test_label_price_admits_the_sizes_that_run(monkeypatch, q, mu):
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
@@ -953,7 +1004,11 @@ def test_rsk_bijectivity_refuses_over_f1021_at_once(monkeypatch, capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "1021", "--mu", "100000")
     assert time.perf_counter() - start < 0.5
-    assert (code, out, err) == (3, "", "guard exceeded: |M_mu| = inf exceeds the guard (1000000)\n")
+    assert (code, out, err) == (
+        3,
+        "",
+        "guard exceeded: |M_mu| * l^2 = inf exceeds the guard (1000000)\n",
+    )
 
 
 def test_coset_guard_exits_3_not_a_counterexample(monkeypatch, capsys):
@@ -1036,19 +1091,29 @@ def test_guard_override_admits_oracle_work(monkeypatch, argv):
         main(list(argv))
 
 
+def price_m_mu_and_labels(q, mu):
+    guards.price_m_mu(q, mu)
+    guards.price_labels(q, max(mu))
+
+
 PRICES = {  # verify check -> its price, called on q and the parsed --mu or --n
     "bijection": guards.price_m_mu,
-    "rsk_bijectivity": lambda q, mu: (guards.price_m_mu(q, mu), guards.price_labels(q, max(mu))),
-    "dim_identity": guards.price_dim_identity,
+    "rsk_bijectivity": price_m_mu_and_labels,
+    "dim_identity": price_m_mu_and_labels,
     "basis": lambda q, mu: guards.price_basis(q, sum(mu)),
     "levi": lambda q, mu: guards.price_bruhat(q, [(m,) for m in mu] + [mu]),
     "commutativity": lambda q, n: guards.price_bruhat(q, [(n,)]),
     "cosets": guards.u_order,  # enumerate_gl then checks |GL_n(F_q)| at its call
 }
 
-PRICE_REFUSALS = {  # every GUARD_REFUSALS and ORACLE_REFUSALS line -> its whole message
+PRICE_REFUSALS = {  # every GUARD_REFUSALS and ORACLE_REFUSALS line, and more -> its whole message
     **GUARD_REFUSALS,
     "levi --p 2 --mu 100000": "|U| = inf exceeds the guard (4096)",
+    # built from --p 3 --k 3, F_27 tests its modulus over F_3's tables before any check
+    "rsk_bijectivity --p 3 --k 3 --mu 3": (
+        "label trial divisions sum_d 2 (q-1) q^(d-1) sum_e ceil(q^e/e) = 1061424 exceeds the"
+        " guard (1000000)"
+    ),
 }
 
 

@@ -17,6 +17,7 @@ from hecke.decomp import (
 )
 from hecke.gf import Field
 from hecke.guards import GuardExceeded, pieri_work
+from hecke.hecke_index import m_mu_size
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import (
     conjugate,
@@ -142,10 +143,24 @@ def test_dim_identity_fails_on_a_wrong_closed_form(monkeypatch):
 
 
 def test_dim_identity_guard():
-    with pytest.raises(GuardExceeded):
-        dim_identity_check(F2, (6,))
-    with pytest.raises(GuardExceeded):
-        dim_identity_check(Field(5), (2,))
+    with pytest.raises(GuardExceeded, match="M_mu"):  # 8! grids of 8 x 8 entries
+        dim_identity_check(F2, (1,) * 8)
+    with pytest.raises(GuardExceeded, match="label"):
+        dim_identity_check(Field(31), (4,))
+
+
+@pytest.mark.parametrize(
+    "q,mu",
+    [(2, (6,)), (2, (3, 3)), (2, (4, 4)), (3, (3, 3)), (5, (3,)), (7, (2,))],
+    ids=["2-6", "2-33", "2-44", "3-33", "5-3", "7-2"],
+)
+def test_dim_identity_past_the_old_fixed_limits(q, mu):
+    # Each was refused while dim_identity had the limits n <= 5 and q <= 4.
+    report = dim_identity_check(Field(q), mu)
+    keys = ("n_mu_count", "m_mu_count", "m_mu_closed_form", "sum_of_squares")
+    counts = [report[key] for key in keys]
+    assert counts == [m_mu_size(q, mu)] * 4
+    assert report["pass"]
 
 
 # -- Levi weight spaces --------------------------------------------------------------
