@@ -626,24 +626,29 @@ def double_coset_reps(K: Field, n: int) -> list:
     """Confirms G = union of UvU over monomial v, returning (v, |UvU|) pairs.
 
     The cosets come from _double_cosets and are checked disjoint as their
-    union `seen` grows.  G comes from enumerate_gl, which builds it
-    independently and streams it as codes: each g is removed from `seen`, so
-    a g missing or repeated, or a code in `seen` left over, means the
-    cosets do not cover G.  The check holds one set of |G| codes.
+    union is marked in `seen`, one byte per matrix code.  G comes from
+    enumerate_gl, which builds it independently and streams it as codes:
+    each g is unmarked, so a g missing or repeated, a mark left over, or a
+    code outside [0, q^(n^2)) on either side means the cosets do not cover
+    G.  The check holds q^(n^2) < 3.47 |G| bytes of marks, allocated after
+    enumerate_gl's guard, and the one coset set being built.
     """
-    G = enumerate_gl(K, n)
-    seen: set = set()
+    G, size = enumerate_gl(K, n), K.q ** (n * n)
+    seen = bytearray(size)
     out = []
     for v, coset in _double_cosets(K, n):
-        if not seen.isdisjoint(coset):
-            raise CosetError("double cosets are not disjoint")
-        seen |= coset
+        for c in coset:
+            if not 0 <= c < size:  # a negative code would wrap into seen
+                raise CosetError("double cosets do not cover the group")
+            if seen[c]:
+                raise CosetError("double cosets are not disjoint")
+            seen[c] = 1
         out.append((v, len(coset)))
     for g in G:
-        if g not in seen:
+        if not (0 <= g < size and seen[g]):
             raise CosetError("double cosets do not cover the group")
-        seen.remove(g)
-    if seen:
+        seen[g] = 0
+    if 1 in seen:
         raise CosetError("double cosets do not cover the group")
     return out
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -611,8 +612,10 @@ def test_double_coset_reps_checks_each_group_once_before_building(monkeypatch):
         lambda G: itertools.chain(G, [next(enumerate_gl(F2, 3))]),
         lambda G: itertools.islice(G, 1, None),
         lambda G: itertools.chain(G, [0b110_110_001]),  # rows (1,1,0), (1,1,0), (0,0,1)
+        lambda G: itertools.chain(G, [2**9]),  # q^(n^2): one past the last code
+        lambda G: itertools.chain([next(G) - 2**9], G),  # an alias that indexing would wrap
     ],
-    ids=["repeated", "dropped", "singular"],
+    ids=["repeated", "dropped", "singular", "too-large", "negative-alias"],
 )
 def test_double_coset_reps_refuses_a_wrong_group(monkeypatch, change):
     from hecke import oracle
@@ -640,6 +643,46 @@ def test_double_coset_reps_refuses_overlapping_cosets(monkeypatch):
     monkeypatch.setattr(oracle, "_double_cosets", overlapping)
     with pytest.raises(CosetError, match="not disjoint"):
         double_coset_reps(F2, 3)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda coset: coset | {2**9},  # q^(n^2): one past the last code
+        lambda coset: (coset - {min(coset)}) | {min(coset) - 2**9},  # an alias that would wrap
+    ],
+    ids=["too-large", "negative-alias"],
+)
+def test_double_coset_reps_refuses_a_coset_code_out_of_range(monkeypatch, change):
+    from hecke import oracle
+
+    double_cosets = oracle._double_cosets
+
+    def stray(K, n):
+        cosets = double_cosets(K, n)
+        v, coset = next(cosets)
+        yield v, change(coset)
+        yield from cosets
+
+    monkeypatch.setattr(oracle, "_double_cosets", stray)
+    with pytest.raises(CosetError, match="do not cover the group"):
+        double_coset_reps(F2, 3)
+
+
+@pytest.mark.parametrize("K,n,bound", [(F3, 3, 0.5e6), (F4, 3, 2e6)], ids=["3-3", "4-3"])
+def test_double_coset_reps_memory_is_a_byte_per_matrix_code(K, n, bound):
+    # The marks take q^(n^2) bytes, 19683 at (F_3, 3) and 262144 at (F_4, 3),
+    # and the largest coset set about 0.1 and 0.5 MB more.  The bounds sit
+    # well below a set of the |G| codes (11232 and 181440 of them), which
+    # takes about 1.1 and 17.5 MB there.
+    K._add, _vector_codes(K, n)  # the field's and the codes' tables are cached
+    tracemalloc.start()
+    try:
+        double_coset_reps(K, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # -- guards ---------------------------------------------------------------------------
