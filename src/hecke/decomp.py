@@ -20,7 +20,7 @@ import itertools
 from functools import lru_cache
 
 from hecke.gf import Field, format_poly, poly_deg
-from hecke.guards import price_labels, price_m_mu, price_pieri
+from hecke.prices import price_labels, price_m_mu, price_pieri
 from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
@@ -56,7 +56,8 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
     m_mu_size, and the sum of squared filling counts; priced as rsk_bijectivity."""
     price_m_mu(K.q, mu)
     price_labels(K.q, max(mu))
-    from hecke.hecke_index import enumerate_m_mu, enumerate_pattern_n_mu, m_mu_size
+    from hecke.bijection import enumerate_pattern_n_mu
+    from hecke.hecke_index import enumerate_m_mu, m_mu_size
     mu = tuple(mu)
     n_mu_count = sum(1 for _ in enumerate_pattern_n_mu(K, mu))
     m_mu_count = sum(1 for _ in enumerate_m_mu(K, mu))
@@ -215,7 +216,7 @@ def schur_jacobi_trudi(nu: tuple, m: int) -> dict:
 
 def check_pieri_input(nu: tuple, n: int, m: int):
     """Refuse a Pieri case before any work: ValueError for malformed input,
-    then its price, guards.price_pieri."""
+    then its price, prices.price_pieri."""
     check_partition(nu)
     if n < 0:
         raise ValueError(f"the added row must have nonnegative length, not {n}")

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from functools import lru_cache
 
-from hecke.guards import BITS, DEGREE_GUARD, FIELD_GUARD, check_guard
+from hecke.guards import BITS, FIELD_GUARD, check_guard
 
 Poly = tuple  # tuple of element codes, lowest degree first
 
@@ -57,11 +56,12 @@ class Field:
     """The finite field F_q, q = p**k, with operation tables built on first use.
 
     Construction checks p >= 2 and k >= 1 (ValueError), the size guard, then
-    p prime (ValueError), and finds the modulus; the q-by-q tables are built
-    the first time an operation reads one, so a guard that reads only q runs
+    p prime (ValueError).  The modulus and the q-by-q tables are made the
+    first time an operation reads one, so a guard that reads only q runs
     before them.  For k > 1 the modulus is canonical: the lexicographically
     smallest monic irreducible of degree k over F_p (coefficient tuples
-    compared low degree first).  Desk scale only: q is guarded.
+    compared low degree first), so (p, k) alone says which field it is.
+    Desk scale only: q is guarded.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -76,13 +76,14 @@ class Field:
         self.p = p
         self.k = k
         self.q = q
-        self.modulus = None if k == 1 else _smallest_irreducible(p, k)
-        self._hash = hash((p, k, self.modulus))  # every cache keyed by K reads it
+        if k == 1:
+            self.modulus = None  # an extension field finds its modulus with its tables
+        self._hash = hash((p, k))  # every cache keyed by K reads it
 
     def __getattr__(self, name):
-        # Runs only while `name` is unset: the first read of a table builds
-        # them all, and later reads find them in the instance.
-        if name not in ("_add", "_mul", "_neg", "_inv", "_trace"):
+        # Runs only while `name` is unset: the first read of the modulus or
+        # a table makes them all, and later reads find them in the instance.
+        if name not in ("modulus", "_add", "_mul", "_neg", "_inv", "_trace"):
             raise AttributeError(f"'Field' object has no attribute {name!r}")
         self._build_tables()
         return vars(self)[name]
@@ -94,6 +95,7 @@ class Field:
             self._mul = [tuple((a * b) % p for b in range(q)) for a in range(q)]
             self._neg = tuple(-a % p for a in range(q))
         else:
+            self.modulus = _smallest_irreducible(p, k)
             coords = [self.coords(a) for a in range(q)]
             self._add = [
                 tuple(
@@ -174,10 +176,7 @@ class Field:
         return range(1, self.q)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
+        return isinstance(other, Field) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
         return self._hash
@@ -356,68 +355,19 @@ def factorize(K: Field, f: Poly) -> tuple:
     return unit, tuple(factors)
 
 
-# -- JSON and text format ------------------------------------------------------
+# -- text format ---------------------------------------------------------------
 #
-# A field element is its code for prime fields and its coordinate vector
-# "[c0,c1,...]" for extension fields; either form is read back.  Polynomial
-# terms "c*X^d" are joined by "+", lowest degree first: X^3 + X + 1 over F_2
-# prints as "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".  The
-# term pattern is compiled by re on its first use (and cached there), not at
-# import: only parse_poly reads it.
-
-_TERM_RE = r"^\s*(?P<coeff>\[[^\]]*\]|\d+)?\s*\*?\s*(?P<var>X(\^(?P<deg>\d+))?)?\s*$"
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def element_to_obj(K: Field, a: int):
-    return a if K.k == 1 else list(K.coords(a))
-
-
-def element_from_obj(K: Field, obj) -> int:
-    if _is_int(obj) and 0 <= obj < K.q:
-        return obj
-    if isinstance(obj, list) and len(obj) <= K.k and all(_is_int(c) and 0 <= c < K.p for c in obj):
-        return K.from_coords(tuple(obj) + (0,) * (K.k - len(obj)))
-    raise ValueError(
-        f"field element {obj!r} is neither an integer below q = {K.q} nor at most"
-        f" k = {K.k} coordinates below p = {K.p}"
-    )
+# A field element prints as its code for prime fields and as its coordinate
+# vector "[c0,c1,...]" for extension fields.  Polynomial terms "c*X^d" are
+# joined by "+", lowest degree first: X^3 + X + 1 over F_2 prints as
+# "1+1*X^1+1*X^3".  hecke.records reads both forms back.
 
 
 def format_coeff(K: Field, a: int) -> str:
-    return str(element_to_obj(K, a)).replace(" ", "")
-
-
-def parse_coeff(K: Field, s: str) -> int:
-    s = s.strip()
-    if not s.startswith("["):
-        return element_from_obj(K, int(s))
-    return element_from_obj(K, [int(t) for t in s[1:-1].split(",")] if s[1:-1].strip() else [])
+    return str(a if K.k == 1 else list(K.coords(a))).replace(" ", "")
 
 
 @lru_cache(maxsize=None)
 def format_poly(K: Field, f: Poly) -> str:
     terms = [format_coeff(K, c) + (f"*X^{d}" if d else "") for d, c in enumerate(f) if c]
     return "+".join(terms) if terms else "0"
-
-
-def parse_poly(K: Field, s: str) -> Poly:
-    s = s.strip()
-    if s == "0":
-        return ()
-    coeffs: dict = {}
-    for term in s.split("+"):
-        m = re.match(_TERM_RE, term)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"cannot parse polynomial term {term!r}")
-        c = 1 if m.group("coeff") is None else parse_coeff(K, m.group("coeff"))
-        d = 0 if m.group("var") is None else int(m.group("deg") or 1)
-        coeffs[d] = K.add(coeffs.get(d, 0), c)
-    check_guard(max(coeffs), DEGREE_GUARD, "polynomial degree")
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return poly_trim(out)

@@ -4,8 +4,10 @@ A monomial matrix is stored column by column: perm[c] is the (0-based) row
 of the unique nonzero entry in column c and entries[c] is that entry's
 field code.  A polynomial matrix in M_mu is an l-by-l grid of monic
 polynomials with nonzero constant terms whose degree row sums and degree
-column sums both equal mu.  Only polymatrix_from_obj, which reads outside
-data, checks that; every function given a PolyMatrix relies on its caller.
+column sums both equal mu.  Only hecke.records, which reads outside data,
+checks that; every function given a PolyMatrix relies on its caller.  The
+exhaustive witnesses of the bijection, and the matrix helpers of the literal
+membership test, are in hecke.bijection.
 """
 
 from __future__ import annotations
@@ -16,19 +18,8 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from hecke.gf import (
-    Field,
-    Poly,
-    _is_int,
-    element_from_obj,
-    element_to_obj,
-    enumerate_monic_units,
-    format_poly,
-    is_monic,
-    parse_poly,
-    poly_deg,
-)
-from hecke.guards import MembershipError, price_m_mu, u_order
+from hecke.gf import Field, Poly, enumerate_monic_units, format_poly, is_monic, poly_deg
+from hecke.guards import MembershipError, u_order
 from hecke.shapes import boundary_set, weak_compositions
 
 
@@ -48,23 +39,6 @@ class PolyMatrix(NamedTuple):
 
 def monomial_identity(n: int) -> MonomialMatrix:
     return MonomialMatrix(tuple(range(n)), (1,) * n)
-
-
-def validate_m_mu(K: Field, a: PolyMatrix) -> PolyMatrix:
-    """a itself, or MembershipError if the l-by-l grid a is not in M_mu."""
-    for f in itertools.chain(*a.entries):
-        if not is_monic(f) or f[0] == 0:
-            raise MembershipError(
-                f"entry {format_poly(K, f)} is not monic with nonzero constant term"
-            )
-    d = tuple(tuple(poly_deg(f) for f in row) for row in a.entries)
-    row_sums = tuple(sum(row) for row in d)
-    col_sums = tuple(sum(col) for col in zip(*d))
-    if row_sums != tuple(a.mu) or col_sums != tuple(a.mu):
-        raise MembershipError(
-            f"degree sums {row_sums} / {col_sums} do not both equal mu = {a.mu}"
-        )
-    return a
 
 
 # -- the map f -> v_(f) on 1x1 blocks ----------------------------------------
@@ -242,16 +216,16 @@ def is_in_n_mu_fast(v: MonomialMatrix, mu: tuple) -> bool:
 def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
     """Literal membership check: conjugation by v preserves psi_mu wherever
     it stays inside U.  Iterates over all of U; ground-truth oracle only."""
-    from hecke import oracle
+    from hecke import bijection, oracle
 
     n = v.n
     u_order(K.q, n)
-    vm = oracle.monomial_to_matrix(K, v)
-    vinv = oracle.mat_inv(K, vm)
+    vm = bijection.monomial_to_matrix(K, v)
+    vinv = bijection.mat_inv(K, vm)
     for u in oracle.enumerate_u(K, n):
         w = oracle.mat_mul(K, oracle.mat_mul(K, vm, u), vinv)
-        if oracle.is_unipotent_upper(w):
-            if oracle.psi_mu_eval(K, u, mu) != oracle.psi_mu_eval(K, w, mu):
+        if bijection.is_unipotent_upper(w):
+            if bijection.psi_mu_eval(K, u, mu) != bijection.psi_mu_eval(K, w, mu):
                 return False
     return True
 
@@ -333,47 +307,6 @@ def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
             yield MonomialMatrix(perm, entries)
 
 
-def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
-    """Stream the monomial matrices that pass the pattern test, in the order
-    of enumerate_n: units are chosen freely on the columns not tied to the
-    one before and copied along the ties.
-
-    Only the permutations that pass are reached, by a depth-first walk in
-    lexicographic order that cuts a prefix as soon as a column fails (Knuth,
-    TAOCP 4A, 7.2.1.2, Algorithm X): column c is decided by _column_rule
-    when perm[c+1] is placed, or at once when c is in E.  The work is
-    |N_mu| = |M_mu| plus the prefixes cut, never n!."""
-    n, ends = sum(mu), _block_ends(mu)
-    perm = [0] * n
-
-    def extend(k: int, placed: int, copies: tuple):
-        if k == n:
-            done = tuple(perm)
-            for units in itertools.product(K.units(), repeat=n - len(copies)):
-                free = iter(units)
-                entries = []
-                for c in range(n):
-                    entries.append(entries[-1] if c in copies else next(free))
-                yield MonomialMatrix(done, tuple(entries))
-            return
-        for x in range(n):
-            if placed >> x & 1:
-                continue
-            now, tied = placed | 1 << x, copies
-            if k and not ends >> (k - 1) & 1:  # column k-1 waited for perm[k]
-                tie = _column_rule(ends, k - 1, perm[k - 1], x, placed)
-                if tie is None:
-                    continue
-                if tie:
-                    tied = copies + (k,)
-            if ends >> k & 1 and _column_rule(ends, k, x, None, now) is None:
-                continue
-            perm[k] = x
-            yield from extend(k + 1, now, tied)
-
-    yield from extend(0, 0, ())
-
-
 def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
     """Stream the basis index set N_mu in the canonical order inherited from
     M_mu: each v_a joins, in column order, sub-blocks that walk_m_mu has
@@ -384,103 +317,13 @@ def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
             yield MonomialMatrix(sum(perms, ()), sum(entries, ()))
 
 
-def bijection_check(K: Field, mu: tuple) -> dict:
-    """Exhaustive verification that a -> v_a maps M_mu bijectively onto the
-    monomial matrices passing the pattern test, with exact roundtrips.  The
-    image is compared with enumerate_pattern_n_mu, which never calls
-    v_of_matrix, so it is an independent witness for surjectivity.  Each
-    side has |M_mu| elements, which guards.price_m_mu prices before anything
-    is enumerated.  Where |U| <= 27 the fast test is also compared with the
-    literal definition over all of U, on every monomial matrix."""
-    price_m_mu(K.q, mu)
-    mu = tuple(mu)
-    n = sum(mu)
-    image, count = set(), 0
-    roundtrip_ok = membership_ok = True
-    for a in enumerate_m_mu(K, mu):
-        v = v_of_matrix(K, a)
-        membership_ok = membership_ok and is_in_n_mu_fast(v, mu)
-        # v = v_of_matrix(a), so _decode(v) == a is also matrix_of_v's gate.
-        roundtrip_ok = roundtrip_ok and _decode(v, mu) == a
-        image.add(v)
-        count += 1
-    injective = len(image) == count
-    filtered = set(enumerate_pattern_n_mu(K, mu))
-    surjective = image == filtered
-    direct_checked = K.q ** (n * (n - 1) // 2) <= 3**3
-    direct_ok = True
-    if direct_checked:
-        for v in enumerate_n(K, n):
-            if is_in_n_mu_fast(v, mu) != is_in_n_mu_direct(K, v, mu):
-                direct_ok = False
-                break
-    return {
-        "check": "bijection",
-        "q": K.q,
-        "mu": list(mu),
-        "m_mu_count": count,
-        "n_mu_count": len(filtered),
-        "membership_ok": membership_ok,
-        "roundtrip_ok": roundtrip_ok,
-        "injective": injective,
-        "image_equals_filter": surjective,
-        "direct_test_checked": direct_checked,
-        "direct_test_ok": direct_ok,
-        "pass": membership_ok and roundtrip_ok and injective and surjective and direct_ok,
-    }
-
-
 # -- serialization --------------------------------------------------------------
 
 
 def monomial_to_obj(K: Field, v: MonomialMatrix) -> dict:
+    """v as `map a_to_v` and the verify reports print it: 1-based rows, and
+    each entry as its code, or its coordinates when k > 1."""
     return {
         "perm": [r + 1 for r in v.perm],
-        "entries": [element_to_obj(K, e) for e in v.entries],
+        "entries": [e if K.k == 1 else list(K.coords(e)) for e in v.entries],
     }
-
-
-def monomial_from_obj(K: Field, obj: dict) -> MonomialMatrix:
-    if not (
-        isinstance(obj, dict)
-        and isinstance(obj.get("perm"), list)
-        and isinstance(obj.get("entries"), list)
-        and all(_is_int(r) for r in obj["perm"])
-    ):
-        raise ValueError('a monomial matrix is {"perm": [integers], "entries": [entries]}')
-    perm = tuple(r - 1 for r in obj["perm"])
-    entries = tuple(element_from_obj(K, e) for e in obj["entries"])
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("perm is not a permutation")
-    if len(entries) != len(perm) or any(e == 0 for e in entries):
-        raise ValueError("entries must be nonzero, one per column")
-    return MonomialMatrix(perm, entries)
-
-
-def polymatrix_to_obj(K: Field, a: PolyMatrix) -> dict:
-    return {
-        "mu": list(a.mu),
-        "entries": [[format_poly(K, f) for f in row] for row in a.entries],
-    }
-
-
-def polymatrix_from_obj(K: Field, obj: dict) -> PolyMatrix:
-    if not (
-        isinstance(obj, dict)
-        and isinstance(obj.get("mu"), list)
-        and isinstance(obj.get("entries"), list)
-        and obj["mu"]
-        and all(_is_int(part) and part >= 1 for part in obj["mu"])
-        and all(
-            isinstance(row, list) and all(isinstance(f, str) for f in row)
-            for row in obj["entries"]
-        )
-    ):
-        raise ValueError(
-            'a polynomial matrix is {"mu": [positive integers], "entries": [[polynomial strings]]}'
-        )
-    mu = tuple(obj["mu"])
-    if len(obj["entries"]) != len(mu) or any(len(row) != len(mu) for row in obj["entries"]):
-        raise ValueError(f"entries must be a {len(mu)}-by-{len(mu)} grid, one row per part of mu")
-    grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])
-    return validate_m_mu(K, PolyMatrix(grid, mu))

@@ -23,7 +23,7 @@ T_w = 0 for w outside N_mu and psi(y)^-1 = zeta^-e for the exponent e of
 y in `_u_psi`; the commutativity and Levi checks read its tables.  The
 tests compare these paths with the convolution wherever it reaches.
 
-Each check opens with its price from hecke.guards, before e_mu, U, G or a
+Each check opens with its price from hecke.prices, before e_mu, U, G or a
 code table is built; `_u_psi` and `enumerate_gl` also refuse |U| and
 |GL_n(F_q)| over their guards there.
 """
@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hecke.gf import Field, enumerate_monic_units
-from hecke.guards import G_GUARD, check_guard, gl_order, price_basis, price_bruhat, u_order
+from hecke.guards import G_GUARD, check_guard, gl_order, u_order
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
@@ -48,6 +48,7 @@ from hecke.hecke_index import (
     monomial_to_obj,
     v_of_matrix,
 )
+from hecke.prices import price_basis, price_bruhat
 from hecke.shapes import boundary_set
 
 
@@ -155,38 +156,6 @@ def mat_mul(K: Field, A: tuple, B: tuple) -> tuple:
     return tuple(out)
 
 
-def mat_inv(K: Field, A: tuple) -> tuple:
-    n = len(A)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = K.inv(work[col][col])
-        work[col] = [K.mul(inv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [K.sub(x, K.mul(c, y)) for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def is_unipotent_upper(A: tuple) -> bool:
-    n = len(A)
-    return all(A[i][i] == 1 for i in range(n)) and all(
-        A[i][j] == 0 for i in range(n) for j in range(i)
-    )
-
-
-def monomial_to_matrix(K: Field, v: MonomialMatrix) -> tuple:
-    n = v.n
-    rows = [[0] * n for _ in range(n)]
-    for c in range(n):
-        rows[v.perm[c]][c] = v.entries[c]
-    return tuple(tuple(r) for r in rows)
-
-
 def enumerate_u(K: Field, n: int) -> list:
     """All unipotent upper-triangular matrices, |U| = q^(n(n-1)/2): the
     product of the rows, row i being e_i followed by any tail."""
@@ -268,14 +237,6 @@ def _psi_exponent(K: Field, u: tuple, cols: frozenset) -> int:
     """psi_mu(u) = zeta_p ** exponent: the traces of the superdiagonal
     entries (j-1, j) of u over the columns j of _psi_columns(mu)."""
     return sum(K.trace(u[j - 1][j]) for j in cols)
-
-
-def psi_mu_eval(K: Field, u: tuple, mu: tuple) -> Cyclotomic:
-    """psi_mu(u): the product of psi over the superdiagonal entries at rows
-    not in the boundary set of mu."""
-    if not is_unipotent_upper(u):
-        raise ValueError("psi_mu is only defined on unipotent upper-triangular matrices")
-    return Cyclotomic.root_power(K.p, _psi_exponent(K, u, _psi_columns(mu)))
 
 
 class AlgebraElement:

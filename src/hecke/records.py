@@ -1,0 +1,359 @@
+"""The records of `enum` and `map`: their text and JSON forms, the writer,
+and the two commands, which the CLI loads only for an `enum` or `map` job.
+
+A field element is its code for prime fields and its coordinate vector
+"[c0,c1,...]" for extension fields; either form is read back.  Polynomials
+print as gf.format_poly prints them, lowest degree first: X^3 + X + 1 over
+F_2 is "1+1*X^1+1*X^3".  Parsing accepts omitted "*" and "^1".  The term
+pattern is compiled by re on its first use (and cached there), not at
+import: only parse_poly reads it.  A polynomial matrix is read through
+validate_m_mu, the one place outside data is checked to lie in M_mu.
+
+`enum` streams: the first record is written and flushed alone as soon as
+the enumeration yields it; the rest go out in blocks of BLOCK records, one
+write call each, and the last block carries the count footer.  A driver
+imports hecke_index or rsk when it runs, as the CLI has already done for
+its job.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import re
+import sys
+
+from hecke.gf import (
+    Field,
+    Poly,
+    enumerate_irreducibles,
+    format_poly,
+    is_monic,
+    poly_deg,
+    poly_key,
+    poly_trim,
+)
+from hecke.guards import DEGREE_GUARD, MembershipError, check_guard
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
+
+
+# -- field elements and polynomials ----------------------------------------------
+
+_TERM_RE = r"^\s*(?P<coeff>\[[^\]]*\]|\d+)?\s*\*?\s*(?P<var>X(\^(?P<deg>\d+))?)?\s*$"
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def element_to_obj(K: Field, a: int):
+    return a if K.k == 1 else list(K.coords(a))
+
+
+def element_from_obj(K: Field, obj) -> int:
+    if _is_int(obj) and 0 <= obj < K.q:
+        return obj
+    if isinstance(obj, list) and len(obj) <= K.k and all(_is_int(c) and 0 <= c < K.p for c in obj):
+        return K.from_coords(tuple(obj) + (0,) * (K.k - len(obj)))
+    raise ValueError(
+        f"field element {obj!r} is neither an integer below q = {K.q} nor at most"
+        f" k = {K.k} coordinates below p = {K.p}"
+    )
+
+
+def parse_coeff(K: Field, s: str) -> int:
+    s = s.strip()
+    if not s.startswith("["):
+        return element_from_obj(K, int(s))
+    return element_from_obj(K, [int(t) for t in s[1:-1].split(",")] if s[1:-1].strip() else [])
+
+
+def parse_poly(K: Field, s: str) -> Poly:
+    s = s.strip()
+    if s == "0":
+        return ()
+    coeffs: dict = {}
+    for term in s.split("+"):
+        m = re.match(_TERM_RE, term)
+        if not m or (m.group("coeff") is None and m.group("var") is None):
+            raise ValueError(f"cannot parse polynomial term {term!r}")
+        c = 1 if m.group("coeff") is None else parse_coeff(K, m.group("coeff"))
+        d = 0 if m.group("var") is None else int(m.group("deg") or 1)
+        coeffs[d] = K.add(coeffs.get(d, 0), c)
+    check_guard(max(coeffs), DEGREE_GUARD, "polynomial degree")
+    out = [0] * (max(coeffs) + 1)
+    for d, c in coeffs.items():
+        out[d] = c
+    return poly_trim(out)
+
+
+# -- monomial and polynomial matrices ----------------------------------------------
+
+
+def validate_m_mu(K: Field, a):
+    """a itself, or MembershipError if the l-by-l grid a is not in M_mu."""
+    for f in itertools.chain(*a.entries):
+        if not is_monic(f) or f[0] == 0:
+            raise MembershipError(
+                f"entry {format_poly(K, f)} is not monic with nonzero constant term"
+            )
+    d = tuple(tuple(poly_deg(f) for f in row) for row in a.entries)
+    row_sums = tuple(sum(row) for row in d)
+    col_sums = tuple(sum(col) for col in zip(*d))
+    if row_sums != tuple(a.mu) or col_sums != tuple(a.mu):
+        raise MembershipError(
+            f"degree sums {row_sums} / {col_sums} do not both equal mu = {a.mu}"
+        )
+    return a
+
+
+def monomial_from_obj(K: Field, obj: dict):
+    """The hecke_index.MonomialMatrix of a {"perm", "entries"} object."""
+    from hecke.hecke_index import MonomialMatrix
+
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("perm"), list)
+        and isinstance(obj.get("entries"), list)
+        and all(_is_int(r) for r in obj["perm"])
+    ):
+        raise ValueError('a monomial matrix is {"perm": [integers], "entries": [entries]}')
+    perm = tuple(r - 1 for r in obj["perm"])
+    entries = tuple(element_from_obj(K, e) for e in obj["entries"])
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("perm is not a permutation")
+    if len(entries) != len(perm) or any(e == 0 for e in entries):
+        raise ValueError("entries must be nonzero, one per column")
+    return MonomialMatrix(perm, entries)
+
+
+def polymatrix_to_obj(K: Field, a) -> dict:
+    return {
+        "mu": list(a.mu),
+        "entries": [[format_poly(K, f) for f in row] for row in a.entries],
+    }
+
+
+def polymatrix_from_obj(K: Field, obj: dict):
+    """The hecke_index.PolyMatrix of a {"mu", "entries"} object, checked to
+    lie in M_mu by validate_m_mu."""
+    from hecke.hecke_index import PolyMatrix
+
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("mu"), list)
+        and isinstance(obj.get("entries"), list)
+        and obj["mu"]
+        and all(_is_int(part) and part >= 1 for part in obj["mu"])
+        and all(
+            isinstance(row, list) and all(isinstance(f, str) for f in row)
+            for row in obj["entries"]
+        )
+    ):
+        raise ValueError(
+            'a polynomial matrix is {"mu": [positive integers], "entries": [[polynomial strings]]}'
+        )
+    mu = tuple(obj["mu"])
+    if len(obj["entries"]) != len(mu) or any(len(row) != len(mu) for row in obj["entries"]):
+        raise ValueError(f"entries must be a {len(mu)}-by-{len(mu)} grid, one row per part of mu")
+    grid = tuple(tuple(parse_poly(K, s) for s in row) for row in obj["entries"])
+    return validate_m_mu(K, PolyMatrix(grid, mu))
+
+
+# -- label families -------------------------------------------------------------------
+
+
+def family_to_obj(K: Field, fam) -> dict:
+    return {format_poly(K, g): [list(row) for row in rows] for g, rows in fam}
+
+
+def family_from_obj(K: Field, obj: dict) -> tuple:
+    fam = [
+        (parse_poly(K, s), tuple(tuple(row) for row in rows))
+        for s, rows in obj.items()
+    ]
+    return tuple(sorted(fam, key=lambda item: poly_key(item[0])))
+
+
+def pair_to_obj(K: Field, pair) -> dict:
+    return {"P": family_to_obj(K, pair[0]), "Q": family_to_obj(K, pair[1])}
+
+
+# -- the writer ---------------------------------------------------------------------
+
+
+BLOCK = 256  # records per write after the first: 18-30 KiB at 70-120 bytes a record
+
+
+class _Writer:
+    """Writes records given as the JSON texts of their values, under keys
+    given once when the writer is made: a JSON object per line, or TSV rows
+    after a header of the keys, where a string value shows unquoted."""
+
+    def __init__(self, args, keys: tuple):
+        self.fmt = args.format
+        self.path = args.output
+        self.handle = open(self.path, "w") if self.path else sys.stdout
+        self.block = []  # the lines made and not yet written
+        if self.fmt == "json":
+            self.row = "{" + ",".join(f"{_encode(key)}:%s" for key in keys) + "}\n"
+            self.first = self.row
+        else:
+            self.row = "\t".join("%s" for _ in keys) + "\n"
+            self.first = "\t".join(keys) + "\n" + self.row  # the header shares the first row
+
+    def record(self, texts: tuple):
+        # The first record is written and flushed alone, so a reader sees it
+        # at once; the rest go out BLOCK lines per write call, since on
+        # unbuffered stdout each call is one write(2) into the pipe.
+        if self.fmt == "tsv":
+            texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
+        if self.first:
+            self.handle.write(self.first % texts)
+            self.handle.flush()
+            self.first = None
+            return
+        self.block.append(self.row % texts)
+        if len(self.block) == BLOCK:
+            self._write_block()
+
+    def _write_block(self):
+        if self.block:
+            self.handle.write("".join(self.block))
+            self.block = []
+
+    def footer(self, count: int):
+        # The last block carries the footer.
+        if self.fmt == "tsv":
+            self.block.append(f"# count={count}\n")
+        else:
+            self.block.append(json.dumps({"count": count}) + "\n")
+        self._write_block()
+
+    def close(self):
+        self._write_block()
+        if self.path:
+            self.handle.close()
+
+
+# -- enum -----------------------------------------------------------------------
+
+
+# The M_mu and N_mu records are joins of texts that walk_m_mu has each
+# encoded once: an entry's polynomial, or a sub-block's 1-based rows and
+# entries.
+
+
+def _enum_m_mu(K: Field, a):
+    from hecke import hecke_index
+
+    l = len(a.mu)
+    mu, rows = _encode(list(a.mu)), range(0, l * l, l)
+    walk = hecke_index.walk_m_mu(K, a.mu, lambda f, r: _encode(format_poly(K, f)))
+    for _, choices in walk:
+        for flat in choices:
+            yield mu, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
+
+
+def _enum_n_mu(K: Field, a):
+    from hecke import hecke_index
+
+    def block_texts(f, r) -> tuple:
+        block = hecke_index.v_block(K, f, r)
+        return (
+            ",".join(str(x + 1) for x in block.perm),
+            ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
+        )
+
+    for columns, choices in hecke_index.walk_m_mu(K, a.mu, block_texts):
+        for flat in choices:
+            perms, entries = zip(*[flat[k] for k in columns])
+            yield "[" + ",".join(perms) + "]", "[" + ",".join(entries) + "]"
+
+
+def _enum_irreducibles(K: Field, a):
+    return ((_encode(format_poly(K, f)),) for f in enumerate_irreducibles(K, a.max_deg))
+
+
+def _enum_pairs(K: Field, a):
+    from hecke import rsk
+
+    for pair in rsk.enumerate_pairs(K, a.mu):
+        yield tuple(_encode(family_to_obj(K, family)) for family in pair)
+
+
+ENUM_DRIVERS = {  # kind -> driver streaming the JSON texts of each record's values
+    "n_mu": _enum_n_mu,
+    "m_mu": _enum_m_mu,
+    "irreducibles": _enum_irreducibles,
+    "pairs": _enum_pairs,
+}
+
+
+def cmd_enum(args, K: Field, keys: tuple) -> int:
+    """Stream the records of args.kind over K, under the keys the CLI gives."""
+    writer = _Writer(args, keys)
+    count = 0
+    try:
+        for texts in ENUM_DRIVERS[args.kind](K, args):
+            writer.record(texts)
+            count += 1
+        writer.footer(count)
+    finally:  # a stream cut short still writes the records it made
+        writer.close()
+    return 0
+
+
+# -- map ------------------------------------------------------------------------
+
+
+def _read_input(args):
+    if args.input:
+        with open(args.input) as handle:
+            return json.load(handle)
+    return json.load(sys.stdin)
+
+
+def _a_to_v(K: Field, data, args) -> dict:
+    from hecke import hecke_index
+
+    a = polymatrix_from_obj(K, data)
+    return {"mu": list(a.mu), **hecke_index.monomial_to_obj(K, hecke_index.v_of_matrix(K, a))}
+
+
+def _v_to_a(K: Field, data, args) -> dict:
+    from hecke import hecke_index
+
+    v = monomial_from_obj(K, data)
+    return polymatrix_to_obj(K, hecke_index.matrix_of_v(K, v, args.mu))
+
+
+def _rsk(K: Field, data, args) -> dict:
+    from hecke import rsk
+
+    return rsk.classical_record(data)
+
+
+def _rsk_general(K: Field, data, args) -> dict:
+    from hecke import rsk
+
+    pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
+    return {**pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
+
+
+MAP_DRIVERS = {  # direction -> driver returning the record
+    "a_to_v": _a_to_v,
+    "v_to_a": _v_to_a,
+    "rsk": _rsk,
+    "rsk_general": _rsk_general,
+}
+
+
+def cmd_map(args, K: Field) -> int:
+    """Map the input record of args.direction over K and write the result."""
+    record = MAP_DRIVERS[args.direction](K, _read_input(args), args)
+    writer = _Writer(args, tuple(record))
+    writer.record(tuple(map(_encode, record.values())))
+    writer.close()
+    return 0

@@ -11,11 +11,12 @@ of (irreducible polynomial, tableau rows) pairs in the canonical label
 order, with empty tableaux omitted.  The correspondence is classical RSK
 label by label, so one label's pair depends only on its multiplicity
 matrix, and so do its shapes and contents, which the bijectivity check
-reads once per matrix and weights by the label's degree.  The fillings of a
-label shape depend on its labels only through their degrees.  Each pair
-and summary is made once per matrix, each filling list once per degree
-signature, each tableau list once per (shape, weight), all kept as
-immutable tuples.
+(hecke.bijection) reads once per matrix and weights by the label's
+degree.  The fillings of a label shape depend on its labels only through
+their degrees.  Each pair and summary is made once per matrix, each
+filling list once per degree signature, each tableau list once per (shape,
+weight), all kept as immutable tuples.  The JSON forms of the families
+are in hecke.records.
 """
 
 from __future__ import annotations
@@ -23,21 +24,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from hecke.gf import (
-    Field,
-    _irreducibles_through,
-    _is_int,
-    factorize,
-    format_poly,
-    parse_poly,
-    poly_deg,
-    poly_key,
-)
-from hecke.guards import TWO_LINE_GUARD, check_guard, price_labels, price_m_mu
-from hecke.hecke_index import PolyMatrix, enumerate_m_mu
+from hecke.gf import Field, _irreducibles_through, factorize, poly_deg, poly_key
+from hecke.guards import TWO_LINE_GUARD, check_guard
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
+
+if TYPE_CHECKING:  # read by annotations only: `map rsk` and `enum pairs` load no hecke_index
+    from hecke.hecke_index import PolyMatrix
 
 
 def _transpose(lines) -> tuple:
@@ -87,6 +81,8 @@ def classical_record(data) -> dict:
     the nonnegative integer matrix b and its pair (P, Q); ValueError for any
     other input, and GuardExceeded, before the array is built, when its
     length sum b_ij is over guards.TWO_LINE_GUARD."""
+    from hecke.records import _is_int
+
     b = data.get("b") if isinstance(data, dict) else data
     rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
     if not rows or any(len(row) != len(rows[0]) for row in rows):
@@ -284,57 +280,3 @@ def enumerate_pairs(K: Field, mu: tuple) -> Iterator[tuple]:
     for shape in enumerate_phi_shapes(K, mu):
         fillings = enumerate_phi_fillings(shape, mu)
         yield from itertools.product(fillings, fillings)
-
-
-def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
-    """The generalized correspondence is injective on M_mu and fills out the
-    enumerated codomain exactly; weights come out degree-weighted to mu."""
-    price_m_mu(K.q, mu)
-    price_labels(K.q, max(mu))
-    mu = tuple(mu)
-    image, codomain = set(), set()
-    m_mu_count = pairs_count = 0
-    weights_ok = shapes_ok = True
-    for a in enumerate_m_mu(K, mu):
-        labels = phi_factor_matrix(K, a)
-        same, wt_p, wt_q = _label_weights(labels, len(mu))
-        shapes_ok = shapes_ok and same
-        weights_ok = weights_ok and wt_p == mu == wt_q
-        image.add(_families(labels))
-        m_mu_count += 1
-    injective = len(image) == m_mu_count
-    for pair in enumerate_pairs(K, mu):
-        codomain.add(pair)
-        pairs_count += 1
-    onto = image == codomain
-    return {
-        "check": "rsk_bijectivity",
-        "q": K.q,
-        "mu": list(mu),
-        "m_mu_count": m_mu_count,
-        "pairs_count": pairs_count,
-        "shapes_match": shapes_ok,
-        "weights_match": weights_ok,
-        "injective": injective,
-        "image_equals_codomain": onto,
-        "pass": shapes_ok and weights_ok and injective and onto,
-    }
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def family_to_obj(K: Field, fam) -> dict:
-    return {format_poly(K, g): [list(row) for row in rows] for g, rows in fam}
-
-
-def family_from_obj(K: Field, obj: dict) -> tuple:
-    fam = [
-        (parse_poly(K, s), tuple(tuple(row) for row in rows))
-        for s, rows in obj.items()
-    ]
-    return tuple(sorted(fam, key=lambda item: poly_key(item[0])))
-
-
-def pair_to_obj(K: Field, pair) -> dict:
-    return {"P": family_to_obj(K, pair[0]), "Q": family_to_obj(K, pair[1])}

@@ -5,16 +5,18 @@ criterion alongside the pytest verdicts.
 """
 
 import ast
+import importlib
 import itertools
+import json
 import pathlib
 import sys
 import time
 
+from hecke.bijection import bijection_check, rsk_bijectivity_check
 from hecke.decomp import dim_identity_check, h_hat, pieri_check, schur_jacobi_trudi, weight_space_dims
 from hecke.gf import Field
 from hecke.hecke_index import (
     PolyMatrix,
-    bijection_check,
     enumerate_m_mu,
     enumerate_n,
     is_in_n_mu_direct,
@@ -31,7 +33,6 @@ from hecke.oracle import (
 )
 from hecke.rsk import (
     family_weight,
-    rsk_bijectivity_check,
     rsk_classical,
     rsk_generalized,
     two_line_array,
@@ -266,3 +267,54 @@ def test_every_top_level_name_in_hecke_has_a_reader():
             defined |= own
             read |= _names_read(statement) - own
     assert defined - read == set(KEPT_WITHOUT_A_READER)
+
+
+# Per-layer names of BENCHMARK.json that name no function of their layer:
+# the methods the tracer's install wraps, and the names that resolve to
+# nothing (each with why).
+TRACED_METHODS = {
+    "gf.field_build": ("Field", "__init__"),
+    "oracle.algebra_mul": ("AlgebraElement", "__mul__"),
+    "oracle.cyclotomic_mul": ("Cyclotomic", "__mul__"),
+}
+UNRESOLVED = {
+    "cli.startup": "spawn to import, which run.py reads from the trace",
+    "decomp.mp_mul": "gone since the Schur products were packed; its metrics read 0",
+}
+
+
+def _tracer_layers() -> tuple:
+    """The LAYERS of perfbench/tracer.py: the modules whose functions it wraps."""
+    tree = ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_every_traced_name_is_defined_where_the_tracer_looks():
+    # The tracer wraps the functions a layer defines, by name; a function
+    # moved to another module would read 0 in every per-layer metric of it.
+    root = pathlib.Path(__file__).parents[1]
+    layers = _tracer_layers()
+    traced = set()
+    for metric in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) >= 3 and parts[0] in layers:
+            traced.add(".".join(parts[:2]))
+    assert set(TRACED_METHODS) | set(UNRESOLVED) <= traced
+    misplaced = []
+    for name in sorted(traced):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"hecke.{layer}")
+        if name in TRACED_METHODS:
+            cls, method = TRACED_METHODS[name]
+            owner = vars(module).get(cls)
+            held = isinstance(owner, type) and method in vars(owner)
+            defined = held and owner.__module__ == module.__name__
+        else:
+            fn = vars(module).get(attr)
+            defined = callable(fn) and getattr(fn, "__module__", None) == module.__name__
+        if defined == (name in UNRESOLVED):
+            misplaced.append(name)
+    assert misplaced == []

@@ -14,18 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from hecke import guards, hecke_index
-from hecke.cli import COMMANDS, FLAGS, _encode, build_parser, main
-from hecke.gf import DEGREE_GUARD, Field
-from hecke.guards import GuardExceeded
+from hecke import bijection, guards, hecke_index, prices, records
+from hecke.cli import COMMANDS, FLAGS, build_parser, main
+from hecke.gf import Field
+from hecke.guards import DEGREE_GUARD, GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
     enumerate_m_mu,
     enumerate_n_mu,
     monomial_to_obj,
-    polymatrix_to_obj,
     v_of_matrix,
 )
+from hecke.records import _encode, polymatrix_to_obj
 from test_shapes import compositions_of
 
 
@@ -122,11 +122,9 @@ M_MU_21_BYTES = {  # what `enum m_mu --p 2 --mu 2,1` wrote when each record was 
 
 def enum_calls(monkeypatch, argv: list, to_file: bool) -> list:
     """The write and flush calls `hecke enum` makes on stdout or --output."""
-    from hecke import cli
-
     handle = RecordingHandle()
     if to_file:
-        monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
+        monkeypatch.setattr(records, "open", lambda path, mode: handle, raising=False)
         argv = [*argv, "--output", "records"]
     else:
         monkeypatch.setattr(sys, "stdout", handle)
@@ -143,7 +141,7 @@ def test_enum_writes_the_first_record_alone_then_blocks(monkeypatch, fmt, to_fil
     the writes join to the bytes that one write per record made.  M_(2,1)
     over F_2 fits in one block; M_(2,2,1) over F_3, 496 records, fills one
     and starts another."""
-    from hecke.cli import BLOCK
+    from hecke.records import BLOCK
 
     K = Field(3)
     big = witness_lines([polymatrix_to_obj(K, a) for a in enumerate_m_mu(K, (2, 2, 1))], fmt)
@@ -167,13 +165,12 @@ def test_enum_writes_the_first_record_alone_then_blocks(monkeypatch, fmt, to_fil
 def test_enum_cut_short_writes_the_records_it_made(monkeypatch, capsys):
     """A stream that fails after a block and a half still writes every
     record it made, then exits 2 without a footer."""
-    from hecke import cli
 
     def driver(K, args):
         yield from ((str(i),) for i in range(300))
         raise ValueError("cut short")
 
-    monkeypatch.setitem(cli.ENUMS, "irreducibles", (("--k", "--max-deg"), ("poly",), driver))
+    monkeypatch.setitem(records.ENUM_DRIVERS, "irreducibles", driver)
     handle = RecordingHandle()
     monkeypatch.setattr(sys, "stdout", handle)
     assert main(["enum", "irreducibles", "--p", "2", "--max-deg", "1"]) == 2
@@ -238,9 +235,9 @@ MAP_INPUTS = {  # direction -> (extra arguments, input)
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_records_of_every_kind_equal_the_dict_witness(monkeypatch, capsys, fmt):
-    from hecke import cli
     from hecke.gf import enumerate_irreducibles, format_poly
-    from hecke.rsk import enumerate_pairs, pair_to_obj
+    from hecke.records import pair_to_obj
+    from hecke.rsk import enumerate_pairs
 
     K = Field(2, 2)
     enums = {
@@ -255,7 +252,7 @@ def test_records_of_every_kind_equal_the_dict_witness(monkeypatch, capsys, fmt):
         assert (code, out.splitlines()) == (0, witness_lines(objs, fmt)), args
     for direction, (extra, data) in MAP_INPUTS.items():
         args = build_parser().parse_args(["map", direction, "--p", "2", *extra])
-        obj = cli.MAPS[direction][1](Field(2), data, args)
+        obj = records.MAP_DRIVERS[direction](Field(2), data, args)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
         code, out, _ = run_cli(capsys, "map", direction, "--p", "2", *extra, "--format", fmt)
         assert (code, out.splitlines()) == (0, witness_lines([obj], fmt)[:-1]), direction
@@ -611,7 +608,7 @@ def test_map_reads_a_polynomial_matrix_through_validate_m_mu(
     def refuse(K, a):
         raise MembershipError("validate_m_mu was called")
 
-    monkeypatch.setattr(hecke_index, "validate_m_mu", refuse)
+    monkeypatch.setattr(records, "validate_m_mu", refuse)
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]}))
     code, out, err = run_cli(capsys, "map", direction, "--p", "3", "--input", str(path))
@@ -685,8 +682,9 @@ def test_bijection_guard_exits_3_before_any_enumeration(monkeypatch, capsys, mu,
         raise AssertionError("M_mu, N_mu or N was enumerated before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu", "enumerate_n"):
+    for name in ("enumerate_m_mu", "enumerate_n"):
         monkeypatch.setattr(hecke_index, name, refuse)
+    monkeypatch.setattr(bijection, "enumerate_pattern_n_mu", refuse)
     code, out, err = run_cli(capsys, "verify", "bijection", "--p", "2", "--mu", mu)
     assert code == 3
     assert out == ""
@@ -771,8 +769,8 @@ def test_rsk_bijectivity_guard_exits_3_before_any_enumeration(monkeypatch, capsy
         raise AssertionError("M_mu or the pairs were enumerated before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_pairs"):
-        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
+    monkeypatch.setattr(rsk, "enumerate_pairs", refuse)
     code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", "21")
     assert code == 3
     assert out == ""
@@ -786,8 +784,8 @@ def test_rsk_bijectivity_guard_counts_ten_parts_by_rows(monkeypatch, capsys):
         raise AssertionError("a degree matrix, M_mu or the pairs were enumerated")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_pairs"):
-        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
+    monkeypatch.setattr(rsk, "enumerate_pairs", refuse)
     monkeypatch.setattr(hecke_index, "degree_matrices", refuse)
     mu = ",".join(["1"] * 10)
     code, out, err = run_cli(capsys, "verify", "rsk_bijectivity", "--p", "2", "--mu", mu)
@@ -803,8 +801,8 @@ def test_rsk_bijectivity_guard_counts_sixteen_parts_at_once(monkeypatch, capsys)
         raise AssertionError("a degree matrix, M_mu or the pairs were enumerated")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_pairs"):
-        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
+    monkeypatch.setattr(rsk, "enumerate_pairs", refuse)
     monkeypatch.setattr(hecke_index, "degree_matrices", refuse)
     mu = ",".join(["1"] * 16)
     start = time.perf_counter()
@@ -842,8 +840,8 @@ def test_rsk_bijectivity_guard_refuses_on_the_lower_bound(monkeypatch, capsys, p
         raise AssertionError("|M_mu| was counted or enumerated before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_m_mu", "enumerate_pairs"):
-        monkeypatch.setattr(rsk, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
+    monkeypatch.setattr(rsk, "enumerate_pairs", refuse)
     for name in ("degree_matrices", "m_mu_size"):
         monkeypatch.setattr(hecke_index, name, refuse)
     start = time.perf_counter()
@@ -896,6 +894,12 @@ GUARD_REFUSALS = {  # verify arguments -> message: one size over each guarded dr
             ("dim_identity", 31, 4, 917024640),
         ]
     },
+    # built from --p 3 --k 3, F_27 finds its modulus over F_3's tables only
+    # when a table is first read, after the check's price
+    "rsk_bijectivity --p 3 --k 3 --mu 3": (
+        "label trial divisions sum_d 2 (q-1) q^(d-1) sum_e ceil(q^e/e) = 1061424 exceeds the"
+        " guard (1000000)"
+    ),
     "dim_identity --p 2 --mu 1,1,1,1,1,1,1,1": "|M_mu| * l^2 = 2580480 exceeds the guard (1000000)",
     "basis --p 1021 --mu 3": "|U| = 1064332261 exceeds the guard (4096)",
     "basis --p 2 --mu 3,2": (
@@ -926,8 +930,8 @@ def test_verify_guards_fire_before_the_field_is_built(monkeypatch, capsys, line)
 
 
 CHECK_FUNCTIONS = {  # verify check -> (module, the check it calls on the field and mu or n)
-    "bijection": ("hecke_index", "bijection_check"),
-    "rsk_bijectivity": ("rsk", "rsk_bijectivity_check"),
+    "bijection": ("bijection", "bijection_check"),
+    "rsk_bijectivity": ("bijection", "rsk_bijectivity_check"),
     "dim_identity": ("decomp", "dim_identity_check"),
     "basis": ("oracle", "basis_check"),
     "levi": ("oracle", "levi_embedding_check"),
@@ -966,16 +970,13 @@ def test_rsk_bijectivity_prices_its_labels_before_listing_them(monkeypatch, caps
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(gf, "_irreducibles_through", refuse)
     monkeypatch.setattr(rsk, "_irreducibles_through", refuse)
-    monkeypatch.setattr(rsk, "enumerate_m_mu", refuse)
-    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu"):  # dim_identity's listings
-        monkeypatch.setattr(hecke_index, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)  # dim_identity's listings too
+    monkeypatch.setattr(bijection, "enumerate_pattern_n_mu", refuse)
     code, out, err = run_cli(capsys, "verify", *line.split())
     assert (code, out, err) == (3, "", f"guard exceeded: {GUARD_REFUSALS[line]}\n")
 
 
 def test_guard_override_admits_the_label_stream(monkeypatch):
-    from hecke import rsk
-
     class Admitted(Exception):
         pass
 
@@ -983,7 +984,7 @@ def test_guard_override_admits_the_label_stream(monkeypatch):
         raise Admitted
 
     monkeypatch.setenv("HECKE_GUARD_OVERRIDE", str(10**9))
-    monkeypatch.setattr(rsk, "enumerate_m_mu", admitted)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", admitted)
     with pytest.raises(Admitted):
         main(["verify", "rsk_bijectivity", "--p", "31", "--mu", "4"])
 
@@ -995,8 +996,8 @@ def test_guard_override_admits_the_label_stream(monkeypatch):
 )
 def test_label_price_admits_the_sizes_that_run(monkeypatch, q, mu):
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    guards.price_m_mu(q, mu)
-    guards.price_labels(q, max(mu))
+    prices.price_m_mu(q, mu)
+    prices.price_labels(q, max(mu))
 
 
 def test_rsk_bijectivity_refuses_over_f1021_at_once(monkeypatch, capsys):
@@ -1092,28 +1093,23 @@ def test_guard_override_admits_oracle_work(monkeypatch, argv):
 
 
 def price_m_mu_and_labels(q, mu):
-    guards.price_m_mu(q, mu)
-    guards.price_labels(q, max(mu))
+    prices.price_m_mu(q, mu)
+    prices.price_labels(q, max(mu))
 
 
 PRICES = {  # verify check -> its price, called on q and the parsed --mu or --n
-    "bijection": guards.price_m_mu,
+    "bijection": prices.price_m_mu,
     "rsk_bijectivity": price_m_mu_and_labels,
     "dim_identity": price_m_mu_and_labels,
-    "basis": lambda q, mu: guards.price_basis(q, sum(mu)),
-    "levi": lambda q, mu: guards.price_bruhat(q, [(m,) for m in mu] + [mu]),
-    "commutativity": lambda q, n: guards.price_bruhat(q, [(n,)]),
+    "basis": lambda q, mu: prices.price_basis(q, sum(mu)),
+    "levi": lambda q, mu: prices.price_bruhat(q, [(m,) for m in mu] + [mu]),
+    "commutativity": lambda q, n: prices.price_bruhat(q, [(n,)]),
     "cosets": guards.u_order,  # enumerate_gl then checks |GL_n(F_q)| at its call
 }
 
 PRICE_REFUSALS = {  # every GUARD_REFUSALS and ORACLE_REFUSALS line, and more -> its whole message
     **GUARD_REFUSALS,
     "levi --p 2 --mu 100000": "|U| = inf exceeds the guard (4096)",
-    # built from --p 3 --k 3, F_27 tests its modulus over F_3's tables before any check
-    "rsk_bijectivity --p 3 --k 3 --mu 3": (
-        "label trial divisions sum_d 2 (q-1) q^(d-1) sum_e ceil(q^e/e) = 1061424 exceeds the"
-        " guard (1000000)"
-    ),
 }
 
 
@@ -1134,8 +1130,8 @@ def test_each_price_refuses_alone_before_any_work(monkeypatch, line):
     monkeypatch.setattr(gf.Field, "_build_tables", refuse)
     for name in ("enumerate_u", "enumerate_gl"):
         monkeypatch.setattr(oracle, name, refuse)
-    for name in ("enumerate_m_mu", "enumerate_pattern_n_mu"):
-        monkeypatch.setattr(hecke_index, name, refuse)
+    monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
+    monkeypatch.setattr(bijection, "enumerate_pattern_n_mu", refuse)
     args = build_parser(["verify", *line.split()]).parse_args(["verify", *line.split()])
     size = args.mu if hasattr(args, "mu") else args.n
     message = PRICE_REFUSALS[line]
@@ -1165,7 +1161,7 @@ def test_the_bruhat_total_is_checked_once(monkeypatch, capsys, argv):
         return check_guard(value, limit, what)
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for module in (guards, gf, hecke_index, rsk, oracle):
+    for module in (guards, prices, gf, hecke_index, rsk, oracle):
         if hasattr(module, "check_guard"):
             monkeypatch.setattr(module, "check_guard", guard)
     code, out, _ = run_cli(capsys, "verify", *argv)
@@ -1418,6 +1414,9 @@ sys.exit(code)
 
 SHARED = {"hecke", "hecke.gf", "hecke.guards", "hecke.cli"}
 INDEX = {"hecke.hecke_index", "hecke.shapes"}  # hecke_index imports shapes
+RSK = {"hecke.rsk", "hecke.shapes"}  # rsk imports shapes, not hecke_index
+RECORDS = {"hecke.records"}  # only `enum` and `map` load the records
+CHECK = {"hecke.prices"}  # only `verify` loads the prices
 A_OBJ = json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]})
 V_OBJ = json.dumps({"perm": [1, 2, 3], "entries": [1, 1, 1]})
 
@@ -1446,39 +1445,55 @@ def test_import_cli_loads_only_the_shared_layers():
 
 
 FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
-    "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", INDEX),
-    "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", INDEX),
-    "enum_irreducibles": (("enum", "irreducibles", "--p", "2", "--max-deg", "3"), "", set()),
-    "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", INDEX | {"hecke.rsk"}),
-    "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, INDEX),
-    "map_v_to_a": (("map", "v_to_a", "--p", "2", "--mu", "2,1"), V_OBJ, INDEX),
-    "map_rsk": (("map", "rsk", "--p", "2"), '{"b": [[1, 0], [0, 1]]}', INDEX | {"hecke.rsk"}),
-    "map_rsk_general": (("map", "rsk_general", "--p", "2"), A_OBJ, INDEX | {"hecke.rsk"}),
+    "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
+    "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
+    "enum_irreducibles": (("enum", "irreducibles", "--p", "2", "--max-deg", "3"), "", RECORDS),
+    "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", RECORDS | RSK),
+    "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, RECORDS | INDEX),
+    "map_v_to_a": (("map", "v_to_a", "--p", "2", "--mu", "2,1"), V_OBJ, RECORDS | INDEX),
+    "map_rsk": (("map", "rsk", "--p", "2"), '{"b": [[1, 0], [0, 1]]}', RECORDS | RSK),
+    "map_rsk_general": (("map", "rsk_general", "--p", "2"), A_OBJ, RECORDS | INDEX | RSK),
     # From n = 4 over F_2, |U| > 27 and bijection_check skips the literal
     # membership test, the one part of it that calls the oracle.
-    "verify_bijection": (("verify", "bijection", "--p", "2", "--mu", "2,2"), "", INDEX),
+    "verify_bijection": (
+        ("verify", "bijection", "--p", "2", "--mu", "2,2"),
+        "",
+        CHECK | INDEX | {"hecke.bijection"},
+    ),
     "verify_dim_identity": (
         ("verify", "dim_identity", "--p", "2", "--mu", "2,1"),
         "",
-        INDEX | {"hecke.decomp", "hecke.rsk"},
+        CHECK | INDEX | RSK | {"hecke.bijection", "hecke.decomp"},
     ),
     "verify_rsk_bijectivity": (
         ("verify", "rsk_bijectivity", "--p", "2", "--mu", "2,1"),
         "",
-        INDEX | {"hecke.rsk"},
+        CHECK | INDEX | RSK | {"hecke.bijection"},
     ),
-    "verify_basis": (("verify", "basis", "--p", "2", "--mu", "2"), "", INDEX | {"hecke.oracle"}),
+    "verify_basis": (
+        ("verify", "basis", "--p", "2", "--mu", "2"),
+        "",
+        CHECK | INDEX | {"hecke.oracle"},
+    ),
     "verify_commutativity": (
         ("verify", "commutativity", "--p", "2", "--n", "2"),
         "",
-        INDEX | {"hecke.oracle"},
+        CHECK | INDEX | {"hecke.oracle"},
     ),
-    "verify_levi": (("verify", "levi", "--p", "2", "--mu", "2,1"), "", INDEX | {"hecke.oracle"}),
-    "verify_cosets": (("verify", "cosets", "--p", "2", "--n", "2"), "", INDEX | {"hecke.oracle"}),
+    "verify_levi": (
+        ("verify", "levi", "--p", "2", "--mu", "2,1"),
+        "",
+        CHECK | INDEX | {"hecke.oracle"},
+    ),
+    "verify_cosets": (
+        ("verify", "cosets", "--p", "2", "--n", "2"),
+        "",
+        CHECK | INDEX | {"hecke.oracle"},
+    ),
     "verify_pieri": (
         ("verify", "pieri", "--p", "2", "--nu", "2,1", "--vars", "3"),
         "",
-        {"hecke.decomp", "hecke.shapes"},
+        CHECK | {"hecke.decomp", "hecke.shapes"},
     ),
 }
 
@@ -1492,3 +1507,42 @@ def test_each_job_loads_only_its_layers(job):
     """Exactly its layers, each loaded before the job's parser is built."""
     argv, stdin, extra = FOOTPRINTS[job]
     assert loaded_modules(*argv, stdin=stdin) == {"parser:": SHARED | extra, "end:": SHARED | extra}
+
+
+def test_only_verify_loads_the_prices_and_only_enum_and_map_the_records():
+    for job, (argv, _, extra) in FOOTPRINTS.items():
+        assert ("hecke.prices" in extra) == (argv[0] == "verify"), job
+        assert ("hecke.records" in extra) == (argv[0] != "verify"), job
+    assert "hecke.hecke_index" not in FOOTPRINTS["verify_pieri"][2]
+
+
+MOVED = {  # module -> (the names it holds alone, the modules that held them before)
+    "records": (
+        ("_TERM_RE", "_is_int", "element_to_obj", "element_from_obj", "parse_coeff", "parse_poly")
+        + ("validate_m_mu", "monomial_from_obj", "polymatrix_to_obj", "polymatrix_from_obj")
+        + ("family_to_obj", "family_from_obj", "pair_to_obj")
+        + ("_encode", "BLOCK", "_Writer", "_read_input", "cmd_enum", "cmd_map"),
+        ("gf", "hecke_index", "rsk", "cli"),
+    ),
+    "prices": (
+        ("pieri_work", "price_m_mu", "price_labels", "price_basis", "price_bruhat", "price_pieri"),
+        ("guards",),
+    ),
+    "bijection": (
+        ("enumerate_pattern_n_mu", "bijection_check", "rsk_bijectivity_check")
+        + ("mat_inv", "is_unipotent_upper", "monomial_to_matrix", "psi_mu_eval"),
+        ("hecke_index", "rsk", "oracle"),
+    ),
+}
+
+
+@pytest.mark.parametrize("home", MOVED)
+def test_each_moved_name_has_one_home(home):
+    """A name that only some jobs read lives in the module those jobs load,
+    and no copy or re-export is left where it was."""
+    names, before = MOVED[home]
+    module = importlib.import_module(f"hecke.{home}")
+    assert [name for name in names if not hasattr(module, name)] == []
+    for layer in before:
+        held = vars(importlib.import_module(f"hecke.{layer}"))
+        assert [name for name in names if name in held] == [], layer

@@ -16,8 +16,9 @@ from hecke.decomp import (
     weight_space_dims,
 )
 from hecke.gf import Field
-from hecke.guards import GuardExceeded, pieri_work
+from hecke.guards import GuardExceeded
 from hecke.hecke_index import m_mu_size
+from hecke.prices import pieri_work
 from hecke.rsk import enumerate_pairs, enumerate_phi_fillings, enumerate_phi_shapes
 from hecke.shapes import (
     conjugate,

@@ -4,7 +4,6 @@ import pytest
 
 from hecke import gf
 from hecke.gf import (
-    DEGREE_GUARD,
     Field,
     enumerate_irreducibles,
     enumerate_monic,
@@ -13,7 +12,6 @@ from hecke.gf import (
     is_irreducible,
     format_poly,
     is_monic,
-    parse_poly,
     poly_add,
     poly_deg,
     poly_divrem,
@@ -23,7 +21,8 @@ from hecke.gf import (
     poly_pow,
     poly_scale,
 )
-from hecke.guards import GuardExceeded
+from hecke.guards import DEGREE_GUARD, GuardExceeded
+from hecke.records import parse_poly
 
 F2 = Field(2)
 F3 = Field(3)

@@ -5,31 +5,27 @@ import math
 import pytest
 
 from hecke import hecke_index
+from hecke.bijection import bijection_check, enumerate_pattern_n_mu
 from hecke.gf import Field, enumerate_monic_units, poly_mul
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
     MonomialMatrix,
     PolyMatrix,
-    bijection_check,
     degree_matrices,
     enumerate_m_mu,
     enumerate_n,
     enumerate_n_mu,
-    enumerate_pattern_n_mu,
     is_in_n_mu_direct,
     is_in_n_mu_fast,
     m_mu_size,
     matrix_of_v,
-    monomial_from_obj,
     monomial_identity,
     monomial_to_obj,
-    polymatrix_from_obj,
-    polymatrix_to_obj,
     v_of_poly,
     v_of_matrix,
-    validate_m_mu,
 )
+from hecke.records import monomial_from_obj, polymatrix_from_obj, polymatrix_to_obj, validate_m_mu
 from hecke.shapes import boundary_set
 from test_shapes import compositions_of
 
@@ -216,8 +212,8 @@ def refuse_to_validate(K, a):
 @pytest.mark.parametrize(
     "layer,check,K,mu",
     [
-        ("hecke_index", "bijection_check", F3, (3, 2, 1)),
-        ("rsk", "rsk_bijectivity_check", F3, (2, 2, 1)),
+        ("bijection", "bijection_check", F3, (3, 2, 1)),
+        ("bijection", "rsk_bijectivity_check", F3, (2, 2, 1)),
         ("oracle", "levi_embedding_check", F2, (2, 1)),
     ],
     ids=["bijection", "rsk_bijectivity", "levi"],
@@ -225,13 +221,17 @@ def refuse_to_validate(K, a):
 def test_checks_on_built_elements_never_validate(monkeypatch, layer, check, K, mu):
     """enumerate_m_mu and the diagonal embedding build members of M_mu, so
     the checks that walk them call no validator."""
-    monkeypatch.setattr(hecke_index, "validate_m_mu", refuse_to_validate)
+    from hecke import records
+
+    monkeypatch.setattr(records, "validate_m_mu", refuse_to_validate)
     assert getattr(importlib.import_module(f"hecke.{layer}"), check)(K, mu)["pass"]
 
 
-def test_only_hecke_index_holds_validate_m_mu():
-    for layer in ("cli", "decomp", "oracle", "rsk"):
+def test_only_records_holds_validate_m_mu():
+    layers = ("cli", "decomp", "oracle", "rsk", "hecke_index", "bijection", "gf", "prices")
+    for layer in layers:
         assert not hasattr(importlib.import_module(f"hecke.{layer}"), "validate_m_mu"), layer
+    assert hasattr(importlib.import_module("hecke.records"), "validate_m_mu")
 
 
 def test_polymatrix_from_obj_refuses_non_members():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from hecke.bijection import is_unipotent_upper, mat_inv, monomial_to_matrix, psi_mu_eval
 from hecke.gf import Field
 from hecke.guards import GuardExceeded, gl_order
 from hecke.hecke_index import MonomialMatrix, enumerate_n, enumerate_n_mu, monomial_identity
@@ -24,12 +25,8 @@ from hecke.oracle import (
     enumerate_gl,
     enumerate_u,
     identity_matrix,
-    is_unipotent_upper,
     levi_embedding_check,
-    mat_inv,
     mat_mul,
-    monomial_to_matrix,
-    psi_mu_eval,
     structure_constants,
     t_v,
 )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hecke import gf, rsk
+from hecke import bijection, gf, rsk
 from hecke.cli import main
 from hecke.decomp import h_hat
 from hecke.gf import Field, enumerate_irreducibles, poly_deg, poly_key, poly_mul
@@ -13,8 +13,6 @@ from hecke.rsk import (
     enumerate_pairs,
     enumerate_phi_fillings,
     enumerate_phi_shapes,
-    family_from_obj,
-    family_to_obj,
     family_weight,
     insert_column,
     phi_factor_matrix,
@@ -22,6 +20,7 @@ from hecke.rsk import (
     rsk_generalized,
     two_line_array,
 )
+from hecke.records import family_from_obj, family_to_obj
 from hecke.shapes import (
     cst_check,
     enumerate_cst,
@@ -473,7 +472,7 @@ def test_bijectivity_check_sees_a_q_of_another_shape(fresh_label_summaries, monk
         return P, rsk._transpose(Q)
 
     monkeypatch.setattr(rsk, "_rsk_classical", transposed_q)
-    report = rsk.rsk_bijectivity_check(F2, (2,))
+    report = bijection.rsk_bijectivity_check(F2, (2,))
     assert (report["shapes_match"], report["weights_match"], report["pass"]) == (
         False,
         True,
@@ -489,7 +488,7 @@ def test_bijectivity_check_sees_a_q_of_another_shape(fresh_label_summaries, monk
 def test_bijectivity_check_compares_the_codomain_it_streams(monkeypatch, change):
     streamed = change(list(enumerate_pairs(F3, (2, 1))))
     monkeypatch.setattr(rsk, "enumerate_pairs", lambda K, mu: iter(streamed))
-    report = rsk.rsk_bijectivity_check(F3, (2, 1))
+    report = bijection.rsk_bijectivity_check(F3, (2, 1))
     onto = set(streamed) == set(enumerate_pairs(F3, (2, 1)))
     assert (report["pairs_count"], report["image_equals_codomain"]) == (len(streamed), onto)
     assert report["pass"] == onto
@@ -497,7 +496,7 @@ def test_bijectivity_check_compares_the_codomain_it_streams(monkeypatch, change)
 
 def test_bijectivity_check_counts_the_elements_it_streams(monkeypatch):
     monkeypatch.setattr(rsk, "_families", lambda labels: ((), ()))
-    report = rsk.rsk_bijectivity_check(F3, (2, 1))
+    report = bijection.rsk_bijectivity_check(F3, (2, 1))
     size = sum(1 for _ in enumerate_m_mu(F3, (2, 1)))
     assert (report["m_mu_count"], report["injective"], report["pass"]) == (size, False, False)
 
