@@ -1,13 +1,14 @@
 """Command-line surface: enumeration, bijection maps, RSK, and verification.
 
-Each enum kind, map direction and verify check has its own sub-parser that
-declares only the flags its driver reads, so argparse refuses a missing,
-malformed or unknown flag (exit 2) before any work is done; a line that
-names its job gets that job's sub-parser alone.  This module loads only gf
-and guards, and holds the parser, `verify` and the table of each job's
-layers.  Every other module loads only for a job that runs it: main
-imports the named job's layers (LAYERS) before it builds the parser, and a
-handler reaches them through _load.  `enum` and `map` run in records, which
+JOBS holds each enum kind, map direction and verify check once: the flags
+its driver reads, the layers it loads and its driver's name in the last of
+them.  Each job's sub-parser declares only its flags, so argparse refuses
+a missing, malformed or unknown flag (exit 2) before any work is done; a
+line that names its job gets that job's sub-parser alone.  This module
+loads only gf and guards, and holds the parser, `verify` and the job
+table.  Every other module loads only for a job that runs it: main imports
+the named job's layers before it builds the parser, and runs the driver it
+finds in the last of them.  `enum` and `map` drivers are in records, which
 holds their text and JSON forms and the writer; a `verify` check prices
 its work with prices; bijection holds the exhaustive bijection witnesses.
 So a command loads only the modules its job needs: `verify pieri` loads
@@ -46,6 +47,14 @@ def _parse_mu(text: str) -> tuple:
     return mu
 
 
+def _parse_nu(text: str):
+    # "" (no parts) stays "": decomp.pieri_report checks the parts it is given.
+    try:
+        return text and tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from None
+
+
 def _positive(text: str) -> int:
     try:
         value = int(text)
@@ -61,67 +70,57 @@ def _load(layer: str):
     return importlib.import_module(f"hecke.{layer}")
 
 
-def _field(args) -> Field:
-    # A job that declares no --k (`map rsk`, `verify pieri`) reads no table,
-    # so its field checks --p and builds none.
-    return Field(args.p, getattr(args, "k", 1))
+# -- the jobs ----------------------------------------------------------------------
 
-
-# -- enum and map: hecke.records holds their drivers, records and writer ----------
-
-ENUMS = {  # kind -> (flags it reads, keys of its records)
-    "n_mu": (("--k", "--mu"), ("perm", "entries")),
-    "m_mu": (("--k", "--mu"), ("mu", "entries")),
-    "irreducibles": (("--k", "--max-deg"), ("poly",)),
-    "pairs": (("--k", "--mu"), ("P", "Q")),
-}
-
-MAPS = {  # direction -> (flags it reads,)
-    "a_to_v": (("--k",),),
-    "v_to_a": (("--k", "--mu"),),
-    "rsk": ((),),
-    "rsk_general": (("--k",),),
-}
-
-
-def _enum(args) -> int:
-    return _load("records").cmd_enum(args, _field(args), ENUMS[args.kind][1])
-
-
-def _map(args) -> int:
-    return _load("records").cmd_map(args, _field(args))
-
-
-# -- verify ---------------------------------------------------------------------
-
-
-def _verify_pieri(args) -> dict:
-    _field(args)
-    nu = args.nu and tuple(int(x) for x in args.nu.split(","))  # None, "" (no parts) or parts
-    return _load("decomp").pieri_report(nu, args.add, args.vars)
-
-
-def _check(layer: str, name: str, size: str):
-    """The driver that loads `layer` and calls its check `name` on the field
-    and on --mu or --n; the check runs its guard before any field table."""
-    return lambda a: getattr(_load(layer), name)(_field(a), getattr(a, size))
-
-
-CHECKS = {  # check -> (flags it reads, driver returning the report)
-    "bijection": (("--k", "--mu"), _check("bijection", "bijection_check", "mu")),
-    "dim_identity": (("--k", "--mu"), _check("decomp", "dim_identity_check", "mu")),
-    "rsk_bijectivity": (("--k", "--mu"), _check("bijection", "rsk_bijectivity_check", "mu")),
-    "basis": (("--k", "--mu"), _check("oracle", "basis_check", "mu")),
-    "commutativity": (("--k", "--n"), _check("oracle", "commutativity_check", "n")),
-    "levi": (("--k", "--mu"), _check("oracle", "levi_embedding_check", "mu")),
-    "cosets": (("--k", "--n"), _check("oracle", "coset_check", "n")),
-    "pieri": (("--nu", "--add", "--vars"), _verify_pieri),  # reads no field
+# (command, job) -> (flags it reads, the layers main loads before it builds
+# the parser, its driver's name in the last of them).  The driver is called
+# on the job's field in place of --k and on the value of each other flag, in
+# this order; a `map` driver also on the input record.  An `enum` driver
+# streams its records' keys, then the JSON texts of each record's values.
+JOBS = {
+    ("enum", "n_mu"): (("--k", "--mu"), ("hecke_index", "records"), "n_mu_records"),
+    ("enum", "m_mu"): (("--k", "--mu"), ("hecke_index", "records"), "m_mu_records"),
+    ("enum", "irreducibles"): (("--k", "--max-deg"), ("records",), "irreducible_records"),
+    ("enum", "pairs"): (("--k", "--mu"), ("rsk", "records"), "pair_records"),
+    ("map", "a_to_v"): (("--k",), ("hecke_index", "records"), "a_to_v_record"),
+    ("map", "v_to_a"): (("--k", "--mu"), ("hecke_index", "records"), "v_to_a_record"),
+    ("map", "rsk"): ((), ("rsk", "records"), "classical_record"),
+    ("map", "rsk_general"): (("--k",), ("hecke_index", "rsk", "records"), "generalized_record"),
+    ("verify", "bijection"): (("--k", "--mu"), ("bijection",), "bijection_check"),
+    ("verify", "dim_identity"): (
+        ("--k", "--mu"), ("rsk", "bijection", "decomp"), "dim_identity_check"
+    ),
+    ("verify", "rsk_bijectivity"): (
+        ("--k", "--mu"), ("rsk", "bijection"), "rsk_bijectivity_check"
+    ),
+    ("verify", "basis"): (("--k", "--mu"), ("oracle",), "basis_check"),
+    ("verify", "commutativity"): (("--k", "--n"), ("oracle",), "commutativity_check"),
+    ("verify", "levi"): (("--k", "--mu"), ("oracle",), "levi_embedding_check"),
+    ("verify", "cosets"): (("--k", "--n"), ("oracle",), "coset_check"),
+    ("verify", "pieri"): (("--nu", "--add", "--vars"), ("decomp",), "pieri_report"),
 }
 
 
-def cmd_verify(args) -> int:
+def _job(args) -> tuple:
+    """The driver of the job args names and what it is called on.  Every job
+    makes its field, so --p is checked even where no driver reads it."""
+    flags, layers, name = JOBS[args.command, getattr(args, COMMANDS[args.command][1])]
+    K = Field(args.p, getattr(args, "k", 1))  # no table is built until one is read
+    values = [K if flag == "--k" else getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    return getattr(_load(layers[-1]), name), values
+
+
+def _enum(args, driver, values) -> int:
+    return _load("records").cmd_enum(args, driver, values)
+
+
+def _map(args, driver, values) -> int:
+    return _load("records").cmd_map(args, driver, values)
+
+
+def cmd_verify(args, check, values) -> int:
     start = time.perf_counter()
-    report = CHECKS[args.check][1](args)
+    report = check(*values)
     args.verdict = 0 if report["pass"] else 1  # stands if stdout's reader has gone
     handle = open(args.output, "w") if args.output else sys.stdout
     handle.write(json.dumps(report, indent=2, default=str) + "\n")
@@ -140,7 +139,9 @@ FLAGS = {  # every flag a sub-parser can declare
     "--mu": dict(type=_parse_mu, required=True, help="composition, comma-separated parts"),
     "--n": dict(type=_positive, required=True, help="matrix rank"),
     "--max-deg": dict(type=_positive, required=True, help="largest label degree"),
-    "--nu": dict(help="partition, comma-separated (may be empty); default: a fixed grid"),
+    "--nu": dict(
+        type=_parse_nu, help="partition, comma-separated (may be empty); default: a fixed grid"
+    ),
     "--add": dict(type=int, help="row size n in s_nu * s_(n); needs --nu (default 1)"),
     "--vars": dict(type=int, default=5, help="variable count"),
     "--input": dict(help="JSON input file (stdin when omitted)"),
@@ -149,33 +150,11 @@ FLAGS = {  # every flag a sub-parser can declare
 }
 
 
-COMMANDS = {  # command -> (help, job dest, jobs, flags every job shares, handler)
-    "enum": ("stream canonical enumerations", "kind", ENUMS, ("--format",), _enum),
-    "map": ("apply a bijection or RSK", "direction", MAPS, ("--input", "--format"), _map),
-    "verify": ("run a verification driver", "check", CHECKS, (), cmd_verify),
+COMMANDS = {  # command -> (help, job dest, flags every job shares, handler)
+    "enum": ("stream canonical enumerations", "kind", ("--format",), _enum),
+    "map": ("apply a bijection or RSK", "direction", ("--input", "--format"), _map),
+    "verify": ("run a verification driver", "check", (), cmd_verify),
 }
-
-
-# The layers each job's driver loads.  main imports those of the job named on
-# the command line before it builds the parser: compiled after the parser,
-# on top of its objects, they raised a child's peak RSS by about 0.2 MB.
-LAYERS = {
-    **dict.fromkeys(("n_mu", "m_mu", "a_to_v", "v_to_a"), ("hecke_index", "records")),
-    "irreducibles": ("records",),
-    **dict.fromkeys(("pairs", "rsk"), ("rsk", "records")),
-    "rsk_general": ("hecke_index", "rsk", "records"),
-    "bijection": ("bijection",),
-    "rsk_bijectivity": ("rsk", "bijection"),
-    "dim_identity": ("rsk", "bijection", "decomp"),
-    **dict.fromkeys(("basis", "commutativity", "levi", "cosets"), ("oracle",)),
-    "pieri": ("decomp",),
-}
-
-
-def _named_job(argv):
-    """(command, job) when argv names a command and one of its jobs, else None."""
-    jobs = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
-    return tuple(argv[:2]) if argv[1:2] and argv[1] in jobs else None
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
@@ -187,33 +166,35 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         prog="hecke",
         description="Unipotent Hecke algebra combinatorics for GL_n(F_q).",
     )
-    named = _named_job(argv)
+    named = tuple(argv[:2])
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, dest, jobs, shared, handler) in COMMANDS.items():
-        job_parsers = commands.add_parser(command, help=help_text).add_subparsers(
+    job_parsers = {
+        command: commands.add_parser(command, help=help_text).add_subparsers(
             dest=dest, required=True
         )
-        for job, (flags, *_) in jobs.items():
-            if named in (None, (command, job)):
-                job_parser = job_parsers.add_parser(job)
-                job_parser.set_defaults(func=handler)
-                for flag in ("--p", *flags, *shared, "--output"):
-                    job_parser.add_argument(flag, **FLAGS[flag])
+        for command, (help_text, dest, *_) in COMMANDS.items()
+    }
+    for (command, job), (flags, *_) in JOBS.items():
+        if named not in JOBS or named == (command, job):
+            job_parser = job_parsers[command].add_parser(job)
+            for flag in ("--p", *flags, *COMMANDS[command][2], "--output"):
+                job_parser.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    named = _named_job(argv)
-    if named:
-        for layer in LAYERS.get(named[1], ()):
-            _load(layer)
+    # The named job's layers load before the parser is built: compiled after
+    # it, on top of its objects, they raised a child's peak RSS by about 0.2 MB.
+    named = tuple(argv[:2])
+    for layer in JOBS[named][1] if named in JOBS else ():
+        _load(layer)
     try:
         args = build_parser(argv).parse_args(argv)
     except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
         return err.code
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command][3](args, *_job(args))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown
         return code
     except BrokenPipeError:  # stdout's reader has gone: the command is done

@@ -236,19 +236,27 @@ def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
 def degree_matrices(mu: tuple):
     """All nonnegative l-by-l matrices with row and column sums mu, in
     row-major lexicographic order.  Each row is bounded by the column sums
-    still to fill, so the last row is exactly what is left."""
-    l = len(mu)
-
-    def rec(i, col_rem):
-        if i == l:
-            yield ()
-            return
-        for row in weak_compositions(mu[i], col_rem):
-            rest = tuple(r - x for r, x in zip(col_rem, row))
-            for tail in rec(i + 1, rest):
-                yield (row,) + tail
-
-    yield from rec(0, tuple(mu))
+    still to fill, so the last row is exactly what is left.  The rows are
+    walked with a stack of their choices, not by recursion, so no part
+    count meets the interpreter's recursion limit."""
+    l, rows = len(mu), []
+    if not l:
+        yield ()
+        return
+    rests = [tuple(mu)]  # rests[i]: the column sums rows i, i+1, ... fill
+    choices = [weak_compositions(mu[0], rests[0])]  # choices[i]: row i's untried options
+    while choices:
+        i = len(rows)  # row i is next: rows holds the rows above it
+        row = next(choices[i], None)
+        if row is None:  # row i has no option left: row i-1 takes its next
+            del choices[i], rests[i]
+            rows = rows[:-1]
+        elif i + 1 == l:
+            yield (*rows, row)
+        else:
+            rows.append(row)
+            rests.append(tuple(r - x for r, x in zip(rests[i], row)))
+            choices.append(weak_compositions(mu[i + 1], rests[-1]))
 
 
 def m_mu_size(q: int, mu: tuple) -> int:

@@ -1,5 +1,7 @@
 """The records of `enum` and `map`: their text and JSON forms, the writer,
-and the two commands, which the CLI loads only for an `enum` or `map` job.
+each job's driver (cli.JOBS names it) and the two commands, which the CLI
+loads only for an `enum` or `map` job.  It reads every `map` input, and
+checks each against its form or guard (`map rsk`'s matrix b included).
 
 A field element is its code for prime fields and its coordinate vector
 "[c0,c1,...]" for extension fields; either form is read back.  Polynomials
@@ -33,7 +35,7 @@ from hecke.gf import (
     poly_key,
     poly_trim,
 )
-from hecke.guards import DEGREE_GUARD, MembershipError, check_guard
+from hecke.guards import DEGREE_GUARD, TWO_LINE_GUARD, MembershipError, check_guard
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
@@ -240,23 +242,25 @@ class _Writer:
 # -- enum -----------------------------------------------------------------------
 
 
-# The M_mu and N_mu records are joins of texts that walk_m_mu has each
-# encoded once: an entry's polynomial, or a sub-block's 1-based rows and
-# entries.
+# An enum driver streams the keys of its records, then the JSON texts of
+# each record's values.  The M_mu and N_mu records are joins of texts that
+# walk_m_mu has each encoded once: an entry's polynomial, or a sub-block's
+# 1-based rows and entries.
 
 
-def _enum_m_mu(K: Field, a):
+def m_mu_records(K: Field, mu: tuple):
     from hecke import hecke_index
 
-    l = len(a.mu)
-    mu, rows = _encode(list(a.mu)), range(0, l * l, l)
-    walk = hecke_index.walk_m_mu(K, a.mu, lambda f, r: _encode(format_poly(K, f)))
+    yield "mu", "entries"
+    l = len(mu)
+    text, rows = _encode(list(mu)), range(0, l * l, l)
+    walk = hecke_index.walk_m_mu(K, mu, lambda f, r: _encode(format_poly(K, f)))
     for _, choices in walk:
         for flat in choices:
-            yield mu, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
+            yield text, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
 
 
-def _enum_n_mu(K: Field, a):
+def n_mu_records(K: Field, mu: tuple):
     from hecke import hecke_index
 
     def block_texts(f, r) -> tuple:
@@ -266,37 +270,34 @@ def _enum_n_mu(K: Field, a):
             ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
         )
 
-    for columns, choices in hecke_index.walk_m_mu(K, a.mu, block_texts):
+    yield "perm", "entries"
+    for columns, choices in hecke_index.walk_m_mu(K, mu, block_texts):
         for flat in choices:
             perms, entries = zip(*[flat[k] for k in columns])
             yield "[" + ",".join(perms) + "]", "[" + ",".join(entries) + "]"
 
 
-def _enum_irreducibles(K: Field, a):
-    return ((_encode(format_poly(K, f)),) for f in enumerate_irreducibles(K, a.max_deg))
+def irreducible_records(K: Field, max_deg: int):
+    yield ("poly",)
+    for f in enumerate_irreducibles(K, max_deg):
+        yield (_encode(format_poly(K, f)),)
 
 
-def _enum_pairs(K: Field, a):
+def pair_records(K: Field, mu: tuple):
     from hecke import rsk
 
-    for pair in rsk.enumerate_pairs(K, a.mu):
+    yield "P", "Q"
+    for pair in rsk.enumerate_pairs(K, mu):
         yield tuple(_encode(family_to_obj(K, family)) for family in pair)
 
 
-ENUM_DRIVERS = {  # kind -> driver streaming the JSON texts of each record's values
-    "n_mu": _enum_n_mu,
-    "m_mu": _enum_m_mu,
-    "irreducibles": _enum_irreducibles,
-    "pairs": _enum_pairs,
-}
-
-
-def cmd_enum(args, K: Field, keys: tuple) -> int:
-    """Stream the records of args.kind over K, under the keys the CLI gives."""
-    writer = _Writer(args, keys)
+def cmd_enum(args, driver, values) -> int:
+    """Stream the records of the enum driver called on values."""
+    stream = driver(*values)
+    writer = _Writer(args, next(stream))
     count = 0
     try:
-        for texts in ENUM_DRIVERS[args.kind](K, args):
+        for texts in stream:
             writer.record(texts)
             count += 1
         writer.footer(count)
@@ -309,50 +310,62 @@ def cmd_enum(args, K: Field, keys: tuple) -> int:
 
 
 def _read_input(args):
-    if args.input:
-        with open(args.input) as handle:
-            return json.load(handle)
-    return json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input) as handle:
+                return json.load(handle)
+        return json.load(sys.stdin)
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise ValueError("the JSON input nests too deeply to read") from None
 
 
-def _a_to_v(K: Field, data, args) -> dict:
+def a_to_v_record(K: Field, data) -> dict:
     from hecke import hecke_index
 
     a = polymatrix_from_obj(K, data)
     return {"mu": list(a.mu), **hecke_index.monomial_to_obj(K, hecke_index.v_of_matrix(K, a))}
 
 
-def _v_to_a(K: Field, data, args) -> dict:
+def v_to_a_record(K: Field, mu: tuple, data) -> dict:
     from hecke import hecke_index
 
     v = monomial_from_obj(K, data)
-    return polymatrix_to_obj(K, hecke_index.matrix_of_v(K, v, args.mu))
+    return polymatrix_to_obj(K, hecke_index.matrix_of_v(K, v, mu))
 
 
-def _rsk(K: Field, data, args) -> dict:
+def classical_record(data) -> dict:
+    """The `map rsk` record of {"b": b} or of b itself: the two-line array of
+    the nonnegative integer matrix b and its pair (P, Q); ValueError for any
+    other input, and GuardExceeded, before the array is built, when its
+    length sum b_ij is over guards.TWO_LINE_GUARD."""
     from hecke import rsk
 
-    return rsk.classical_record(data)
+    b = data.get("b") if isinstance(data, dict) else data
+    rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("b must be a rectangular matrix")
+    if not all(_is_int(x) and x >= 0 for row in b for x in row):
+        raise ValueError("b must have nonnegative integer entries")
+    check_guard(sum(map(sum, b)), TWO_LINE_GUARD, "two-line array length sum b_ij")
+    array = rsk.two_line_array(b)
+    P, Q = rsk.rsk_classical(b)
+    return {
+        "two_line": [[i for i, _ in array], [j for _, j in array]],
+        "P": [list(row) for row in P],
+        "Q": [list(row) for row in Q],
+    }
 
 
-def _rsk_general(K: Field, data, args) -> dict:
+def generalized_record(K: Field, data) -> dict:
     from hecke import rsk
 
     pair = rsk.rsk_generalized(K, polymatrix_from_obj(K, data))
     return {**pair_to_obj(K, pair), "weight": list(rsk.family_weight(pair[0]))}
 
 
-MAP_DRIVERS = {  # direction -> driver returning the record
-    "a_to_v": _a_to_v,
-    "v_to_a": _v_to_a,
-    "rsk": _rsk,
-    "rsk_general": _rsk_general,
-}
-
-
-def cmd_map(args, K: Field) -> int:
-    """Map the input record of args.direction over K and write the result."""
-    record = MAP_DRIVERS[args.direction](K, _read_input(args), args)
+def cmd_map(args, driver, values) -> int:
+    """Write the record the map driver makes of values and the input record."""
+    record = driver(*values, _read_input(args))
     writer = _Writer(args, tuple(record))
     writer.record(tuple(map(_encode, record.values())))
     writer.close()

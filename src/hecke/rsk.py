@@ -15,8 +15,9 @@ matrix, and so do its shapes and contents, which the bijectivity check
 degree.  The fillings of a label shape depend on its labels only through
 their degrees.  Each pair and summary is made once per matrix, each
 filling list once per degree signature, each tableau list once per (shape,
-weight), all kept as immutable tuples.  The JSON forms of the families
-are in hecke.records.
+weight), all kept as immutable tuples.  The JSON forms of the families,
+and the `map rsk` record with the checks of its matrix, are in
+hecke.records.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from hecke.gf import Field, _irreducibles_through, factorize, poly_deg, poly_key
-from hecke.guards import TWO_LINE_GUARD, check_guard
 from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
 if TYPE_CHECKING:  # read by annotations only: `map rsk` and `enum pairs` load no hecke_index
@@ -74,29 +74,6 @@ def two_line_array(b) -> tuple:
         for j in range(len(row), 0, -1):
             pairs.extend([(i, j)] * row[j - 1])
     return tuple(pairs)
-
-
-def classical_record(data) -> dict:
-    """The `map rsk` record of {"b": b} or of b itself: the two-line array of
-    the nonnegative integer matrix b and its pair (P, Q); ValueError for any
-    other input, and GuardExceeded, before the array is built, when its
-    length sum b_ij is over guards.TWO_LINE_GUARD."""
-    from hecke.records import _is_int
-
-    b = data.get("b") if isinstance(data, dict) else data
-    rows = b if isinstance(b, list) and all(isinstance(row, list) for row in b) else []
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("b must be a rectangular matrix")
-    if not all(_is_int(x) and x >= 0 for row in b for x in row):
-        raise ValueError("b must have nonnegative integer entries")
-    check_guard(sum(map(sum, b)), TWO_LINE_GUARD, "two-line array length sum b_ij")
-    array = two_line_array(b)
-    P, Q = rsk_classical(b)
-    return {
-        "two_line": [[i for i, _ in array], [j for _, j in array]],
-        "P": [list(row) for row in P],
-        "Q": [list(row) for row in Q],
-    }
 
 
 def rsk_classical(b) -> tuple:

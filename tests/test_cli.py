@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from hecke import bijection, guards, hecke_index, prices, records
-from hecke.cli import COMMANDS, FLAGS, build_parser, main
+from hecke import bijection, cli, guards, hecke_index, prices, records
+from hecke.cli import FLAGS, JOBS, build_parser, main
 from hecke.gf import Field
 from hecke.guards import DEGREE_GUARD, GuardExceeded
 from hecke.hecke_index import (
@@ -166,11 +166,12 @@ def test_enum_cut_short_writes_the_records_it_made(monkeypatch, capsys):
     """A stream that fails after a block and a half still writes every
     record it made, then exits 2 without a footer."""
 
-    def driver(K, args):
+    def driver(K, max_deg):
+        yield ("poly",)
         yield from ((str(i),) for i in range(300))
         raise ValueError("cut short")
 
-    monkeypatch.setitem(records.ENUM_DRIVERS, "irreducibles", driver)
+    monkeypatch.setattr(records, "irreducible_records", driver)
     handle = RecordingHandle()
     monkeypatch.setattr(sys, "stdout", handle)
     assert main(["enum", "irreducibles", "--p", "2", "--max-deg", "1"]) == 2
@@ -252,7 +253,8 @@ def test_records_of_every_kind_equal_the_dict_witness(monkeypatch, capsys, fmt):
         assert (code, out.splitlines()) == (0, witness_lines(objs, fmt)), args
     for direction, (extra, data) in MAP_INPUTS.items():
         args = build_parser().parse_args(["map", direction, "--p", "2", *extra])
-        obj = records.MAP_DRIVERS[direction](Field(2), data, args)
+        driver, values = cli._job(args)
+        obj = driver(*values, data)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
         code, out, _ = run_cli(capsys, "map", direction, "--p", "2", *extra, "--format", fmt)
         assert (code, out.splitlines()) == (0, witness_lines([obj], fmt)[:-1]), direction
@@ -340,13 +342,13 @@ def test_only_the_named_job_gets_its_flags(capsys):
 
 
 def every_job():
-    return [(command, job) for command, (_, _, jobs, *_) in COMMANDS.items() for job in jobs]
+    return list(JOBS)
 
 
 def job_lines(command, job) -> dict:
     """A valid line of the job and its help and malformed variants."""
     values = {"--mu": "2,1", "--n": "2", "--max-deg": "2"}
-    flags = COMMANDS[command][2][job][0]
+    flags = JOBS[command, job][0]
     required = [part for f in flags if FLAGS[f].get("required") for part in (f, values[f])]
     valid = [command, job, "--p", "2", *required]
     return {
@@ -371,6 +373,11 @@ def test_named_job_parser_equals_the_full_parser(capsys, command, job):
             assert isinstance(named[0], dict), case
         else:
             assert named[0] == (0 if case == "help" else 2), case
+
+
+def test_every_job_has_a_readme_command_line():
+    named = {tuple(shlex.split(line, comments=True)[1:3]) for line in readme_command_lines()}
+    assert [job for job in JOBS if job not in named] == []
 
 
 def test_readme_command_lines_parse():
@@ -573,6 +580,19 @@ def test_malformed_map_input_exits_2(tmp_path, capsys, name):
         code, out, err = run_cli(capsys, *argv, "--input", str(path))
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_map_input_nested_past_the_recursion_limit_exits_2(tmp_path, monkeypatch, capsys):
+    """JSON nested deeper than the decoder can recurse is malformed input,
+    from a file or from stdin: exit 2, not a traceback's exit 1."""
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    refused = (2, "", "error: the JSON input nests too deeply to read\n")
+    for argv in MAP_ARGV.values():
+        assert run_cli(capsys, *argv, "--input", str(path)) == refused, argv
+        monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+        assert run_cli(capsys, *argv) == refused, argv
 
 
 NON_MEMBERS = {  # a well-formed grid outside M_mu -> its exact stderr line
@@ -1261,6 +1281,12 @@ def test_verify_pieri_not_a_partition_exits_2(capsys):
     assert "partition" in err
 
 
+def test_verify_pieri_unparsable_nu_exits_2(capsys):
+    code, out, err = run_cli(capsys, *pieri_args("--nu", "2,x", "--vars", "3"))
+    assert (code, out) == (2, "")
+    assert "argument --nu: cannot parse partition '2,x'" in err
+
+
 def test_verify_pieri_negative_add_exits_2(capsys):
     code, out, err = run_cli(capsys, *pieri_args("--nu", "2,1", "--add", "-1", "--vars", "3"))
     assert code == 2
@@ -1362,8 +1388,8 @@ def test_reader_closing_after_one_line_ends_enum_quietly(argv, buffered):
 
 STUB_FAILING_CHECK = """
 import sys
-from hecke import cli
-cli.CHECKS["bijection"] = (("--k", "--mu"), lambda a: {"check": "stub", "pass": False})
+from hecke import bijection, cli
+bijection.bijection_check = lambda K, mu: {"check": "stub", "pass": False}
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -1521,7 +1547,8 @@ MOVED = {  # module -> (the names it holds alone, the modules that held them bef
         ("_TERM_RE", "_is_int", "element_to_obj", "element_from_obj", "parse_coeff", "parse_poly")
         + ("validate_m_mu", "monomial_from_obj", "polymatrix_to_obj", "polymatrix_from_obj")
         + ("family_to_obj", "family_from_obj", "pair_to_obj")
-        + ("_encode", "BLOCK", "_Writer", "_read_input", "cmd_enum", "cmd_map"),
+        + ("_encode", "BLOCK", "_Writer", "_read_input", "cmd_enum", "cmd_map")
+        + ("classical_record",),
         ("gf", "hecke_index", "rsk", "cli"),
     ),
     "prices": (

@@ -1,6 +1,8 @@
 import importlib
+import inspect
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -26,7 +28,7 @@ from hecke.hecke_index import (
     v_of_matrix,
 )
 from hecke.records import monomial_from_obj, polymatrix_from_obj, polymatrix_to_obj, validate_m_mu
-from hecke.shapes import boundary_set
+from hecke.shapes import boundary_set, weak_compositions
 from test_shapes import compositions_of
 
 F2 = Field(2)
@@ -420,6 +422,26 @@ def test_degree_matrices_small():
         for d in degree_matrices(mu):
             assert tuple(sum(row) for row in d) == mu
             assert tuple(sum(col) for col in zip(*d)) == mu
+
+
+def test_degree_matrices_are_every_matrix_of_sums_mu_in_lex_order():
+    for n in range(1, 6):
+        for mu in compositions_of(n):
+            rows = [list(weak_compositions(part, mu)) for part in mu]
+            sums_mu = [d for d in itertools.product(*rows) if tuple(map(sum, zip(*d))) == mu]
+            assert list(degree_matrices(mu)) == sorted(sums_mu), mu
+
+
+def test_degree_matrices_walk_more_parts_than_frames_to_spare():
+    """300 parts with 100 frames left below the recursion limit: the rows
+    are not walked by recursion.  The first matrix is the anti-diagonal."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        first = next(degree_matrices((1,) * 300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == tuple(tuple(int(i + j == 299) for j in range(300)) for i in range(300))
 
 
 def test_enumerate_m_mu_examples():
