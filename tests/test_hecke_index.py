@@ -422,10 +422,7 @@ def test_degree_matrices_small():
         for d in degree_matrices(mu):
             assert tuple(sum(row) for row in d) == mu
             assert tuple(sum(col) for col in zip(*d)) == mu
-
-
-def test_degree_matrices_are_every_matrix_of_sums_mu_in_lex_order():
-    for n in range(1, 6):
+    for n in range(1, 6):  # every matrix of row and column sums mu, in lex order
         for mu in compositions_of(n):
             rows = [list(weak_compositions(part, mu)) for part in mu]
             sums_mu = [d for d in itertools.product(*rows) if tuple(map(sum, zip(*d))) == mu]
