@@ -104,12 +104,6 @@ def _blocks(mu: tuple, d):
                 col[j] += d[i][j]
 
 
-def v_block(K: Field, f: Poly, r: int) -> MonomialMatrix:
-    """v_(f) as the sub-block of v_a whose first row is r: rows shifted by r."""
-    sub = v_of_poly(K, f)
-    return MonomialMatrix(tuple(r + x for x in sub.perm), sub.entries)
-
-
 def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
     """v_a for a polynomial matrix a, unchecked: the caller guarantees a in M_mu."""
     d = [[poly_deg(f) for f in row] for row in a.entries]
@@ -313,16 +307,6 @@ def enumerate_n(K: Field, n: int) -> Iterator[MonomialMatrix]:
     for perm in itertools.permutations(range(n)):
         for entries in itertools.product(K.units(), repeat=n):
             yield MonomialMatrix(perm, entries)
-
-
-def enumerate_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
-    """Stream the basis index set N_mu in the canonical order inherited from
-    M_mu: each v_a joins, in column order, sub-blocks that walk_m_mu has
-    each made once with v_block."""
-    for columns, choices in walk_m_mu(K, mu, lambda f, r: v_block(K, f, r)):
-        for flat in choices:
-            perms, entries = zip(*[flat[k] for k in columns])
-            yield MonomialMatrix(sum(perms, ()), sum(entries, ()))
 
 
 # -- serialization --------------------------------------------------------------

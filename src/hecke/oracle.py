@@ -36,13 +36,13 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from hecke.gf import Field, enumerate_monic_units
+from hecke.gf import Field
 from hecke.guards import G_GUARD, check_guard, gl_order, u_order
 from hecke.hecke_index import (
     MonomialMatrix,
     PolyMatrix,
+    enumerate_m_mu,
     enumerate_n,
-    enumerate_n_mu,
     is_in_n_mu_fast,
     m_mu_size,
     monomial_to_obj,
@@ -112,8 +112,6 @@ class Cyclotomic:
             for f, y in other._sparse_counts():
                 counts[(e + f) % p] += x * y
         return Cyclotomic(p, counts, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -417,7 +415,7 @@ def structure_constants(K: Field, mu: tuple) -> StructureConstants:
     mu = tuple(mu)
     p, trace = K.p, K.trace
     U = _u_psi(K, sum(mu), mu)  # refuses |U| over its guard before N_mu is listed
-    basis = tuple(enumerate_n_mu(K, mu))
+    basis = tuple(v_of_matrix(K, a) for a in enumerate_m_mu(K, mu))  # N_mu's canonical order
     index = {v: k for k, v in enumerate(basis)}
     cols = _psi_columns(mu)
     table = {}
@@ -510,12 +508,13 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
     index_of = {v: k for k, v in enumerate(full_sc.basis)}
+    # Slot t of factor i's basis is the t-th 1-by-1 matrix of M_(mu_i).
+    units = [[a.entries[0][0] for a in enumerate_m_mu(K, (m,))] for m in mu]
 
     def embed(tensor: tuple) -> int:
-        units = [enumerate_monic_units(K, m)[t] for m, t in zip(mu, tensor)]
         l = len(mu)
         grid = tuple(
-            tuple(units[i] if i == j else (1,) for j in range(l)) for i in range(l)
+            tuple(units[i][tensor[i]] if i == j else (1,) for j in range(l)) for i in range(l)
         )
         return index_of[v_of_matrix(K, PolyMatrix(grid, mu))]
 

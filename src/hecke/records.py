@@ -11,11 +11,12 @@ pattern is compiled by re on its first use (and cached there), not at
 import: only parse_poly reads it.  A polynomial matrix is read through
 validate_m_mu, the one place outside data is checked to lie in M_mu.
 
-`enum` streams: the first record is written and flushed alone as soon as
-the enumeration yields it; the rest go out in blocks of BLOCK records, one
-write call each, and the last block carries the count footer.  A driver
-imports hecke_index or rsk when it runs, as the CLI has already done for
-its job.
+`enum` streams: the first record (under the TSV header) is written and
+flushed as soon as the enumeration yields it; every later line, the count
+footer included, joins a block that is written and flushed, one write call,
+once it holds BLOCK characters, so a record longer than BLOCK goes out
+alone.  A driver imports hecke_index or rsk when it runs, as the CLI has
+already done for its job.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def pair_to_obj(K: Field, pair) -> dict:
 # -- the writer ---------------------------------------------------------------------
 
 
-BLOCK = 256  # records per write after the first: 18-30 KiB at 70-120 bytes a record
+BLOCK = 32768  # characters per write: about what 256 records of 70-120 bytes make
 
 
 class _Writer:
@@ -198,43 +199,38 @@ class _Writer:
         self.path = args.output
         self.handle = open(self.path, "w") if self.path else sys.stdout
         self.block = []  # the lines made and not yet written
+        self.size = BLOCK  # the block starts full, so the first record goes out at once
         if self.fmt == "json":
             self.row = "{" + ",".join(f"{_encode(key)}:%s" for key in keys) + "}\n"
-            self.first = self.row
         else:
             self.row = "\t".join("%s" for _ in keys) + "\n"
-            self.first = "\t".join(keys) + "\n" + self.row  # the header shares the first row
+            self.block.append("\t".join(keys) + "\n")  # the header goes out with the first row
 
-    def record(self, texts: tuple):
-        # The first record is written and flushed alone, so a reader sees it
-        # at once; the rest go out BLOCK lines per write call, since on
-        # unbuffered stdout each call is one write(2) into the pipe.
-        if self.fmt == "tsv":
-            texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
-        if self.first:
-            self.handle.write(self.first % texts)
-            self.handle.flush()
-            self.first = None
-            return
-        self.block.append(self.row % texts)
-        if len(self.block) == BLOCK:
-            self._write_block()
+    def line(self, text: str):
+        # A block is one write call, flushed, once it holds BLOCK characters:
+        # on unbuffered stdout each call is one write(2) into the pipe.
+        self.block.append(text)
+        self.size += len(text)
+        if self.size >= BLOCK:
+            self.flush()
 
-    def _write_block(self):
+    def flush(self):
         if self.block:
             self.handle.write("".join(self.block))
-            self.block = []
+            self.handle.flush()
+            self.block, self.size = [], 0
+
+    def record(self, texts: tuple):
+        if self.fmt == "tsv":
+            texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
+        self.line(self.row % texts)
 
     def footer(self, count: int):
-        # The last block carries the footer.
-        if self.fmt == "tsv":
-            self.block.append(f"# count={count}\n")
-        else:
-            self.block.append(json.dumps({"count": count}) + "\n")
-        self._write_block()
+        text = f"# count={count}" if self.fmt == "tsv" else json.dumps({"count": count})
+        self.line(text + "\n")
 
     def close(self):
-        self._write_block()
+        self.flush()
         if self.path:
             self.handle.close()
 
@@ -264,9 +260,9 @@ def n_mu_records(K: Field, mu: tuple):
     from hecke import hecke_index
 
     def block_texts(f, r) -> tuple:
-        block = hecke_index.v_block(K, f, r)
+        block = hecke_index.v_of_poly(K, f)  # v_(f), the sub-block of v_a from row r
         return (
-            ",".join(str(x + 1) for x in block.perm),
+            ",".join(str(r + x + 1) for x in block.perm),
             ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
         )
 
@@ -297,9 +293,8 @@ def cmd_enum(args, driver, values) -> int:
     writer = _Writer(args, next(stream))
     count = 0
     try:
-        for texts in stream:
+        for count, texts in enumerate(stream, 1):
             writer.record(texts)
-            count += 1
         writer.footer(count)
     finally:  # a stream cut short still writes the records it made
         writer.close()

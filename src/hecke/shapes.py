@@ -10,7 +10,7 @@ counts indexed from 1 and may carry trailing zeros.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import add, sub
 
 Partition = tuple
@@ -59,7 +59,7 @@ def weak_compositions(n: int, bounds: tuple):
     part that can take a unit from the parts after it, and those restart as
     low as the later bounds allow."""
     l = len(bounds)
-    room = [sum(bounds[i:]) for i in range(l + 1)]
+    room = [*accumulate(reversed(bounds), initial=0)][::-1]  # room[i] = sum(bounds[i:])
     if not 0 <= n <= room[0]:
         return
     w = [0] * l

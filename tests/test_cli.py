@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from hecke.guards import DEGREE_GUARD, GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
     enumerate_m_mu,
-    enumerate_n_mu,
     monomial_to_obj,
     v_of_matrix,
 )
@@ -136,13 +136,13 @@ def enum_calls(monkeypatch, argv: list, to_file: bool) -> list:
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_enum_writes_the_first_record_alone_then_blocks(monkeypatch, fmt, to_file):
     """The writer contract: the first record (under the TSV header) is one
-    write, flushed at once; every later write holds whole lines, BLOCK
-    records each but the last, which carries the rest and the footer; and
-    the writes join to the bytes that one write per record made.  M_(2,1)
-    over F_2 fits in one block; M_(2,2,1) over F_3, 496 records, fills one
-    and starts another."""
-    from hecke.records import BLOCK
-
+    write, flushed at once; every later write is flushed and holds whole
+    lines, at most one line past BLOCK characters, and each but the last
+    reaches BLOCK; and the writes join to the bytes that one write per
+    record made.  M_(2,1) over F_2 fits in one block; M_(2,2,1) over F_3,
+    496 records, spans several at BLOCK = 2000."""
+    BLOCK = 2000
+    monkeypatch.setattr(records, "BLOCK", BLOCK)
     K = Field(3)
     big = witness_lines([polymatrix_to_obj(K, a) for a in enumerate_m_mu(K, (2, 2, 1))], fmt)
     streams = {
@@ -155,16 +155,41 @@ def test_enum_writes_the_first_record_alone_then_blocks(monkeypatch, fmt, to_fil
         assert first.count("\n") == (1 if fmt == "json" else 2) and first.endswith("\n")
         assert flush is FLUSH
         writes = [text for text in rest if text is not FLUSH]
+        flushed = [text for text, after in zip(rest, rest[1:]) if after is FLUSH]
+        assert [text for text in flushed if text is not FLUSH] == writes, args  # each one flushed
         assert all(text.endswith("\n") for text in writes), args
-        later = expected.count("\n") - first.count("\n") - 1  # records after the first
-        blocks = [BLOCK] * (later // BLOCK) + [later % BLOCK + 1]  # the last with the footer
-        assert [text.count("\n") for text in writes] == blocks, args
+        heads = [text[: text.rfind("\n", 0, -1) + 1] for text in writes]  # all but the last line
+        assert all(len(head) < BLOCK for head in heads), args
+        assert all(len(text) >= BLOCK for text in writes[:-1]), args
+        assert (len(writes) == 1) == (expected is M_MU_21_BYTES[fmt]), args  # one block or several
         assert first + "".join(writes) == expected, args
 
 
+def test_enum_writes_each_record_longer_than_a_block_alone(monkeypatch):
+    """A record longer than BLOCK goes out as its own write: the first six
+    elements of M_(1^40) over F_2, 6820 bytes each, at BLOCK = 4096."""
+    walk = records.m_mu_records
+    monkeypatch.setattr(records, "m_mu_records", lambda K, mu: itertools.islice(walk(K, mu), 7))
+    monkeypatch.setattr(records, "BLOCK", 4096)
+    argv = ["enum", "m_mu", "--p", "2", "--mu", ",".join("1" * 40)]
+    writes = [text for text in enum_calls(monkeypatch, argv, False) if text is not FLUSH]
+    assert [text.count("\n") for text in writes] == [1] * 7  # six records, then the footer
+    assert all(len(text) > 4096 for text in writes[:6])
+    assert writes[-1] == '{"count": 6}\n'
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_an_empty_enum_stream_writes_its_header_and_count(monkeypatch, capsys, fmt):
+    """A stream with no records still writes the TSV header above its footer."""
+    monkeypatch.setattr(records, "irreducible_records", lambda K, max_deg: iter([("poly",)]))
+    argv = ["enum", "irreducibles", "--p", "2", "--max-deg", "1", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, {"json": '{"count": 0}\n', "tsv": "poly\n# count=0\n"}[fmt])
+
+
 def test_enum_cut_short_writes_the_records_it_made(monkeypatch, capsys):
-    """A stream that fails after a block and a half still writes every
-    record it made, then exits 2 without a footer."""
+    """A stream that fails after 300 records still writes every record it
+    made, then exits 2 without a footer."""
 
     def driver(K, max_deg):
         yield ("poly",)
@@ -201,16 +226,15 @@ def witness_lines(objs: list, fmt: str) -> list:
     "p,k,top", [(2, 1, 5), (3, 1, 5), (2, 2, 5), (5, 1, 4)], ids=["q2", "q3", "q4", "q5"]
 )
 def test_walked_streams_equal_the_per_element_witness(tmp_path, capsys, p, k, top):
-    """enumerate_n_mu and the enum m_mu / n_mu records, all walked, against
-    v_of_matrix of each element of M_mu and its dict record, on every
-    composition of n <= top."""
+    """The enum m_mu / n_mu records, walked, against each element of M_mu,
+    and v_of_matrix of it, as a dict record, on every composition of
+    n <= top."""
     K = Field(p, k)
     path = tmp_path / "records"
     for n in range(1, top + 1):
         for mu in compositions_of(n):
             m_mu = list(enumerate_m_mu(K, mu))
             n_mu = [v_of_matrix(K, a) for a in m_mu]
-            assert list(enumerate_n_mu(K, mu)) == n_mu, mu
             witness = {
                 "m_mu": [polymatrix_to_obj(K, a) for a in m_mu],
                 "n_mu": [monomial_to_obj(K, v) for v in n_mu],
@@ -1085,7 +1109,7 @@ def test_oracle_work_guards_exit_3_before_u_is_built(monkeypatch, capsys, argv, 
         raise AssertionError("U, e_mu or N_mu was built before the guard")
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
-    for name in ("enumerate_u", "e_mu", "enumerate_n_mu"):
+    for name in ("enumerate_u", "e_mu", "enumerate_m_mu"):
         monkeypatch.setattr(oracle, name, refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3

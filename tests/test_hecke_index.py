@@ -17,7 +17,6 @@ from hecke.hecke_index import (
     degree_matrices,
     enumerate_m_mu,
     enumerate_n,
-    enumerate_n_mu,
     is_in_n_mu_direct,
     is_in_n_mu_fast,
     m_mu_size,
@@ -27,7 +26,14 @@ from hecke.hecke_index import (
     v_of_poly,
     v_of_matrix,
 )
-from hecke.records import monomial_from_obj, polymatrix_from_obj, polymatrix_to_obj, validate_m_mu
+from hecke.records import (
+    _encode,
+    monomial_from_obj,
+    n_mu_records,
+    polymatrix_from_obj,
+    polymatrix_to_obj,
+    validate_m_mu,
+)
 from hecke.shapes import boundary_set, weak_compositions
 from test_shapes import compositions_of
 
@@ -517,11 +523,11 @@ def test_gelfand_graev_count():
 
 
 def test_canonical_n_mu_matches_filter():
-    vs = list(enumerate_n_mu(F2, (2, 1)))
+    vs = [v_of_matrix(F2, a) for a in enumerate_m_mu(F2, (2, 1))]
     assert len(vs) == len(set(vs)) == 3
 
 
-def test_enumerate_n_mu_streams(monkeypatch):
+def test_n_mu_records_stream(monkeypatch):
     degree_matrices = hecke_index.degree_matrices
 
     def first_only(mu):
@@ -530,8 +536,10 @@ def test_enumerate_n_mu_streams(monkeypatch):
         raise AssertionError("a second degree matrix was walked before the first element")
 
     monkeypatch.setattr(hecke_index, "degree_matrices", first_only)
-    first = next(enumerate_n_mu(F2, (2, 1)))
-    assert first == v_of_matrix(F2, next(enumerate_m_mu(F2, (2, 1))))
+    records = n_mu_records(F2, (2, 1))
+    assert next(records) == ("perm", "entries")
+    v = v_of_matrix(F2, next(enumerate_m_mu(F2, (2, 1))))
+    assert next(records) == tuple(map(_encode, monomial_to_obj(F2, v).values()))
 
 
 def entrywise_m_mu(K, mu):

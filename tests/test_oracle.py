@@ -6,7 +6,13 @@ import pytest
 from hecke.bijection import is_unipotent_upper, mat_inv, monomial_to_matrix, psi_mu_eval
 from hecke.gf import Field
 from hecke.guards import GuardExceeded, gl_order
-from hecke.hecke_index import MonomialMatrix, enumerate_n, enumerate_n_mu, monomial_identity
+from hecke.hecke_index import (
+    MonomialMatrix,
+    enumerate_m_mu,
+    enumerate_n,
+    monomial_identity,
+    v_of_matrix,
+)
 from hecke.oracle import (
     AlgebraElement,
     CosetError,
@@ -54,6 +60,11 @@ def x_elem(K, n, i, j, t):
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
     rows[i - 1][j - 1] = t
     return tuple(tuple(r) for r in rows)
+
+
+def n_mu(K, mu) -> list:
+    """N_mu in its canonical order: v_a for each a in M_mu."""
+    return [v_of_matrix(K, a) for a in enumerate_m_mu(K, mu)]
 
 
 # -- cyclotomic arithmetic -------------------------------------------------------
@@ -390,7 +401,7 @@ def test_basis_check_extension_field():
     for mu in [(2,), (1, 1)]:
         report = basis_check(F4, mu)
         assert report["pass"], report
-    for v in enumerate_n_mu(F4, (2,)):
+    for v in n_mu(F4, (2,)):
         from hecke.hecke_index import is_in_n_mu_direct
 
         assert is_in_n_mu_direct(F4, v, (2,))
@@ -400,7 +411,7 @@ def test_basis_check_extension_field():
 def test_distinct_basis_supports_are_disjoint(K, n):
     for mu in compositions_of(n):
         supports = [
-            set(t_v(K, v, mu).terms) for v in enumerate_n_mu(K, mu)
+            set(t_v(K, v, mu).terms) for v in n_mu(K, mu)
         ]
         for s1, s2 in itertools.combinations(supports, 2):
             assert not s1 & s2
@@ -415,7 +426,7 @@ def test_t_v_coefficient_at_v_is_a_positive_rational(K, mu):
     # structure_constants divides by this: |U ∩ vUv^-1| / |U|^2, counted here
     # as the u in U with v^-1 u v in U.
     U = enumerate_u(K, sum(mu))
-    for v in enumerate_n_mu(K, mu):
+    for v in n_mu(K, mu):
         vm = monomial_to_matrix(K, v)
         vinv = mat_inv(K, vm)
         meet = sum(is_unipotent_upper(mat_mul(K, mat_mul(K, vinv, u), vm)) for u in U)
@@ -515,7 +526,7 @@ def brute_force_table(K, mu):
     read off at each basis representative and divided by T_k's own
     coefficient there (a positive rational); nothing may remain outside
     the span of the expansion."""
-    basis = list(enumerate_n_mu(K, mu))
+    basis = n_mu(K, mu)
     elems = [t_v(K, v, mu) for v in basis]
     mats = [monomial_to_matrix(K, v) for v in basis]
     # 1 / c for each rational c = nums[0] / den > 0.
@@ -545,7 +556,7 @@ def brute_force_table(K, mu):
 )
 def test_structure_constants_match_brute_force(K, mu):
     sc = structure_constants(K, mu)
-    assert sc.basis == tuple(enumerate_n_mu(K, mu))
+    assert sc.basis == tuple(n_mu(K, mu))
     assert sc.table == brute_force_table(K, mu)
 
 
