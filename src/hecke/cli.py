@@ -47,10 +47,9 @@ def _parse_mu(text: str) -> tuple:
     return mu
 
 
-def _parse_nu(text: str):
-    # "" (no parts) stays "": decomp.pieri_report checks the parts it is given.
+def _parse_nu(text: str) -> tuple:
     try:
-        return text and tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from None
 

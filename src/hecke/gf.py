@@ -5,7 +5,9 @@ c0 + c1*p + ... + c_{k-1}*p**(k-1) encodes the coordinate vector of
 c0 + c1*g + ... + c_{k-1}*g**(k-1), where g is the class of the variable
 modulo the defining polynomial.  A Field instance builds its operation
 tables the first time an operation reads one; all bulk enumeration works
-directly on these integer codes.
+directly on these integer codes.  They are the codes of the vectors of
+F_p^k: an extension field builds its tables from `_vector_codes`, the add
+and scale tables of the codes of F_q^n that the oracle also reads.
 
 Polynomials are tuples of element codes, lowest degree first, with no
 trailing zeros.  The zero polynomial is the empty tuple and has degree -1.
@@ -33,23 +35,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _fp_poly_mulmod(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
-    """Product of two coordinate vectors modulo a monic polynomial over F_p."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(k):
-                prod[d - k + j] = (prod[d - k + j] - c * modulus[j]) % p
-    return tuple(prod[:k]) + (0,) * (k - len(prod))
 
 
 class Field:
@@ -96,22 +81,17 @@ class Field:
             self._neg = tuple(-a % p for a in range(q))
         else:
             self.modulus = _smallest_irreducible(p, k)
-            coords = [self.coords(a) for a in range(q)]
-            self._add = [
-                tuple(
-                    self.from_coords(tuple((x + y) % p for x, y in zip(coords[a], coords[b])))
-                    for b in range(q)
-                )
-                for a in range(q)
-            ]
-            self._mul = [
-                tuple(
-                    self.from_coords(_fp_poly_mulmod(p, self.modulus, coords[a], coords[b]))
-                    for b in range(q)
-                )
-                for a in range(q)
-            ]
-            self._neg = tuple(self.from_coords(tuple(-x % p for x in c)) for c in coords)
+            add, scale = _vector_codes(Field(p), k)[2:]
+            self._add, self._neg = add, scale[p - 1]
+            top = p ** (k - 1)
+            x_k = self.from_coords(-m for m in self.modulus[:k])  # X^k mod the modulus
+            self._mul = []
+            for a in range(q):
+                row, x = [0], a  # row: the F_p-span of a, aX, ..., newest coefficient slowest
+                for _ in range(k):
+                    row = [add[s[x]][t] for s in scale for t in row]
+                    x = add[x % top * p][scale[x // top][x_k]]  # x X: a shift and X^k
+                self._mul.append(tuple(row))
         self._inv = (0,) + tuple(self.pow(a, q - 2) for a in range(1, q))
         # Tr(x) = x + x^p + ... + x^(p^(k-1)) lies in the prime subfield.
         trace = []
@@ -185,6 +165,23 @@ class Field:
         if self.k == 1:
             return f"Field({self.p})"
         return f"Field({self.p}, {self.k})"
+
+
+@lru_cache(maxsize=None)
+def _vector_codes(K: Field, n: int) -> tuple:
+    """(vectors, index, add, scale) for the codes of F_q^n: vector c is
+    vectors[c], index maps it back, add[a][b] is the code of a + b and
+    scale[c][a] that of c a.  At n = 1 codes are field elements."""
+    vectors = list(itertools.product(K.elements(), repeat=n))
+    index = {vec: c for c, vec in enumerate(vectors)}
+    if n == 1:
+        return vectors, index, K._add, K._mul
+    q, (add, scale) = K.q, _vector_codes(K, n - 1)[2:]
+    codes = list(range(q**n))  # one int per code, shared by every entry that holds it
+    # a code is q times the code of the first n-1 entries, plus the last entry
+    add = [tuple([codes[h * q + l] for h in add[a // q] for l in K._add[a % q]]) for a in codes]
+    scale = [tuple([h * q + l for h in s for l in m]) for s, m in zip(scale, K._mul)]
+    return vectors, index, add, scale
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple:

@@ -12,7 +12,7 @@ runs it for e_mu e_mu = e_mu.  `t_v` and `double_coset_reps` form the
 products u v u' on integer codes, and `enumerate_gl` streams G as codes:
 vector c of F_q^n is the c-th in itertools.product order, a matrix with
 row codes r_i is sum r_i (q^n)^(n-1-i), `_u_orbit` builds U v u' row by
-row, and `_vector_codes` adds and scales codes by tables of
+row, and `hecke.gf._vector_codes` adds and scales codes by tables of
 q^(2n) + q^(n+1) entries (K's own at n = 1; at n >= 2 at most 4 |G| and
 twice the priced `verify basis` work).
 `structure_constants` forms no group-algebra element: e_mu x =
@@ -36,7 +36,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from hecke.gf import Field
+from hecke.gf import Field, _vector_codes
 from hecke.guards import G_GUARD, check_guard, gl_order, u_order
 from hecke.hecke_index import (
     MonomialMatrix,
@@ -92,20 +92,11 @@ class Cyclotomic:
         base = max(set(counts), key=counts.count)
         return tuple((e, (c - base) * scale) for e, c in enumerate(counts) if c != base)
 
-    def _check(self, other: "Cyclotomic"):
-        if self.p != other.p:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        a, b = self.den, other.den
-        counts = [x * b + y * a for x, y in zip(self.nums, other.nums)]
-        return Cyclotomic(self.p, counts + [0], a * b)
-
     def __mul__(self, other):
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        self._check(other)
+        if self.p != other.p:
+            raise ValueError("mixed cyclotomic orders")
         p = self.p
         counts = [0] * p
         for e, x in self._sparse_counts():
@@ -179,23 +170,6 @@ def enumerate_gl(K: Field, n: int) -> Iterator[int]:
             yield from extend(head * Q + vec, rows + 1, grown)
 
     return (g for last_rows in extend(0, 0, {0}) for g in last_rows)  # a generator: traceable
-
-
-@lru_cache(maxsize=None)
-def _vector_codes(K: Field, n: int) -> tuple:
-    """(vectors, index, add, scale) for the codes of F_q^n: vector c is
-    vectors[c], index maps it back, add[a][b] is the code of a + b and
-    scale[c][a] that of c a.  At n = 1 codes are field elements."""
-    vectors = list(itertools.product(K.elements(), repeat=n))
-    index = {vec: c for c, vec in enumerate(vectors)}
-    if n == 1:
-        return vectors, index, K._add, K._mul
-    q, (add, scale) = K.q, _vector_codes(K, n - 1)[2:]
-    codes = list(range(q**n))  # one int per code, shared by every entry that holds it
-    # a code is q times the code of the first n-1 entries, plus the last entry
-    add = [tuple([codes[h * q + l] for h in add[a // q] for l in K._add[a % q]]) for a in codes]
-    scale = [tuple([h * q + l for h in s for l in m]) for s, m in zip(scale, K._mul)]
-    return vectors, index, add, scale
 
 
 def _u_orbit(K: Field, x: list, cols: frozenset = frozenset()) -> dict:

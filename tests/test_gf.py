@@ -103,6 +103,25 @@ def test_prime_field_tables_equal_the_coordinate_construction(p):
     assert K._neg == tuple(K.from_coords(((-coord[a]) % p,)) for a in range(p))
 
 
+# Every extension field with q <= 64: F_4, F_8, F_9, F_16, F_25, F_27, F_32, F_49, F_64.
+EXTENSIONS_TO_64 = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("p,k", EXTENSIONS_TO_64, ids=[f"q{p**k}" for p, k in EXTENSIONS_TO_64])
+def test_extension_field_tables_are_coordinate_arithmetic(p, k):
+    # An element is its coordinate polynomial over F_p, reduced modulo
+    # K.modulus: sums are coordinatewise mod p and products are the
+    # remainder of poly_mul, divided by the modulus over F_p.
+    K, Fp = Field(p, k), Field(p)
+    coords = [K.coords(a) for a in K.elements()]
+    for a, x in enumerate(coords):
+        assert coords[K._neg[a]] == tuple(-c % p for c in x)
+        for b, y in enumerate(coords):
+            assert coords[K.add(a, b)] == tuple((c + d) % p for c, d in zip(x, y))
+            product = poly_divrem(Fp, poly_mul(Fp, x, y), K.modulus)[1]
+            assert K.mul(a, b) == K.from_coords(product), (a, b)
+
+
 def test_equal_fields_hash_equally_and_hashing_builds_no_table(monkeypatch):
     fields = [Field(1021), Field(1021), Field(2, 3), Field(2, 3), Field(3, 2)]
 
