@@ -2,15 +2,19 @@
 
 JOBS holds each enum kind, map direction and verify check once: the flags
 its driver reads, the layers it loads and its driver's name in the last of
-them.  Each job's sub-parser declares only its flags, so argparse refuses
-a missing, malformed or unknown flag (exit 2) before any work is done; a
-line that names its job gets that job's sub-parser alone.  This module
-loads only gf and guards, and holds the parser, `verify` and the job
-table.  Every other module loads only for a job that runs it: main imports
-the named job's layers before it builds the parser, and runs the driver it
-finds in the last of them.  `enum` and `map` drivers are in records, which
-holds their text and JSON forms and the writer; a `verify` check prices
-its work with prices; bijection holds the exhaustive bijection witnesses.
+them.  read_line reads a well-formed line from JOBS and FLAGS alone: a job,
+then each flag its sub-parser declares, spelled out, once, with a value
+that its type and choices take.  Every other line goes to the full
+argparse parser, which is built (and argparse imported) only then: it
+writes every help text and refuses a missing, malformed or unknown flag
+(exit 2) before any work is done, and it makes the reader's namespace of
+every line the reader takes.  This module loads only gf and guards, and
+holds the reader, the parser, `verify` and the job table.  Every other
+module loads only for a job that runs it: main imports the named job's
+layers before it reads the line, and runs the driver it finds in the last
+of them.  `enum` and `map` drivers are in records, which holds their text
+and JSON forms and the writer; a `verify` check prices its work with
+prices; bijection holds the exhaustive bijection witnesses.
 So a command loads only the modules its job needs: `verify pieri` loads
 decomp, shapes and prices, `enum irreducibles` records alone.  Every job
 makes its field from --p (and --k) with Field, which finds its modulus and
@@ -26,24 +30,31 @@ Diagnostics go to stderr; results go to stdout or --output.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from hecke.gf import Field
 from hecke.guards import GuardExceeded, MembershipError
+
+
+def _invalid(message: str) -> Exception:
+    """argparse's error for a value its type refuses, imported only then."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _parse_mu(text: str) -> tuple:
     try:
         mu = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse composition {text!r}") from None
+        raise _invalid(f"cannot parse composition {text!r}") from None
     if any(m < 1 for m in mu):
-        raise argparse.ArgumentTypeError(f"composition parts must be positive: {text!r}")
+        raise _invalid(f"composition parts must be positive: {text!r}")
     return mu
 
 
@@ -51,7 +62,7 @@ def _parse_nu(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}") from None
+        raise _invalid(f"cannot parse partition {text!r}") from None
 
 
 def _positive(text: str) -> int:
@@ -60,7 +71,7 @@ def _positive(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+        raise _invalid(f"expected a positive integer, not {text!r}")
     return value
 
 
@@ -71,8 +82,8 @@ def _load(layer: str):
 
 # -- the jobs ----------------------------------------------------------------------
 
-# (command, job) -> (flags it reads, the layers main loads before it builds
-# the parser, its driver's name in the last of them).  The driver is called
+# (command, job) -> (flags it reads, the layers main loads before it reads
+# the line, its driver's name in the last of them).  The driver is called
 # on the job's field in place of --k and on the value of each other flag, in
 # this order; a `map` driver also on the input record.  An `enum` driver
 # streams its records' keys, then the JSON texts of each record's values.
@@ -156,16 +167,55 @@ COMMANDS = {  # command -> (help, job dest, flags every job shares, handler)
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command and job.  When argv names a command and
-    one of its jobs, that job's sub-parser is the only one built: argparse
-    hands the rest of that line to it alone, and the three command parsers
-    keep the root usage line and every message as the full parser has them."""
+def _declared(command: str, job: str) -> tuple:
+    """The flags the job's sub-parser declares, in order."""
+    return ("--p", *JOBS[command, job][0], *COMMANDS[command][2], "--output")
+
+
+def read_line(argv):
+    """The namespace the full parser makes of argv, when argv is well formed:
+    a job of JOBS, then each flag its sub-parser declares at most once, spelled
+    out and followed by a value that does not start with "-", every required
+    flag among them.  Each value goes through its FLAGS type and choices; a
+    flag left out gets its default.  Any other line, or a value its type or
+    choices refuse, gives None, and argparse answers it."""
+    key = tuple(argv[:2])
+    if key not in JOBS:
+        return None
+    pairs = argv[2:]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    declared = _declared(*key)
+    if len(pairs) % 2 or len(given) < len(pairs) // 2 or not given.keys() <= set(declared):
+        return None
+    if any(value.startswith("-") for value in given.values()):
+        return None
+    args = {"command": key[0], COMMANDS[key[0]][1]: key[1]}
+    for flag in declared:
+        spec = FLAGS[flag]
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            try:
+                value = spec.get("type", str)(given[flag])
+            except Exception:  # argparse calls the type again: it names the fault or raises it
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The parser of every command and job: the source of every help text
+    and of every message about a line that read_line declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hecke",
         description="Unipotent Hecke algebra combinatorics for GL_n(F_q).",
     )
-    named = tuple(argv[:2])
     commands = parser.add_subparsers(dest="command", required=True)
     job_parsers = {
         command: commands.add_parser(command, help=help_text).add_subparsers(
@@ -173,25 +223,27 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         )
         for command, (help_text, dest, *_) in COMMANDS.items()
     }
-    for (command, job), (flags, *_) in JOBS.items():
-        if named not in JOBS or named == (command, job):
-            job_parser = job_parsers[command].add_parser(job)
-            for flag in ("--p", *flags, *COMMANDS[command][2], "--output"):
-                job_parser.add_argument(flag, **FLAGS[flag])
+    for command, job in JOBS:
+        job_parser = job_parsers[command].add_parser(job)
+        for flag in _declared(command, job):
+            job_parser.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The named job's layers load before the parser is built: compiled after
-    # it, on top of its objects, they raised a child's peak RSS by about 0.2 MB.
+    # The named job's layers load before its line is read, so that a line
+    # argparse answers builds its parser on top of them: compiled after the
+    # parser's objects, they raised a child's peak RSS by about 0.2 MB.
     named = tuple(argv[:2])
     for layer in JOBS[named][1] if named in JOBS else ():
         _load(layer)
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
-        return err.code
+    args = read_line(argv)
+    if args is None:  # help, an error, or a line only argparse reads
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as err:  # argparse: 2 for bad arguments, 0 after --help
+            return err.code
     try:
         code = COMMANDS[args.command][3](args, *_job(args))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown

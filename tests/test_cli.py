@@ -348,21 +348,28 @@ def parse_outcome(capsys, parser, argv):
 
 @pytest.mark.parametrize("line", PARSER_LINES)
 def test_parser_of_the_named_job_answers_as_the_full_parser(capsys, line):
+    """The reader declines each help and error line, and main answers it as
+    the full parser does: the same exit code and the same text."""
     argv = line.split()
-    named = parse_outcome(capsys, build_parser(argv), argv)
-    assert named == parse_outcome(capsys, build_parser(), argv)
-    assert named[0] in (0, 2) and named[1] + named[2]
+    assert cli.read_line(argv) is None
+    answer = run_cli(capsys, *argv)
+    assert answer == parse_outcome(capsys, build_parser(), argv)
+    assert answer[0] in (0, 2) and answer[1] + answer[2]
 
 
 def test_only_the_named_job_gets_its_flags(capsys):
-    basis = ["verify", "basis", "--p", "2", "--mu", "2"]
-    parser = build_parser(["enum", "m_mu", "--p", "2"])
-    assert parser.parse_args(["enum", "m_mu", "--p", "2", "--mu", "2,1"]).mu == (2, 1)
-    with pytest.raises(SystemExit):  # verify basis was not built
-        parser.parse_args(basis)
-    assert "invalid choice: 'basis'" in capsys.readouterr().err
-    for argv in ([], ["enum"], ["enum", "--help"], ["frobnicate", "m_mu"], basis):
-        assert build_parser(argv).parse_args(basis).mu == (2,)
+    """The reader takes a job's own flags and declines another job's flag,
+    which main refuses as the full parser does."""
+    assert cli.read_line(["enum", "m_mu", "--p", "2", "--mu", "2,1"]).mu == (2, 1)
+    assert cli.read_line(["verify", "basis", "--p", "2", "--mu", "2"]).mu == (2,)
+    for argv in (
+        ["enum", "m_mu", "--p", "2", "--mu", "2", "--n", "3"],
+        ["verify", "basis", "--p", "2", "--mu", "2", "--format", "json"],
+    ):
+        assert cli.read_line(argv) is None
+        answer = run_cli(capsys, *argv)
+        assert answer == parse_outcome(capsys, build_parser(), argv)
+        assert answer[:2] == (2, "") and "unrecognized arguments" in answer[2]
 
 
 def every_job():
@@ -388,15 +395,79 @@ def job_lines(command, job) -> dict:
 
 @pytest.mark.parametrize("command,job", every_job(), ids=lambda name: name)
 def test_named_job_parser_equals_the_full_parser(capsys, command, job):
-    """The parser built for the job's own line gives the full parser's
-    namespace, help text, and stderr and exit code on each malformed line."""
+    """The reader gives the full parser's namespace on the job's valid line;
+    it declines each help and malformed line, and main answers that with the
+    full parser's help text, or its stderr and exit code."""
     for case, argv in job_lines(command, job).items():
-        named = parse_outcome(capsys, build_parser(argv), argv)
-        assert named == parse_outcome(capsys, build_parser(), argv), case
+        full = parse_outcome(capsys, build_parser(), argv)
         if case == "valid" or (case == "--format" and command != "verify"):
-            assert isinstance(named[0], dict), case
+            assert isinstance(full[0], dict), case
+            assert vars(cli.read_line(argv)) == full[0], case
         else:
-            assert named[0] == (0 if case == "help" else 2), case
+            assert cli.read_line(argv) is None, case
+            assert run_cli(capsys, *argv) == full, case
+            assert full[0] == (0 if case == "help" else 2), case
+
+
+OPTIONAL_VALUES = {  # a value for each flag that is not required
+    "--k": "2",
+    "--nu": "2,1",
+    "--add": "2",
+    "--vars": "4",
+    "--input": "a.json",
+    "--format": "tsv",
+    "--output": "out.txt",
+}
+
+
+def reader_lines(command, job) -> tuple:
+    """(lines the reader takes, lines it declines) of one job, beyond
+    job_lines and PARSER_LINES."""
+    valid = job_lines(command, job)["valid"]
+    optional = [
+        part
+        for flag in cli._declared(command, job)
+        if not FLAGS[flag].get("required")
+        for part in (flag, OPTIONAL_VALUES[flag])
+    ]
+    pairs = [valid[i : i + 2] for i in range(2, len(valid), 2)]
+    taken = {
+        "reordered": [command, job, *(part for pair in reversed(pairs) for part in pair)],
+        "optional present": [*valid, *optional],
+        "optional first": [command, job, *optional, *valid[2:]],
+    }
+    declined = {
+        "--mu=2,1": [command, job, "--p", "2", "--mu=2,1"],
+        "abbreviated": [command, job, "--p", "2", "--m", "2,1"],
+        "repeated": [*valid, "--p", "3"],
+        "negative value": [*valid, "--k", "-1"],
+        "--": [*valid, "--"],
+        "-h": [command, job, "-h"],
+        "bad --format": [*valid, "--format", "xml"],
+        "missing value": [*valid, "--output"],
+    }
+    if job == "pieri":
+        taken["--nu empty"] = [*valid, "--nu", ""]
+    else:
+        declined["--nu empty"] = [*valid, "--nu", ""]
+    return taken, declined
+
+
+@pytest.mark.parametrize("command,job", every_job(), ids=lambda name: name)
+def test_the_reader_takes_a_line_as_the_full_parser_or_declines_it(capsys, command, job):
+    """On each line of the job, the reader returns exactly the full parser's
+    namespace, or declines the line and leaves it to argparse.  It takes every
+    well-formed line and declines every help, abbreviated, repeated, `=`,
+    negative, `--` and invalid-choice line."""
+    taken, declined = reader_lines(command, job)
+    corpus = [*taken.values(), *declined.values(), *job_lines(command, job).values()]
+    for argv in corpus + [line.split() for line in PARSER_LINES]:
+        namespace = cli.read_line(argv)
+        if namespace is not None:
+            assert vars(namespace) == vars(build_parser().parse_args(argv)), argv
+    assert [case for case, argv in taken.items() if cli.read_line(argv) is None] == []
+    assert [case for case, argv in declined.items() if cli.read_line(argv)] == []
+    assert capsys.readouterr() == ("", "")
 
 
 def test_every_job_has_a_readme_command_line():
@@ -405,14 +476,18 @@ def test_every_job_has_a_readme_command_line():
 
 
 def test_readme_command_lines_parse():
+    """The reader takes every README line, as the full parser parses it."""
     lines = readme_command_lines()
     assert len(lines) >= 16
     parser = build_parser()
     for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            full = vars(parser.parse_args(argv))
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+        namespace = cli.read_line(argv)
+        assert namespace is not None and vars(namespace) == full, line
 
 
 @pytest.mark.parametrize(
@@ -993,7 +1068,7 @@ def test_each_check_guards_itself_before_the_field_is_built(monkeypatch, line):
 
     monkeypatch.delenv("HECKE_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(gf.Field, "_build_tables", refuse)
-    args = build_parser(["verify", *line.split()]).parse_args(["verify", *line.split()])
+    args = build_parser().parse_args(["verify", *line.split()])
     module, name = CHECK_FUNCTIONS[args.check]
     check = getattr(importlib.import_module(f"hecke.{module}"), name)
     with pytest.raises(GuardExceeded) as refusal:
@@ -1176,7 +1251,7 @@ def test_each_price_refuses_alone_before_any_work(monkeypatch, line):
         monkeypatch.setattr(oracle, name, refuse)
     monkeypatch.setattr(hecke_index, "enumerate_m_mu", refuse)
     monkeypatch.setattr(bijection, "enumerate_pattern_n_mu", refuse)
-    args = build_parser(["verify", *line.split()]).parse_args(["verify", *line.split()])
+    args = build_parser().parse_args(["verify", *line.split()])
     size = args.mu if hasattr(args, "mu") else args.n
     message = PRICE_REFUSALS[line]
     if message.startswith("|GL_n(F_q)|"):  # the price admits it; G's builder refuses it
@@ -1455,10 +1530,11 @@ from hecke import cli
 def loaded(when):
     print(when, *(m for m in sys.modules if m.split(".")[0] == "hecke"), file=sys.stderr)
 
-build = cli.build_parser
-cli.build_parser = lambda argv=(): loaded("parser:") or build(argv)
+read = cli.read_line
+cli.read_line = lambda argv: loaded("reader:") or read(argv)
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded("end:")
+print("parsers:", *(m for m in ("argparse", "gettext") if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -1471,9 +1547,10 @@ A_OBJ = json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]
 V_OBJ = json.dumps({"perm": [1, 2, 3], "entries": [1, 1, 1]})
 
 
-def loaded_modules(*argv, stdin=""):
-    """The hecke modules a fresh interpreter holds when it builds the parser
-    of one command (when it runs one) and after running it."""
+def loaded_modules(*argv, stdin="", code=0):
+    """The hecke modules a fresh interpreter holds when it reads the line of
+    one command (when it runs one) and after running it, and which of
+    argparse and gettext it holds at the end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1485,13 +1562,22 @@ def loaded_modules(*argv, stdin=""):
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stderr.splitlines()]
-    return {line[0]: set(line[1:]) for line in lines if line[0] in ("parser:", "end:")}
+    assert proc.returncode == code, proc.stderr
+    lines = [line.split() or [""] for line in proc.stderr.splitlines()]
+    return {line[0]: set(line[1:]) for line in lines if line[0] in ("reader:", "end:", "parsers:")}
 
 
 def test_import_cli_loads_only_the_shared_layers():
-    assert loaded_modules() == {"end:": SHARED}
+    assert loaded_modules() == {"end:": SHARED, "parsers:": set()}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("--help",), 0), (("enum", "m_mu", "--help"), 0), (("enum", "m_mu", "--p", "2"), 2)],
+    ids=["help", "job help", "missing flag"],
+)
+def test_argparse_loads_for_help_and_errors(argv, code):
+    assert "argparse" in loaded_modules(*argv, code=code)["parsers:"]
 
 
 FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
@@ -1554,9 +1640,14 @@ def test_footprints_cover_every_job():
 
 @pytest.mark.parametrize("job", FOOTPRINTS)
 def test_each_job_loads_only_its_layers(job):
-    """Exactly its layers, each loaded before the job's parser is built."""
+    """Exactly its layers, each loaded before the job's line is read, and
+    neither argparse nor gettext: the reader takes the line."""
     argv, stdin, extra = FOOTPRINTS[job]
-    assert loaded_modules(*argv, stdin=stdin) == {"parser:": SHARED | extra, "end:": SHARED | extra}
+    assert loaded_modules(*argv, stdin=stdin) == {
+        "reader:": SHARED | extra,
+        "end:": SHARED | extra,
+        "parsers:": set(),
+    }
 
 
 def test_only_verify_loads_the_prices_and_only_enum_and_map_the_records():
