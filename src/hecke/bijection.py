@@ -17,6 +17,7 @@ hecke_index and rsk through their modules, so that a tracer
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterator
 
 from hecke import hecke_index
@@ -33,20 +34,16 @@ def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
     Only the permutations that pass are reached, by a depth-first walk in
     lexicographic order that cuts a prefix as soon as a column fails (Knuth,
     TAOCP 4A, 7.2.1.2, Algorithm X): column c is decided by _column_rule
-    when perm[c+1] is placed, or at once when c is in E.  The work is
-    |N_mu| = |M_mu| plus the prefixes cut, never n!."""
+    when perm[c+1] is placed, or at once when c is in E.  The walk yields
+    each passing permutation once, with its ties; its (q-1)^(n-ties) entry
+    tuples are then read off the free units through one column-to-unit map.
+    The work is |N_mu| = |M_mu| plus the prefixes cut, never n!."""
     n, ends = sum(mu), _block_ends(mu)
     perm = [0] * n
 
     def extend(k: int, placed: int, copies: tuple):
         if k == n:
-            done = tuple(perm)
-            for units in itertools.product(K.units(), repeat=n - len(copies)):
-                free = iter(units)
-                entries = []
-                for c in range(n):
-                    entries.append(entries[-1] if c in copies else next(free))
-                yield MonomialMatrix(done, tuple(entries))
+            yield tuple(perm), copies
             return
         for x in range(n):
             if placed >> x & 1:
@@ -63,7 +60,13 @@ def enumerate_pattern_n_mu(K: Field, mu: tuple) -> Iterator[MonomialMatrix]:
             perm[k] = x
             yield from extend(k + 1, now, tied)
 
-    yield from extend(0, 0, ())
+    for done, copies in extend(0, 0, ()):
+        # Column c takes the free unit of the last untied column up to c (column
+        # 0 is never tied).  With a tie n >= 2, so itemgetter returns a tuple.
+        unit_of = itertools.accumulate((c not in copies for c in range(1, n)), initial=0)
+        pick = itemgetter(*unit_of) if copies else tuple
+        for units in itertools.product(K.units(), repeat=n - len(copies)):
+            yield MonomialMatrix(done, pick(units))
 
 
 def bijection_check(K: Field, mu: tuple) -> dict:

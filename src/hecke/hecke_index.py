@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -71,28 +70,14 @@ def v_of_poly(K: Field, f: Poly) -> MonomialMatrix:
     return MonomialMatrix(tuple(perm), tuple(entries))
 
 
-def _poly_of_monomial(perm, entries) -> Poly:
-    """Inverse of v_of_poly on its image, unchecked: a run of columns carries
-    the coefficient at its first column, whose row says where the run ends.
-    Every step moves right, so off the image it still ends."""
-    d = len(perm)
-    coeffs = [0] * d + [1]
-    start = 0
-    while start < d:
-        coeffs[start] = entries[start]
-        start = max(start + 1, d - perm[start])
-    return tuple(coeffs)
-
-
 # -- the bijection M_mu <-> N_mu ----------------------------------------------
 
 
 def _blocks(mu: tuple, d):
     """(i, j, first row, first column) of each nonempty sub-block of v_a for
-    the degree matrix d, walked with running offsets, so no layout is kept.
-    Within block row i the sub-blocks stack top to bottom by decreasing
-    column index j; within block column j they run left to right by
-    decreasing row index i."""
+    the degree matrix d, walked with running offsets.  Within block row i
+    the sub-blocks stack top to bottom by decreasing column index j; within
+    block column j they run left to right by decreasing row index i."""
     base = [b - m for b, m in zip(boundary_set(mu), mu)]  # sum(mu[:i]) for each i
     col = list(base)  # next free column of each block column
     for i in reversed(range(len(mu))):
@@ -104,41 +89,66 @@ def _blocks(mu: tuple, d):
                 col[j] += d[i][j]
 
 
+def _column_blocks(mu: tuple, d) -> list:
+    """(i, j, first row, first column, size) of each nonempty sub-block of
+    v_a for the degree matrix d, by first column: the order in which their
+    columns make up v_a."""
+    return sorted(((i, j, r, c, d[i][j]) for i, j, r, c in _blocks(mu, d)), key=lambda b: b[3])
+
+
+@lru_cache(maxsize=None)
+def _layout(mu: tuple, lengths: tuple) -> tuple:
+    """_column_blocks of the degree matrix d[i][j] = lengths[i][j] - 1, made
+    once per (mu, d) for v_of_matrix and _decode.  The key is the l-by-l grid
+    of the entries' coefficient counts, which v_of_matrix reads with len
+    alone and which has the shape of a.entries, so no tuple of a new length
+    is made per element.  walk_m_mu meets each d once and calls
+    _column_blocks, so a stream keeps no layout of a matrix it has passed."""
+    return tuple(_column_blocks(mu, [[x - 1 for x in row] for row in lengths]))
+
+
+@lru_cache(maxsize=None)
+def _block_of(mu: tuple) -> tuple:
+    """The block of mu that holds each index 0..n-1, row or column."""
+    return tuple(i for i, part in enumerate(mu) for _ in range(part))
+
+
 def v_of_matrix(K: Field, a: PolyMatrix) -> MonomialMatrix:
-    """v_a for a polynomial matrix a, unchecked: the caller guarantees a in M_mu."""
-    d = [[poly_deg(f) for f in row] for row in a.entries]
-    n = sum(a.mu)
-    perm = [0] * n
-    entries = [0] * n
-    for i, j, r, c in _blocks(a.mu, d):
-        sub = v_of_poly(K, a.entries[i][j])
-        cols = slice(c, c + d[i][j])
-        perm[cols] = [r + x for x in sub.perm]
-        entries[cols] = sub.entries
+    """v_a for a polynomial matrix a, unchecked: the caller guarantees a in M_mu.
+    The sub-blocks v_(f) join column by column, each moved down to its first row."""
+    grid, perm, entries = a.entries, [], []
+    for i, j, r, _, _ in _layout(a.mu, tuple([tuple(map(len, row)) for row in grid])):
+        sub = v_of_poly(K, grid[i][j])
+        perm += map(r.__add__, sub.perm)
+        entries += sub.entries
     return MonomialMatrix(tuple(perm), tuple(entries))
 
 
 def _decode(v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     """The polynomial matrix v encodes if v is in N_mu, unchecked: reads the
-    degree matrix off the block pattern of v and decodes each sub-block with
-    _poly_of_monomial.  Off N_mu it still returns a grid, which v_of_matrix
-    does not map back to v.  Yet for any v of size |mu| it is in M_mu, as
+    degree matrix off the block pattern of v and inverts v_of_poly on each
+    sub-block, where a run of columns carries the coefficient at its first
+    column, whose row says where the run ends.  Every step moves right, so
+    off N_mu it still ends, and returns a grid, which v_of_matrix does not
+    map back to v.  Yet for any v of size |mu| it is in M_mu, as
     matrix_of_v's unchecked re-encoding needs: d[i][j] counts the columns of
     block column j whose row is in block row i, so the degree sums are mu;
     each entry is 1 or has degree d[i][j], leading coefficient 1 and, as
     constant term, v's nonzero entry in its sub-block's first column."""
-    n = sum(mu)
-    if v.n != n:
-        raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
-    l = len(mu)
-    bounds = boundary_set(mu)
-    d = [[0] * l for _ in range(l)]
-    for c, r in enumerate(v.perm):
-        d[bisect_right(bounds, r)][bisect_right(bounds, c)] += 1
+    blocks, l, perm, entries = _block_of(mu), len(mu), v.perm, v.entries
+    if v.n != len(blocks):
+        raise MembershipError(f"matrix size {v.n} does not match |mu| = {len(blocks)}")
+    lengths = [[1] * l for _ in range(l)]  # d[i][j] + 1, the key of _layout
+    for c, r in enumerate(perm):
+        lengths[blocks[r]][blocks[c]] += 1
     grid = [[(1,)] * l for _ in range(l)]
-    for i, j, r, c in _blocks(mu, d):
-        cols = slice(c, c + d[i][j])
-        grid[i][j] = _poly_of_monomial([x - r for x in v.perm[cols]], v.entries[cols])
+    for i, j, r, c, size in _layout(mu, tuple(map(tuple, lengths))):
+        coeffs, start, end = [0] * size + [1], c, c + size
+        while start < end:
+            coeffs[start - c] = entries[start]
+            step = end + r - perm[start]  # the column after the run
+            start = step if step > start else start + 1
+        grid[i][j] = tuple(coeffs)
     return PolyMatrix(tuple(map(tuple, grid)), mu)
 
 
@@ -158,6 +168,7 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
 # -- membership tests for N_mu ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _block_ends(mu: tuple) -> int:
     """The bitmask of E, the 0-based last index of each block of mu."""
     return sum(1 << (b - 1) for b in boundary_set(mu))
@@ -284,14 +295,14 @@ def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
     """
     l = len(mu)
     for d in degree_matrices(mu):
-        blocks = sorted(_blocks(mu, d), key=lambda block: block[3])
-        first_row = {(i, j): r for i, j, r, _ in blocks}
+        blocks = _column_blocks(mu, d)
+        first_row = {(i, j): r for i, j, r, _, _ in blocks}
         options = [
             [piece(f, first_row.get((i, j))) for f in enumerate_monic_units(K, d[i][j])]
             for i in range(l)
             for j in range(l)
         ]
-        yield [i * l + j for i, j, _, _ in blocks], itertools.product(*options)
+        yield [i * l + j for i, j, *_ in blocks], itertools.product(*options)
 
 
 def enumerate_m_mu(K: Field, mu: tuple) -> Iterator[PolyMatrix]:

@@ -7,9 +7,10 @@ check is an exact equality.  Group elements are tuples of row tuples.
 
 `_u_psi` builds U, each u with its psi_mu exponent, once per (K, n, mu) for
 `e_mu`, `t_v` and `structure_constants`.  `AlgebraElement.__mul__` is the
-brute-force convolution, one `mat_mul` per pair of terms; `basis_check`
-runs it for e_mu e_mu = e_mu.  `t_v` and `double_coset_reps` form the
-products u v u' on integer codes, and `enumerate_gl` streams G as codes:
+brute-force convolution, one `mat_mul` per pair of terms, which the tests
+run as the witness for `t_v`; `basis_check` reads e_mu^2 from `t_v` as
+T_1 = e_mu 1 e_mu.  `t_v` and `double_coset_reps` form the products
+u v u' on integer codes, and `enumerate_gl` streams G as codes:
 vector c of F_q^n is the c-th in itertools.product order, a matrix with
 row codes r_i is sum r_i (q^n)^(n-1-i), `_u_orbit` builds U v u' row by
 row, and `hecke.gf._vector_codes` adds and scales codes by tables of
@@ -45,6 +46,7 @@ from hecke.hecke_index import (
     enumerate_n,
     is_in_n_mu_fast,
     m_mu_size,
+    monomial_identity,
     monomial_to_obj,
     v_of_matrix,
 )
@@ -418,7 +420,7 @@ def basis_check(K: Field, mu: tuple) -> dict:
     mu = tuple(mu)
     n = sum(mu)
     e = e_mu(K, n, mu)
-    idempotent = e * e == e
+    idempotent = t_v(K, monomial_identity(n), mu) == e  # T_1 = e_mu 1 e_mu = e_mu^2
     mismatches = []
     nonzero = 0
     for v in enumerate_n(K, n):

@@ -199,35 +199,35 @@ class _Writer:
         self.path = args.output
         self.handle = open(self.path, "w") if self.path else sys.stdout
         self.block = []  # the lines made and not yet written
-        self.size = BLOCK  # the block starts full, so the first record goes out at once
         if self.fmt == "json":
             self.row = "{" + ",".join(f"{_encode(key)}:%s" for key in keys) + "}\n"
+            self.footer = '{"count": %d}\n'
         else:
             self.row = "\t".join("%s" for _ in keys) + "\n"
+            self.footer = "# count=%d\n"
             self.block.append("\t".join(keys) + "\n")  # the header goes out with the first row
 
-    def line(self, text: str):
-        # A block is one write call, flushed, once it holds BLOCK characters:
-        # on unbuffered stdout each call is one write(2) into the pipe.
-        self.block.append(text)
-        self.size += len(text)
-        if self.size >= BLOCK:
-            self.flush()
+    def write(self, records) -> int:
+        # Writes each record's line and returns their count.  A block is one write call,
+        # flushed, once it holds BLOCK characters: on unbuffered stdout, one write(2).
+        row, block, tsv, count = self.row, self.block, self.fmt == "tsv", 0
+        size = BLOCK  # the block starts full, so the first record goes out at once
+        for count, texts in enumerate(records, 1):
+            if tsv:
+                texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
+            text = row % texts
+            block.append(text)
+            size += len(text)
+            if size >= BLOCK:
+                self.flush()
+                size = 0
+        return count
 
     def flush(self):
         if self.block:
             self.handle.write("".join(self.block))
             self.handle.flush()
-            self.block, self.size = [], 0
-
-    def record(self, texts: tuple):
-        if self.fmt == "tsv":
-            texts = tuple(json.loads(t) if t[0] == '"' else t for t in texts)
-        self.line(self.row % texts)
-
-    def footer(self, count: int):
-        text = f"# count={count}" if self.fmt == "tsv" else json.dumps({"count": count})
-        self.line(text + "\n")
+            self.block.clear()
 
     def close(self):
         self.flush()
@@ -240,8 +240,9 @@ class _Writer:
 
 # An enum driver streams the keys of its records, then the JSON texts of
 # each record's values.  The M_mu and N_mu records are joins of texts that
-# walk_m_mu has each encoded once: an entry's polynomial, or a sub-block's
-# 1-based rows and entries.
+# walk_m_mu has each encoded once: an entry's polynomial, filling a grid
+# template made once per l, or a sub-block's 1-based rows and entries.  A
+# pair is the texts of its two label families, each made once per family.
 
 
 def m_mu_records(K: Field, mu: tuple):
@@ -249,11 +250,10 @@ def m_mu_records(K: Field, mu: tuple):
 
     yield "mu", "entries"
     l = len(mu)
-    text, rows = _encode(list(mu)), range(0, l * l, l)
+    grid = "[[" + "],[".join([",".join(["%s"] * l)] * l) + "]]"  # filled row by row
     walk = hecke_index.walk_m_mu(K, mu, lambda f, r: _encode(format_poly(K, f)))
     for _, choices in walk:
-        for flat in choices:
-            yield text, "[[" + "],[".join([",".join(flat[k : k + l]) for k in rows]) + "]]"
+        yield from zip(itertools.repeat(_encode(list(mu))), map(grid.__mod__, choices))
 
 
 def n_mu_records(K: Field, mu: tuple):
@@ -283,19 +283,19 @@ def pair_records(K: Field, mu: tuple):
     from hecke import rsk
 
     yield "P", "Q"
-    for pair in rsk.enumerate_pairs(K, mu):
-        yield tuple(_encode(family_to_obj(K, family)) for family in pair)
+    texts: dict = {}  # family -> text, for the families of one label shape, which recur
+    for P, Q in rsk.enumerate_pairs(K, mu):
+        if P not in texts:  # a new shape: P did not come as a Q before it
+            texts = {P: _encode(family_to_obj(K, P))}
+        yield texts[P], texts.get(Q) or texts.setdefault(Q, _encode(family_to_obj(K, Q)))
 
 
 def cmd_enum(args, driver, values) -> int:
     """Stream the records of the enum driver called on values."""
     stream = driver(*values)
     writer = _Writer(args, next(stream))
-    count = 0
     try:
-        for count, texts in enumerate(stream, 1):
-            writer.record(texts)
-        writer.footer(count)
+        writer.block.append(writer.footer % writer.write(stream))  # close writes the footer
     finally:  # a stream cut short still writes the records it made
         writer.close()
     return 0
@@ -362,6 +362,6 @@ def cmd_map(args, driver, values) -> int:
     """Write the record the map driver makes of values and the input record."""
     record = driver(*values, _read_input(args))
     writer = _Writer(args, tuple(record))
-    writer.record(tuple(map(_encode, record.values())))
+    writer.write([tuple(map(_encode, record.values()))])
     writer.close()
     return 0

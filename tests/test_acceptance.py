@@ -220,7 +220,6 @@ KEPT_WITHOUT_A_READER = {  # top-level name in src/hecke that nothing there name
     "poly_add": "the tests' witness for polynomial arithmetic",
     "poly_eval": "the tests' witness for polynomial arithmetic",
     "poly_pow": "the tests' witness for polynomial arithmetic",
-    "monomial_identity": "a test fixture",
     "identity_matrix": "a test fixture",
     "insert_column": "the tests' witness for column insertion",
     "family_from_obj": "reads tableau-family pairs, for the inverse RSK still to come",

@@ -417,6 +417,15 @@ def test_walked_blocks_equal_the_closed_form_offsets():
         for mu in compositions_of(n):
             for d in degree_matrices(mu):
                 assert sorted(hecke_index._blocks(mu, d)) == closed_form_blocks(mu, d)
+                # The cached layout, keyed by the entries' lengths d[i][j] + 1:
+                # the same blocks with their sizes, by first column, each
+                # column run starting where the one before it ends.
+                lengths = tuple(tuple(x + 1 for x in row) for row in d)
+                layout = hecke_index._layout(mu, lengths)
+                assert sorted(block[:4] for block in layout) == closed_form_blocks(mu, d)
+                assert all(size == d[i][j] for i, j, _, _, size in layout)
+                starts = [c for _, _, _, c, _ in layout]
+                assert starts == list(itertools.accumulate([b[4] for b in layout[:-1]], initial=0))
 
 
 # -- enumeration ----------------------------------------------------------------
