@@ -96,14 +96,16 @@ def _column_blocks(mu: tuple, d) -> list:
     return sorted(((i, j, r, c, d[i][j]) for i, j, r, c in _blocks(mu, d)), key=lambda b: b[3])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _layout(mu: tuple, lengths: tuple) -> tuple:
     """_column_blocks of the degree matrix d[i][j] = lengths[i][j] - 1, made
     once per (mu, d) for v_of_matrix and _decode.  The key is the l-by-l grid
     of the entries' coefficient counts, which v_of_matrix reads with len
     alone and which has the shape of a.entries, so no tuple of a new length
-    is made per element.  walk_m_mu meets each d once and calls
-    _column_blocks, so a stream keeps no layout of a matrix it has passed."""
+    is made per element.  enumerate_m_mu yields M_mu grouped by degree
+    matrix, so the last few layouts serve a whole stream, and the cache
+    keeps no layout of a matrix the stream has passed.  walk_m_mu meets each
+    d once and calls _column_blocks itself."""
     return tuple(_column_blocks(mu, [[x - 1 for x in row] for row in lengths]))
 
 
@@ -135,9 +137,10 @@ def _decode(v: MonomialMatrix, mu: tuple) -> PolyMatrix:
     block column j whose row is in block row i, so the degree sums are mu;
     each entry is 1 or has degree d[i][j], leading coefficient 1 and, as
     constant term, v's nonzero entry in its sub-block's first column."""
+    n = sum(mu)
+    if v.n != n:  # before _block_of, whose size is n
+        raise MembershipError(f"matrix size {v.n} does not match |mu| = {n}")
     blocks, l, perm, entries = _block_of(mu), len(mu), v.perm, v.entries
-    if v.n != len(blocks):
-        raise MembershipError(f"matrix size {v.n} does not match |mu| = {len(blocks)}")
     lengths = [[1] * l for _ in range(l)]  # d[i][j] + 1, the key of _layout
     for c, r in enumerate(perm):
         lengths[blocks[r]][blocks[c]] += 1

@@ -614,6 +614,23 @@ def test_map_not_in_n_mu_exits_4(tmp_path, capsys):
     assert "rejected" in err
 
 
+def test_map_v_to_a_huge_mu_is_refused_before_any_table_of_size_mu(tmp_path, monkeypatch, capsys):
+    """A v whose size is not |mu| is refused at once, whatever |mu| is: no
+    table of size |mu| (here 10^9) is built first."""
+
+    def no_table(mu):
+        raise AssertionError("_block_of was built for a v of the wrong size")
+
+    monkeypatch.setattr(hecke_index, "_block_of", no_table)
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"perm": [1, 2], "entries": [1, 1]}))
+    code, _, err = run_cli(
+        capsys, "map", "v_to_a", "--p", "2", "--mu", "1000000000", "--input", str(path)
+    )
+    assert code == 4
+    assert "does not match |mu| = 1000000000" in err
+
+
 def test_map_parse_failure_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
