@@ -22,7 +22,8 @@ from typing import Iterator
 
 from hecke import hecke_index
 from hecke.gf import Field
-from hecke.hecke_index import MonomialMatrix, _block_ends, _column_rule
+from hecke.hecke_index import _block_ends, _column_rule
+from hecke.matrices import MonomialMatrix
 from hecke.prices import price_labels, price_m_mu
 
 

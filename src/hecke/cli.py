@@ -12,14 +12,16 @@ every line the reader takes.  This module loads only gf and guards, and
 holds the reader, the parser, `verify` and the job table.  Every other
 module loads only for a job that runs it: main imports the named job's
 layers before it reads the line, and runs the driver it finds in the last
-of them.  `enum` and `map` drivers are in records, which holds their text
-and JSON forms and the writer; a `verify` check prices its work with
-prices; bijection holds the exhaustive bijection witnesses.
+of them.  `enum` drivers are in records, which holds the text and JSON
+forms of records and the writer; `map` drivers are in maps, which reads
+every outside input and writes through records; a `verify` check prices
+its work with prices; bijection holds the exhaustive bijection witnesses.
 So a command loads only the modules its job needs: `verify pieri` loads
-decomp, shapes and prices, `enum irreducibles` records alone.  Every job
-makes its field from --p (and --k) with Field, which finds its modulus and
-builds its tables on first use: a verify check's guard, which opens the
-check, reads only q and runs before them.
+decomp, shapes and prices, `enum irreducibles` records alone, `map
+rsk_general` matrices, rsk, maps and records, but neither hecke_index nor
+shapes.  Every job makes its field from --p (and --k) with Field, which
+finds its modulus and builds its tables on first use: a verify check's
+guard, which opens the check, reads only q and runs before them.
 Every command is deterministic; identical inputs give byte-identical output.
 `verify` writes its elapsed seconds to stderr, never into the report.
 Exit codes: 0 success / verified, 1 mathematical counterexample, 2 argument
@@ -91,17 +93,17 @@ JOBS = {
     ("enum", "n_mu"): (("--k", "--mu"), ("hecke_index", "records"), "n_mu_records"),
     ("enum", "m_mu"): (("--k", "--mu"), ("hecke_index", "records"), "m_mu_records"),
     ("enum", "irreducibles"): (("--k", "--max-deg"), ("records",), "irreducible_records"),
-    ("enum", "pairs"): (("--k", "--mu"), ("rsk", "records"), "pair_records"),
-    ("map", "a_to_v"): (("--k",), ("hecke_index", "records"), "a_to_v_record"),
-    ("map", "v_to_a"): (("--k", "--mu"), ("hecke_index", "records"), "v_to_a_record"),
-    ("map", "rsk"): ((), ("rsk", "records"), "classical_record"),
-    ("map", "rsk_general"): (("--k",), ("hecke_index", "rsk", "records"), "generalized_record"),
+    ("enum", "pairs"): (("--k", "--mu"), ("rsk", "shapes", "records"), "pair_records"),
+    ("map", "a_to_v"): (("--k",), ("hecke_index", "maps"), "a_to_v_record"),
+    ("map", "v_to_a"): (("--k", "--mu"), ("hecke_index", "maps"), "v_to_a_record"),
+    ("map", "rsk"): ((), ("rsk", "maps"), "classical_record"),
+    ("map", "rsk_general"): (("--k",), ("matrices", "rsk", "maps"), "generalized_record"),
     ("verify", "bijection"): (("--k", "--mu"), ("bijection",), "bijection_check"),
     ("verify", "dim_identity"): (
-        ("--k", "--mu"), ("rsk", "bijection", "decomp"), "dim_identity_check"
+        ("--k", "--mu"), ("rsk", "shapes", "bijection", "decomp"), "dim_identity_check"
     ),
     ("verify", "rsk_bijectivity"): (
-        ("--k", "--mu"), ("rsk", "bijection"), "rsk_bijectivity_check"
+        ("--k", "--mu"), ("rsk", "shapes", "bijection"), "rsk_bijectivity_check"
     ),
     ("verify", "basis"): (("--k", "--mu"), ("oracle",), "basis_check"),
     ("verify", "commutativity"): (("--k", "--n"), ("oracle",), "commutativity_check"),
@@ -125,7 +127,7 @@ def _enum(args, driver, values) -> int:
 
 
 def _map(args, driver, values) -> int:
-    return _load("records").cmd_map(args, driver, values)
+    return _load("maps").cmd_map(args, driver, values)
 
 
 def cmd_verify(args, check, values) -> int:

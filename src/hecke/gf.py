@@ -357,7 +357,7 @@ def factorize(K: Field, f: Poly) -> tuple:
 # A field element prints as its code for prime fields and as its coordinate
 # vector "[c0,c1,...]" for extension fields.  Polynomial terms "c*X^d" are
 # joined by "+", lowest degree first: X^3 + X + 1 over F_2 prints as
-# "1+1*X^1+1*X^3".  hecke.records reads both forms back.
+# "1+1*X^1+1*X^3".  hecke.maps reads both forms back.
 
 
 def format_coeff(K: Field, a: int) -> str:

@@ -1,11 +1,8 @@
-"""Monomial matrices, the sets N_mu and M_mu, and the bijection between them.
+"""The sets N_mu and M_mu, and the bijection between them.
 
-A monomial matrix is stored column by column: perm[c] is the (0-based) row
-of the unique nonzero entry in column c and entries[c] is that entry's
-field code.  A polynomial matrix in M_mu is an l-by-l grid of monic
-polynomials with nonzero constant terms whose degree row sums and degree
-column sums both equal mu.  Only hecke.records, which reads outside data,
-checks that; every function given a PolyMatrix relies on its caller.  The
+The two matrix types, MonomialMatrix and PolyMatrix, are in hecke.matrices.
+Only hecke.maps, which reads outside data, checks that a polynomial matrix
+is in M_mu; every function given a PolyMatrix relies on its caller.  The
 exhaustive witnesses of the bijection, and the matrix helpers of the literal
 membership test, are in hecke.bijection.
 """
@@ -15,25 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from hecke.gf import Field, Poly, enumerate_monic_units, format_poly, is_monic, poly_deg
 from hecke.guards import MembershipError, u_order
+from hecke.matrices import MonomialMatrix, PolyMatrix
 from hecke.shapes import boundary_set, weak_compositions
-
-
-class MonomialMatrix(NamedTuple):
-    perm: tuple
-    entries: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-
-class PolyMatrix(NamedTuple):
-    entries: tuple  # l-by-l grid of Poly
-    mu: tuple
 
 
 def monomial_identity(n: int) -> MonomialMatrix:

@@ -40,8 +40,6 @@ from typing import Iterator, NamedTuple
 from hecke.gf import Field, _vector_codes
 from hecke.guards import G_GUARD, check_guard, gl_order, u_order
 from hecke.hecke_index import (
-    MonomialMatrix,
-    PolyMatrix,
     enumerate_m_mu,
     enumerate_n,
     is_in_n_mu_fast,
@@ -50,6 +48,7 @@ from hecke.hecke_index import (
     monomial_to_obj,
     v_of_matrix,
 )
+from hecke.matrices import MonomialMatrix, PolyMatrix
 from hecke.prices import price_basis, price_bruhat
 from hecke.shapes import boundary_set
 

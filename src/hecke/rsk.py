@@ -15,9 +15,14 @@ matrix, and so do its shapes and contents, which the bijectivity check
 degree.  The fillings of a label shape depend on its labels only through
 their degrees.  Each pair and summary is made once per matrix, each
 filling list once per degree signature, each tableau list once per (shape,
-weight), all kept as immutable tuples.  The JSON forms of the families,
-and the `map rsk` record with the checks of its matrix, are in
-hecke.records.
+weight), all kept as immutable tuples.  The JSON forms of the families
+are in hecke.records; reading them back, and the `map rsk` record with the
+checks of its matrix, are in hecke.maps.
+
+Only insert_column and the enumeration of label shapes, fillings and
+tableaux read hecke.shapes, and each imports it when it runs: `map rsk` and
+`map rsk_general` load no shapes.  The jobs that enumerate tableaux list
+shapes among their layers (cli.JOBS), so it loads before their line is read.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from hecke.gf import Field, _irreducibles_through, factorize, poly_deg, poly_key
-from hecke.shapes import cst_check, enumerate_cst, partitions_of, weak_compositions
 
-if TYPE_CHECKING:  # read by annotations only: `map rsk` and `enum pairs` load no hecke_index
-    from hecke.hecke_index import PolyMatrix
+if TYPE_CHECKING:  # read by annotations only: `map rsk` and `enum pairs` load no matrices
+    from hecke.matrices import PolyMatrix
 
 
 def _transpose(lines) -> tuple:
@@ -55,6 +59,8 @@ def _bump(cols, entry) -> int:
 
 def insert_column(rows, entry: int) -> tuple:
     """Column insertion of a positive entry into a column-strict tableau."""
+    from hecke.shapes import cst_check
+
     rows = tuple(tuple(r) for r in rows)
     shape = tuple(len(r) for r in rows)
     if not cst_check(rows, shape):
@@ -185,6 +191,8 @@ def enumerate_phi_shapes(K: Field, mu: tuple) -> list:
     label order.  A box of a degree-d label adds d to one part of the
     weight, so a label of higher degree has no filling of weight mu.  The
     labels are the cached irreducibles past X, which has f(0) = 0."""
+    from hecke.shapes import partitions_of
+
     n = sum(mu)
     if n == 0:
         return [()]
@@ -225,6 +233,8 @@ def enumerate_phi_fillings(shape, mu) -> list:
 def _fillings(signature: tuple, mu: tuple) -> tuple:
     """The fillings of every label shape with this degree signature, each as
     its tableaux in label order."""
+    from hecke.shapes import weak_compositions
+
     out: list = []
 
     def rec(idx, remaining, acc):
@@ -247,6 +257,8 @@ def _fillings(signature: tuple, mu: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _tableaux(lam: tuple, w: tuple) -> tuple:
     """enumerate_cst(lam, w), made once per (lam, w)."""
+    from hecke.shapes import enumerate_cst
+
     return tuple(enumerate_cst(lam, w))
 
 

@@ -16,7 +16,6 @@ from hecke.bijection import bijection_check, rsk_bijectivity_check
 from hecke.decomp import dim_identity_check, h_hat, pieri_check, schur_jacobi_trudi, weight_space_dims
 from hecke.gf import Field
 from hecke.hecke_index import (
-    PolyMatrix,
     enumerate_m_mu,
     enumerate_n,
     is_in_n_mu_direct,
@@ -25,6 +24,7 @@ from hecke.hecke_index import (
     v_of_matrix,
     v_of_poly,
 )
+from hecke.matrices import PolyMatrix
 from hecke.oracle import (
     basis_check,
     commutativity_check,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke import bijection, cli, guards, hecke_index, prices, records
+from hecke import bijection, cli, guards, hecke_index, maps, prices, records
 from hecke.cli import FLAGS, JOBS, build_parser, main
 from hecke.gf import Field
 from hecke.guards import DEGREE_GUARD, GuardExceeded
@@ -678,6 +678,13 @@ MALFORMED = {  # JSON inputs of the wrong shape or types for every map direction
     "grid_wide_row": {"mu": [2], "entries": [["1+X^2", "1"]]},
     "grid_empty": {"mu": [1], "entries": []},
     "entry_bool": {"perm": [1], "entries": [True]},
+    # Polynomial text whose numbers are not ASCII digits.  int() and re's \d
+    # alone would read each as 1+X, which is in M_(1) over F_2.
+    "constant_arabic_indic": {"mu": [1], "entries": [["\u0661+X"]]},
+    "exponent_arabic_indic": {"mu": [1], "entries": [["1+X^\u0661"]]},
+    "coordinate_arabic_indic": {"mu": [1], "entries": [["[\u0661]+X"]]},
+    "constant_fullwidth": {"mu": [1], "entries": [["\uff11+X"]]},
+    "coordinate_underscore": {"mu": [1], "entries": [["[0_1]+X"]]},
 }
 
 MAP_ARGV = {
@@ -744,7 +751,7 @@ def test_map_reads_a_polynomial_matrix_through_validate_m_mu(
     def refuse(K, a):
         raise MembershipError("validate_m_mu was called")
 
-    monkeypatch.setattr(records, "validate_m_mu", refuse)
+    monkeypatch.setattr(maps, "validate_m_mu", refuse)
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]}))
     code, out, err = run_cli(capsys, "map", direction, "--p", "3", "--input", str(path))
@@ -1556,9 +1563,11 @@ sys.exit(code)
 """
 
 SHARED = {"hecke", "hecke.gf", "hecke.guards", "hecke.cli"}
-INDEX = {"hecke.hecke_index", "hecke.shapes"}  # hecke_index imports shapes
-RSK = {"hecke.rsk", "hecke.shapes"}  # rsk imports shapes, not hecke_index
+INDEX = {"hecke.hecke_index", "hecke.matrices", "hecke.shapes"}  # hecke_index imports both
+RSK = {"hecke.rsk"}  # rsk imports shapes only where it enumerates tableaux
+SHAPES = {"hecke.shapes"}  # the jobs that enumerate tableaux list it among their layers
 RECORDS = {"hecke.records"}  # only `enum` and `map` load the records
+MAPS = RECORDS | {"hecke.maps"}  # only `map` loads the readers; they write through records
 CHECK = {"hecke.prices"}  # only `verify` loads the prices
 A_OBJ = json.dumps({"mu": [2, 1], "entries": [["1+1*X^2", "1"], ["1", "1+1*X^1"]]})
 V_OBJ = json.dumps({"perm": [1, 2, 3], "entries": [1, 1, 1]})
@@ -1601,11 +1610,15 @@ FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
     "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
     "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
     "enum_irreducibles": (("enum", "irreducibles", "--p", "2", "--max-deg", "3"), "", RECORDS),
-    "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", RECORDS | RSK),
-    "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, RECORDS | INDEX),
-    "map_v_to_a": (("map", "v_to_a", "--p", "2", "--mu", "2,1"), V_OBJ, RECORDS | INDEX),
-    "map_rsk": (("map", "rsk", "--p", "2"), '{"b": [[1, 0], [0, 1]]}', RECORDS | RSK),
-    "map_rsk_general": (("map", "rsk_general", "--p", "2"), A_OBJ, RECORDS | INDEX | RSK),
+    "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", RECORDS | RSK | SHAPES),
+    "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, MAPS | INDEX),
+    "map_v_to_a": (("map", "v_to_a", "--p", "2", "--mu", "2,1"), V_OBJ, MAPS | INDEX),
+    "map_rsk": (("map", "rsk", "--p", "2"), '{"b": [[1, 0], [0, 1]]}', MAPS | RSK),
+    "map_rsk_general": (
+        ("map", "rsk_general", "--p", "2"),
+        A_OBJ,
+        MAPS | RSK | {"hecke.matrices"},
+    ),
     # From n = 4 over F_2, |U| > 27 and bijection_check skips the literal
     # membership test, the one part of it that calls the oracle.
     "verify_bijection": (
@@ -1674,14 +1687,26 @@ def test_only_verify_loads_the_prices_and_only_enum_and_map_the_records():
     assert "hecke.hecke_index" not in FOOTPRINTS["verify_pieri"][2]
 
 
+def test_only_map_loads_the_readers_and_the_map_rsk_jobs_load_no_index_or_shapes():
+    for job, (argv, _, extra) in FOOTPRINTS.items():
+        assert ("hecke.maps" in extra) == (argv[0] == "map"), job
+    for job in ("map_rsk", "map_rsk_general"):
+        assert not {"hecke.hecke_index", "hecke.shapes"} & FOOTPRINTS[job][2], job
+
+
 MOVED = {  # module -> (the names it holds alone, the modules that held them before)
     "records": (
-        ("_TERM_RE", "_is_int", "element_to_obj", "element_from_obj", "parse_coeff", "parse_poly")
-        + ("validate_m_mu", "monomial_from_obj", "polymatrix_to_obj", "polymatrix_from_obj")
-        + ("family_to_obj", "family_from_obj", "pair_to_obj")
-        + ("_encode", "BLOCK", "_Writer", "_read_input", "cmd_enum", "cmd_map")
-        + ("classical_record",),
-        ("gf", "hecke_index", "rsk", "cli"),
+        ("element_to_obj", "polymatrix_to_obj", "family_to_obj", "pair_to_obj")
+        + ("_encode", "BLOCK", "_Writer", "cmd_enum")
+        + ("m_mu_records", "n_mu_records", "irreducible_records", "pair_records"),
+        ("gf", "hecke_index", "rsk", "cli", "maps"),
+    ),
+    "maps": (
+        ("_TERM_RE", "_is_int", "element_from_obj", "parse_coeff", "parse_poly")
+        + ("validate_m_mu", "monomial_from_obj", "polymatrix_from_obj", "family_from_obj")
+        + ("_read_input", "cmd_map")
+        + ("a_to_v_record", "v_to_a_record", "classical_record", "generalized_record"),
+        ("records", "gf", "hecke_index", "rsk", "cli"),
     ),
     "prices": (
         ("pieri_work", "price_m_mu", "price_labels", "price_basis", "price_bruhat", "price_pieri"),

@@ -22,7 +22,7 @@ from hecke.gf import (
     poly_scale,
 )
 from hecke.guards import DEGREE_GUARD, GuardExceeded
-from hecke.records import parse_poly
+from hecke.maps import parse_poly
 
 F2 = Field(2)
 F3 = Field(3)

@@ -12,8 +12,6 @@ from hecke.gf import Field, enumerate_monic_units, poly_mul
 from hecke.guards import GuardExceeded
 from hecke.hecke_index import (
     MembershipError,
-    MonomialMatrix,
-    PolyMatrix,
     degree_matrices,
     enumerate_m_mu,
     enumerate_n,
@@ -26,14 +24,9 @@ from hecke.hecke_index import (
     v_of_poly,
     v_of_matrix,
 )
-from hecke.records import (
-    _encode,
-    monomial_from_obj,
-    n_mu_records,
-    polymatrix_from_obj,
-    polymatrix_to_obj,
-    validate_m_mu,
-)
+from hecke.maps import monomial_from_obj, polymatrix_from_obj, validate_m_mu
+from hecke.matrices import MonomialMatrix, PolyMatrix
+from hecke.records import _encode, n_mu_records, polymatrix_to_obj
 from hecke.shapes import boundary_set, weak_compositions
 from test_shapes import compositions_of
 
@@ -229,17 +222,17 @@ def refuse_to_validate(K, a):
 def test_checks_on_built_elements_never_validate(monkeypatch, layer, check, K, mu):
     """enumerate_m_mu and the diagonal embedding build members of M_mu, so
     the checks that walk them call no validator."""
-    from hecke import records
+    from hecke import maps
 
-    monkeypatch.setattr(records, "validate_m_mu", refuse_to_validate)
+    monkeypatch.setattr(maps, "validate_m_mu", refuse_to_validate)
     assert getattr(importlib.import_module(f"hecke.{layer}"), check)(K, mu)["pass"]
 
 
-def test_only_records_holds_validate_m_mu():
+def test_only_maps_holds_validate_m_mu():
     layers = ("cli", "decomp", "oracle", "rsk", "hecke_index", "bijection", "gf", "prices")
-    for layer in layers:
+    for layer in (*layers, "records", "matrices"):
         assert not hasattr(importlib.import_module(f"hecke.{layer}"), "validate_m_mu"), layer
-    assert hasattr(importlib.import_module("hecke.records"), "validate_m_mu")
+    assert hasattr(importlib.import_module("hecke.maps"), "validate_m_mu")
 
 
 def test_polymatrix_from_obj_refuses_non_members():

@@ -6,13 +6,8 @@ import pytest
 from hecke.bijection import is_unipotent_upper, mat_inv, monomial_to_matrix, psi_mu_eval
 from hecke.gf import Field
 from hecke.guards import GuardExceeded, gl_order
-from hecke.hecke_index import (
-    MonomialMatrix,
-    enumerate_m_mu,
-    enumerate_n,
-    monomial_identity,
-    v_of_matrix,
-)
+from hecke.hecke_index import enumerate_m_mu, enumerate_n, monomial_identity, v_of_matrix
+from hecke.matrices import MonomialMatrix
 from hecke.oracle import (
     AlgebraElement,
     CosetError,

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from hecke import bijection, gf, rsk
+from hecke import bijection, gf, rsk, shapes
 from hecke.cli import main
 from hecke.decomp import h_hat
 from hecke.gf import Field, enumerate_irreducibles, poly_deg, poly_key, poly_mul
-from hecke.hecke_index import PolyMatrix, enumerate_m_mu
+from hecke.hecke_index import enumerate_m_mu
+from hecke.maps import family_from_obj
+from hecke.matrices import PolyMatrix
 from hecke.rsk import (
     enumerate_pairs,
     enumerate_phi_fillings,
@@ -20,7 +22,7 @@ from hecke.rsk import (
     rsk_generalized,
     two_line_array,
 )
-from hecke.records import family_from_obj, family_to_obj
+from hecke.records import family_to_obj
 from hecke.shapes import (
     cst_check,
     enumerate_cst,
@@ -411,7 +413,7 @@ def test_enum_pairs_makes_each_tableau_list_once(monkeypatch, capsys):
         calls.append((shape, weight))
         return enumerate_cst(shape, weight)
 
-    monkeypatch.setattr(rsk, "enumerate_cst", counting)
+    monkeypatch.setattr(shapes, "enumerate_cst", counting)
     assert main(["enum", "pairs", "--p", "3", "--mu", "3,3"]) == 0
     capsys.readouterr()
     assert len(calls) == len(set(calls)) == 60
