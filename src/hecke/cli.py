@@ -1,8 +1,8 @@
 """Command-line surface: enumeration, bijection maps, RSK, and verification.
 
 JOBS holds each enum kind, map direction and verify check once: the flags
-its driver reads, the layers it loads and its driver's name in the last of
-them.  read_line reads a well-formed line from JOBS and FLAGS alone: a job,
+its driver reads, the module that holds its driver and the driver's name
+there.  read_line reads a well-formed line from JOBS and FLAGS alone: a job,
 then each flag its sub-parser declares, spelled out, once, with a value
 that its type and choices take.  Every other line goes to the full
 argparse parser, which is built (and argparse imported) only then: it
@@ -10,9 +10,10 @@ writes every help text and refuses a missing, malformed or unknown flag
 (exit 2) before any work is done, and it makes the reader's namespace of
 every line the reader takes.  This module loads only gf and guards, and
 holds the reader, the parser, `verify` and the job table.  Every other
-module loads only for a job that runs it: main imports the named job's
-layers before it reads the line, and runs the driver it finds in the last
-of them.  `enum` drivers are in records, which holds the text and JSON
+module loads only for a job that runs it: once the line is read and the
+field made, main imports the module that holds the job's driver, whose own
+imports load the rest, and runs the driver; a help line, or one refused
+before its driver runs, loads none.  `enum` drivers are in records, which holds the text and JSON
 forms of records and the writer; `map` drivers are in maps, which reads
 every outside input and writes through records; a `verify` check prices
 its work with prices; bijection holds the exhaustive bijection witnesses.
@@ -77,49 +78,45 @@ def _positive(text: str) -> int:
     return value
 
 
-def _load(layer: str):
+def _load(module: str):
     """The hecke module a driver calls, imported when the driver runs."""
-    return importlib.import_module(f"hecke.{layer}")
+    return importlib.import_module(f"hecke.{module}")
 
 
 # -- the jobs ----------------------------------------------------------------------
 
-# (command, job) -> (flags it reads, the layers main loads before it reads
-# the line, its driver's name in the last of them).  The driver is called
-# on the job's field in place of --k and on the value of each other flag, in
-# this order; a `map` driver also on the input record.  An `enum` driver
-# streams its records' keys, then the JSON texts of each record's values.
+# (command, job) -> (flags it reads, the module that holds its driver, the
+# driver's name there).  The driver is called on the job's field in place of
+# --k and on the value of each other flag, in this order; a `map` driver also
+# on the input record.  An `enum` driver streams its records' keys, then the
+# JSON texts of each record's values.
 JOBS = {
-    ("enum", "n_mu"): (("--k", "--mu"), ("hecke_index", "records"), "n_mu_records"),
-    ("enum", "m_mu"): (("--k", "--mu"), ("hecke_index", "records"), "m_mu_records"),
-    ("enum", "irreducibles"): (("--k", "--max-deg"), ("records",), "irreducible_records"),
-    ("enum", "pairs"): (("--k", "--mu"), ("rsk", "shapes", "records"), "pair_records"),
-    ("map", "a_to_v"): (("--k",), ("hecke_index", "maps"), "a_to_v_record"),
-    ("map", "v_to_a"): (("--k", "--mu"), ("hecke_index", "maps"), "v_to_a_record"),
-    ("map", "rsk"): ((), ("rsk", "maps"), "classical_record"),
-    ("map", "rsk_general"): (("--k",), ("matrices", "rsk", "maps"), "generalized_record"),
-    ("verify", "bijection"): (("--k", "--mu"), ("bijection",), "bijection_check"),
-    ("verify", "dim_identity"): (
-        ("--k", "--mu"), ("rsk", "shapes", "bijection", "decomp"), "dim_identity_check"
-    ),
-    ("verify", "rsk_bijectivity"): (
-        ("--k", "--mu"), ("rsk", "shapes", "bijection"), "rsk_bijectivity_check"
-    ),
-    ("verify", "basis"): (("--k", "--mu"), ("oracle",), "basis_check"),
-    ("verify", "commutativity"): (("--k", "--n"), ("oracle",), "commutativity_check"),
-    ("verify", "levi"): (("--k", "--mu"), ("oracle",), "levi_embedding_check"),
-    ("verify", "cosets"): (("--k", "--n"), ("oracle",), "coset_check"),
-    ("verify", "pieri"): (("--nu", "--add", "--vars"), ("decomp",), "pieri_report"),
+    ("enum", "n_mu"): (("--k", "--mu"), "records", "n_mu_records"),
+    ("enum", "m_mu"): (("--k", "--mu"), "records", "m_mu_records"),
+    ("enum", "irreducibles"): (("--k", "--max-deg"), "records", "irreducible_records"),
+    ("enum", "pairs"): (("--k", "--mu"), "records", "pair_records"),
+    ("map", "a_to_v"): (("--k",), "maps", "a_to_v_record"),
+    ("map", "v_to_a"): (("--k", "--mu"), "maps", "v_to_a_record"),
+    ("map", "rsk"): ((), "maps", "classical_record"),
+    ("map", "rsk_general"): (("--k",), "maps", "generalized_record"),
+    ("verify", "bijection"): (("--k", "--mu"), "bijection", "bijection_check"),
+    ("verify", "dim_identity"): (("--k", "--mu"), "decomp", "dim_identity_check"),
+    ("verify", "rsk_bijectivity"): (("--k", "--mu"), "bijection", "rsk_bijectivity_check"),
+    ("verify", "basis"): (("--k", "--mu"), "oracle", "basis_check"),
+    ("verify", "commutativity"): (("--k", "--n"), "oracle", "commutativity_check"),
+    ("verify", "levi"): (("--k", "--mu"), "oracle", "levi_embedding_check"),
+    ("verify", "cosets"): (("--k", "--n"), "oracle", "coset_check"),
+    ("verify", "pieri"): (("--nu", "--add", "--vars"), "decomp", "pieri_report"),
 }
 
 
 def _job(args) -> tuple:
     """The driver of the job args names and what it is called on.  Every job
     makes its field, so --p is checked even where no driver reads it."""
-    flags, layers, name = JOBS[args.command, getattr(args, COMMANDS[args.command][1])]
+    flags, module, name = JOBS[args.command, getattr(args, COMMANDS[args.command][1])]
     K = Field(args.p, getattr(args, "k", 1))  # no table is built until one is read
     values = [K if flag == "--k" else getattr(args, flag[2:].replace("-", "_")) for flag in flags]
-    return getattr(_load(layers[-1]), name), values
+    return getattr(_load(module), name), values
 
 
 def _enum(args, driver, values) -> int:
@@ -234,12 +231,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The named job's layers load before its line is read, so that a line
-    # argparse answers builds its parser on top of them: compiled after the
-    # parser's objects, they raised a child's peak RSS by about 0.2 MB.
-    named = tuple(argv[:2])
-    for layer in JOBS[named][1] if named in JOBS else ():
-        _load(layer)
     args = read_line(argv)
     if args is None:  # help, an error, or a line only argparse reads
         try:

@@ -4,7 +4,9 @@ The two matrix types, MonomialMatrix and PolyMatrix, are in hecke.matrices.
 Only hecke.maps, which reads outside data, checks that a polynomial matrix
 is in M_mu; every function given a PolyMatrix relies on its caller.  The
 exhaustive witnesses of the bijection, and the matrix helpers of the literal
-membership test, are in hecke.bijection.
+membership test, are in hecke.bijection.  Only degree_matrices and
+m_mu_size read hecke.shapes, and each imports it when it runs: `map a_to_v`,
+`map v_to_a` and `verify cosets` load no shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Iterator
 from hecke.gf import Field, Poly, enumerate_monic_units, format_poly, is_monic, poly_deg
 from hecke.guards import MembershipError, u_order
 from hecke.matrices import MonomialMatrix, PolyMatrix
-from hecke.shapes import boundary_set, weak_compositions
 
 
 def monomial_identity(n: int) -> MonomialMatrix:
@@ -57,40 +58,31 @@ def v_of_poly(K: Field, f: Poly) -> MonomialMatrix:
 # -- the bijection M_mu <-> N_mu ----------------------------------------------
 
 
-def _blocks(mu: tuple, d):
-    """(i, j, first row, first column) of each nonempty sub-block of v_a for
-    the degree matrix d, walked with running offsets.  Within block row i
-    the sub-blocks stack top to bottom by decreasing column index j; within
-    block column j they run left to right by decreasing row index i."""
-    base = [b - m for b, m in zip(boundary_set(mu), mu)]  # sum(mu[:i]) for each i
-    col = list(base)  # next free column of each block column
+@lru_cache(maxsize=2)
+def _layout(mu: tuple, lengths: tuple) -> tuple:
+    """(i, j, first row, first column, size) of each nonempty sub-block of
+    v_a, where entry (i, j) of a has lengths[i][j] coefficients, so its
+    block has size d[i][j] = lengths[i][j] - 1; by first column, the order in
+    which their columns make up v_a.  Within block row i the sub-blocks stack
+    top to bottom by decreasing column index j; within block column j they
+    run left to right by decreasing row index i.
+
+    The key has the shape of a.entries, so v_of_matrix reads it with len
+    alone and no tuple of a new length is made per element.  walk_m_mu makes
+    the layout of each degree matrix as it meets it, and v_of_matrix and
+    _decode find it here while the stream is on that matrix; two entries
+    keep no layout of a matrix the stream has passed."""
+    base = [*itertools.accumulate(mu, initial=0)]  # sum(mu[:i]) for each i
+    col, blocks = base[:-1], []  # next free column of each block column
     for i in reversed(range(len(mu))):
         r = base[i]
         for j in reversed(range(len(mu))):
-            if d[i][j]:
-                yield i, j, r, col[j]
-                r += d[i][j]
-                col[j] += d[i][j]
-
-
-def _column_blocks(mu: tuple, d) -> list:
-    """(i, j, first row, first column, size) of each nonempty sub-block of
-    v_a for the degree matrix d, by first column: the order in which their
-    columns make up v_a."""
-    return sorted(((i, j, r, c, d[i][j]) for i, j, r, c in _blocks(mu, d)), key=lambda b: b[3])
-
-
-@lru_cache(maxsize=2)
-def _layout(mu: tuple, lengths: tuple) -> tuple:
-    """_column_blocks of the degree matrix d[i][j] = lengths[i][j] - 1, made
-    once per (mu, d) for v_of_matrix and _decode.  The key is the l-by-l grid
-    of the entries' coefficient counts, which v_of_matrix reads with len
-    alone and which has the shape of a.entries, so no tuple of a new length
-    is made per element.  enumerate_m_mu yields M_mu grouped by degree
-    matrix, so the last few layouts serve a whole stream, and the cache
-    keeps no layout of a matrix the stream has passed.  walk_m_mu meets each
-    d once and calls _column_blocks itself."""
-    return tuple(_column_blocks(mu, [[x - 1 for x in row] for row in lengths]))
+            size = lengths[i][j] - 1
+            if size:
+                blocks.append((i, j, r, col[j], size))
+                r += size
+                col[j] += size
+    return tuple(sorted(blocks, key=lambda b: b[3]))
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +150,7 @@ def matrix_of_v(K: Field, v: MonomialMatrix, mu: tuple) -> PolyMatrix:
 @lru_cache(maxsize=None)
 def _block_ends(mu: tuple) -> int:
     """The bitmask of E, the 0-based last index of each block of mu."""
-    return sum(1 << (b - 1) for b in boundary_set(mu))
+    return sum(1 << (b - 1) for b in itertools.accumulate(mu))
 
 
 def _column_rule(ends: int, c: int, r: int, following, placed: int):
@@ -231,6 +223,8 @@ def degree_matrices(mu: tuple):
     still to fill, so the last row is exactly what is left.  The rows are
     walked with a stack of their choices, not by recursion, so no part
     count meets the interpreter's recursion limit."""
+    from hecke.shapes import weak_compositions
+
     l, rows = len(mu), []
     if not l:
         yield ()
@@ -256,6 +250,8 @@ def m_mu_size(q: int, mu: tuple) -> int:
     has (q-1) q^(d-1) choices, and the partial counts are keyed by the
     sorted column sums still to fill (which column has which sum does not
     change the count), so no degree matrix is formed."""
+    from hecke.shapes import weak_compositions
+
     counts = {tuple(sorted(mu)): 1}
     for part in mu:
         filled: dict = {}
@@ -282,12 +278,13 @@ def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
     """
     l = len(mu)
     for d in degree_matrices(mu):
-        blocks = _column_blocks(mu, d)
-        first_row = {(i, j): r for i, j, r, _, _ in blocks}
+        blocks = _layout(mu, tuple([tuple([x + 1 for x in row]) for row in d]))
+        first_row = [None] * (l * l)
+        for i, j, r, _, _ in blocks:
+            first_row[i * l + j] = r
         options = [
-            [piece(f, first_row.get((i, j))) for f in enumerate_monic_units(K, d[i][j])]
-            for i in range(l)
-            for j in range(l)
+            [piece(f, r) for f in enumerate_monic_units(K, x)]
+            for x, r in zip(itertools.chain.from_iterable(d), first_row)
         ]
         yield [i * l + j for i, j, *_ in blocks], itertools.product(*options)
 

@@ -12,7 +12,7 @@ any Unicode digit, or "_" between digits).  The term pattern is compiled
 by re on its first use (and cached there), not at import: only parse_poly
 reads it.  A polynomial matrix is read through validate_m_mu, the one
 place outside data is checked to lie in M_mu.  A driver imports
-hecke_index or rsk when it runs, as the CLI has already done for its job.
+hecke_index or rsk when it runs, so a `map` job loads only the one it calls.
 """
 
 from __future__ import annotations

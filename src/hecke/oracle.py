@@ -50,7 +50,6 @@ from hecke.hecke_index import (
 )
 from hecke.matrices import MonomialMatrix, PolyMatrix
 from hecke.prices import price_basis, price_bruhat
-from hecke.shapes import boundary_set
 
 
 # -- exact cyclotomic rationals ------------------------------------------------
@@ -202,7 +201,7 @@ def _u_orbit(K: Field, x: list, cols: frozenset = frozenset()) -> dict:
 def _psi_columns(mu: tuple) -> frozenset:
     """The columns j whose superdiagonal entry (j-1, j) psi_mu reads: the
     rows j = 1..n-1 that are not partial sums of mu."""
-    boundary = set(boundary_set(mu))
+    boundary = set(itertools.accumulate(mu))
     return frozenset(j for j in range(1, sum(mu)) if j not in boundary)
 
 

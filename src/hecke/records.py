@@ -12,8 +12,8 @@ prints them, lowest degree first: X^3 + X + 1 over F_2 is "1+1*X^1+1*X^3".
 flushed as soon as the enumeration yields it; every later line, the count
 footer included, joins a block that is written and flushed, one write call,
 once it holds BLOCK characters, so a record longer than BLOCK goes out
-alone.  A driver imports hecke_index or rsk when it runs, as the CLI has
-already done for its job.
+alone.  A driver imports hecke_index or rsk when it runs, so an `enum` job
+loads only the one it calls.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ import itertools
 import json
 import sys
 
-from hecke.gf import Field, enumerate_irreducibles, format_poly
+from hecke.gf import Field, enumerate_irreducibles, format_coeff, format_poly
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
 # -- the write-side forms ----------------------------------------------------------
-
-
-def element_to_obj(K: Field, a: int):
-    return a if K.k == 1 else list(K.coords(a))
 
 
 def polymatrix_to_obj(K: Field, a) -> dict:
@@ -129,7 +125,7 @@ def n_mu_records(K: Field, mu: tuple):
         block = hecke_index.v_of_poly(K, f)  # v_(f), the sub-block of v_a from row r
         return (
             ",".join(str(r + x + 1) for x in block.perm),
-            ",".join(_encode(element_to_obj(K, e)) for e in block.entries),
+            ",".join(format_coeff(K, e) for e in block.entries),
         )
 
     yield "perm", "entries"

@@ -21,8 +21,7 @@ checks of its matrix, are in hecke.maps.
 
 Only insert_column and the enumeration of label shapes, fillings and
 tableaux read hecke.shapes, and each imports it when it runs: `map rsk` and
-`map rsk_general` load no shapes.  The jobs that enumerate tableaux list
-shapes among their layers (cli.JOBS), so it loads before their line is read.
+`map rsk_general` load no shapes.
 """
 
 from __future__ import annotations

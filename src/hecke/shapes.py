@@ -14,7 +14,6 @@ from itertools import accumulate, zip_longest
 from operator import add, sub
 
 Partition = tuple
-Composition = tuple
 Rows = tuple
 
 
@@ -30,15 +29,6 @@ def conjugate(nu: Partition) -> Partition:
     if not nu:
         return ()
     return tuple(sum(1 for part in nu if part >= i) for i in range(1, nu[0] + 1))
-
-
-def boundary_set(mu: Composition) -> tuple:
-    """Partial sums of mu (the rows' last box labels in the diagram)."""
-    out, total = [], 0
-    for part in mu:
-        total += part
-        out.append(total)
-    return tuple(out)
 
 
 def partitions_of(n: int, max_part: int | None = None):

@@ -1563,9 +1563,10 @@ sys.exit(code)
 """
 
 SHARED = {"hecke", "hecke.gf", "hecke.guards", "hecke.cli"}
-INDEX = {"hecke.hecke_index", "hecke.matrices", "hecke.shapes"}  # hecke_index imports both
+INDEX = {"hecke.hecke_index", "hecke.matrices"}  # hecke_index imports matrices
+WALK = {"hecke.shapes"}  # hecke_index imports shapes only where it walks or counts M_mu
 RSK = {"hecke.rsk"}  # rsk imports shapes only where it enumerates tableaux
-SHAPES = {"hecke.shapes"}  # the jobs that enumerate tableaux list it among their layers
+SHAPES = {"hecke.shapes"}  # loaded by the jobs that enumerate tableaux, when they do
 RECORDS = {"hecke.records"}  # only `enum` and `map` load the records
 MAPS = RECORDS | {"hecke.maps"}  # only `map` loads the readers; they write through records
 CHECK = {"hecke.prices"}  # only `verify` loads the prices
@@ -1598,17 +1599,26 @@ def test_import_cli_loads_only_the_shared_layers():
 
 
 @pytest.mark.parametrize(
-    "argv,code",
-    [(("--help",), 0), (("enum", "m_mu", "--help"), 0), (("enum", "m_mu", "--p", "2"), 2)],
-    ids=["help", "job help", "missing flag"],
+    "argv,code,parsed",
+    [
+        (("--help",), 0, True),
+        (("enum", "m_mu", "--help"), 0, True),
+        (("enum", "m_mu", "--p", "2"), 2, True),
+        (("enum", "m_mu", "--p", "4", "--mu", "2,1"), 2, False),
+    ],
+    ids=["help", "job help", "missing flag", "field refused"],
 )
-def test_argparse_loads_for_help_and_errors(argv, code):
-    assert "argparse" in loaded_modules(*argv, code=code)["parsers:"]
+def test_argparse_loads_for_help_and_errors(argv, code, parsed):
+    """argparse answers a help or malformed line, and the reader takes a
+    line whose --p Field refuses; none of them loads a job's module."""
+    loaded = loaded_modules(*argv, code=code)
+    assert ("argparse" in loaded["parsers:"]) == parsed
+    assert loaded["end:"] == SHARED
 
 
 FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
-    "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
-    "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX),
+    "enum_n_mu": (("enum", "n_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX | WALK),
+    "enum_m_mu": (("enum", "m_mu", "--p", "2", "--mu", "2,1"), "", RECORDS | INDEX | WALK),
     "enum_irreducibles": (("enum", "irreducibles", "--p", "2", "--max-deg", "3"), "", RECORDS),
     "enum_pairs": (("enum", "pairs", "--p", "2", "--mu", "2,1"), "", RECORDS | RSK | SHAPES),
     "map_a_to_v": (("map", "a_to_v", "--p", "2"), A_OBJ, MAPS | INDEX),
@@ -1624,32 +1634,32 @@ FOOTPRINTS = {  # id -> (argv, stdin, the modules loaded beyond SHARED)
     "verify_bijection": (
         ("verify", "bijection", "--p", "2", "--mu", "2,2"),
         "",
-        CHECK | INDEX | {"hecke.bijection"},
+        CHECK | INDEX | WALK | {"hecke.bijection"},
     ),
     "verify_dim_identity": (
         ("verify", "dim_identity", "--p", "2", "--mu", "2,1"),
         "",
-        CHECK | INDEX | RSK | {"hecke.bijection", "hecke.decomp"},
+        CHECK | INDEX | WALK | RSK | {"hecke.bijection", "hecke.decomp"},
     ),
     "verify_rsk_bijectivity": (
         ("verify", "rsk_bijectivity", "--p", "2", "--mu", "2,1"),
         "",
-        CHECK | INDEX | RSK | {"hecke.bijection"},
+        CHECK | INDEX | WALK | RSK | {"hecke.bijection"},
     ),
     "verify_basis": (
         ("verify", "basis", "--p", "2", "--mu", "2"),
         "",
-        CHECK | INDEX | {"hecke.oracle"},
+        CHECK | INDEX | WALK | {"hecke.oracle"},
     ),
     "verify_commutativity": (
         ("verify", "commutativity", "--p", "2", "--n", "2"),
         "",
-        CHECK | INDEX | {"hecke.oracle"},
+        CHECK | INDEX | WALK | {"hecke.oracle"},
     ),
     "verify_levi": (
         ("verify", "levi", "--p", "2", "--mu", "2,1"),
         "",
-        CHECK | INDEX | {"hecke.oracle"},
+        CHECK | INDEX | WALK | {"hecke.oracle"},
     ),
     "verify_cosets": (
         ("verify", "cosets", "--p", "2", "--n", "2"),
@@ -1670,11 +1680,11 @@ def test_footprints_cover_every_job():
 
 @pytest.mark.parametrize("job", FOOTPRINTS)
 def test_each_job_loads_only_its_layers(job):
-    """Exactly its layers, each loaded before the job's line is read, and
+    """Exactly its layers, none loaded before the job's line is read, and
     neither argparse nor gettext: the reader takes the line."""
     argv, stdin, extra = FOOTPRINTS[job]
     assert loaded_modules(*argv, stdin=stdin) == {
-        "reader:": SHARED | extra,
+        "reader:": SHARED,
         "end:": SHARED | extra,
         "parsers:": set(),
     }
@@ -1696,7 +1706,7 @@ def test_only_map_loads_the_readers_and_the_map_rsk_jobs_load_no_index_or_shapes
 
 MOVED = {  # module -> (the names it holds alone, the modules that held them before)
     "records": (
-        ("element_to_obj", "polymatrix_to_obj", "family_to_obj", "pair_to_obj")
+        ("polymatrix_to_obj", "family_to_obj", "pair_to_obj")
         + ("_encode", "BLOCK", "_Writer", "cmd_enum")
         + ("m_mu_records", "n_mu_records", "irreducible_records", "pair_records"),
         ("gf", "hecke_index", "rsk", "cli", "maps"),

@@ -27,7 +27,7 @@ from hecke.hecke_index import (
 from hecke.maps import monomial_from_obj, polymatrix_from_obj, validate_m_mu
 from hecke.matrices import MonomialMatrix, PolyMatrix
 from hecke.records import _encode, n_mu_records, polymatrix_to_obj
-from hecke.shapes import boundary_set, weak_compositions
+from hecke.shapes import weak_compositions
 from test_shapes import compositions_of
 
 F2 = Field(2)
@@ -277,7 +277,7 @@ def pairwise_pattern_test(v, mu):
     """The pattern test as a loop over every pair of columns, entries read
     inside it: the witness for the split into _pattern_ties and ties."""
     n = v.n
-    B = set(boundary_set(mu))
+    B = set(itertools.accumulate(mu))
     row = tuple(r + 1 for r in v.perm)  # 1-based row of column i
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -404,14 +404,13 @@ def closed_form_blocks(mu, d):
 
 
 def test_walked_blocks_equal_the_closed_form_offsets():
-    mu, d = (2, 1), ((1, 1), (1, 0))
-    assert sorted(hecke_index._blocks(mu, d)) == [(0, 0, 1, 1), (0, 1, 0, 2), (1, 0, 2, 0)]
+    layout = hecke_index._layout((2, 1), ((2, 2), (2, 1)))  # d = ((1, 1), (1, 0))
+    assert sorted(block[:4] for block in layout) == [(0, 0, 1, 1), (0, 1, 0, 2), (1, 0, 2, 0)]
     for n in range(1, 7):
         for mu in compositions_of(n):
             for d in degree_matrices(mu):
-                assert sorted(hecke_index._blocks(mu, d)) == closed_form_blocks(mu, d)
-                # The cached layout, keyed by the entries' lengths d[i][j] + 1:
-                # the same blocks with their sizes, by first column, each
+                # The layout, keyed by the entries' lengths d[i][j] + 1: the
+                # closed-form blocks with their sizes, by first column, each
                 # column run starting where the one before it ends.
                 lengths = tuple(tuple(x + 1 for x in row) for row in d)
                 layout = hecke_index._layout(mu, lengths)

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from hecke.shapes import (
-    boundary_set,
     check_partition,
     conjugate,
     cst_check,
@@ -81,12 +80,6 @@ def test_conjugate_is_involutive():
     for n in range(9):
         for nu in partitions_of(n):
             assert conjugate(conjugate(nu)) == nu
-
-
-def test_boundary_set():
-    assert boundary_set((2, 5, 3, 4)) == (2, 7, 10, 14)
-    assert boundary_set((7,)) == (7,)
-    assert boundary_set((1, 1, 1)) == (1, 2, 3)
 
 
 def test_partition_enumeration_counts():
