@@ -24,11 +24,6 @@ from hecke.prices import price_labels, price_m_mu, price_pieri
 from hecke.shapes import check_partition, conjugate, horizontal_strips, kostka, partitions_of
 
 
-def shape_height(shape) -> int:
-    """Largest number of rows over the labels of a label shape."""
-    return max((len(lam) for _, lam in shape), default=0)
-
-
 def shape_size(shape) -> int:
     return sum(poly_deg(g) * sum(lam) for g, lam in shape)
 
@@ -85,11 +80,7 @@ def dim_identity_check(K: Field, mu: tuple) -> dict:
 def enumerate_levi_weights(K: Field, mu: tuple) -> list:
     """All tuples (gamma_1, ..., gamma_l) of height-one label shapes with
     |gamma_i| = mu_i."""
-    factor_sets = []
-    for m in mu:
-        shapes = [shape for shape, _ in h_hat(K, (m,))]
-        assert all(shape_height(s) == 1 for s in shapes)
-        factor_sets.append(shapes)
+    factor_sets = [[shape for shape, _ in h_hat(K, (m,))] for m in mu]
     return list(itertools.product(*factor_sets))
 
 

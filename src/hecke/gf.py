@@ -283,13 +283,15 @@ def enumerate_monic(K: Field, n: int):
         yield tuple(reversed(high_first)) + (1,)
 
 
-def enumerate_monic_units(K: Field, n: int) -> list:
-    """All monic degree-n polynomials with nonzero constant term.
+@lru_cache(maxsize=None)
+def enumerate_monic_units(K: Field, n: int) -> tuple:
+    """All monic degree-n polynomials with nonzero constant term, in
+    canonical order, made once per (K, n).
 
     There are (q-1)*q**(n-1) of them for n >= 1, and just the constant 1
     for n = 0.
     """
-    return [f for f in enumerate_monic(K, n) if f[0] != 0]
+    return tuple(f for f in enumerate_monic(K, n) if f[0] != 0)
 
 
 @lru_cache(maxsize=None)

@@ -270,22 +270,20 @@ def walk_m_mu(K: Field, mu: tuple, piece) -> Iterator[tuple]:
     For each degree matrix d, in degree_matrices order, yields (columns,
     choices).  choices is the product, over the entries (i, j) in row-major
     order, of piece(f, r) for each monic unit f of degree d[i][j], r being
-    the first row of block (i, j) of v_a (None when d[i][j] = 0): its k-th
-    tuple holds the pieces of the k-th element of M_mu with degree matrix d,
-    in the order of enumerate_m_mu.  columns lists the indices i*l + j of
-    the nonempty blocks by first column, the order in which v_a joins them.
-    Each entry's pieces are made once per degree matrix and dropped with it.
+    the first row of block (i, j) of v_a: its k-th tuple holds the pieces of
+    the k-th element of M_mu with degree matrix d, in the order of
+    enumerate_m_mu.  columns lists the indices i*l + j of the nonempty
+    blocks by first column, the order in which v_a joins them.  Only the
+    blocks of _layout vary: each has its pieces made once per degree matrix
+    and dropped with it, and every entry of degree 0 shares the one choice
+    piece((1,), None), made once per walk.
     """
-    l = len(mu)
+    l, empty = len(mu), [piece((1,), None)]
     for d in degree_matrices(mu):
         blocks = _layout(mu, tuple([tuple([x + 1 for x in row]) for row in d]))
-        first_row = [None] * (l * l)
-        for i, j, r, _, _ in blocks:
-            first_row[i * l + j] = r
-        options = [
-            [piece(f, r) for f in enumerate_monic_units(K, x)]
-            for x, r in zip(itertools.chain.from_iterable(d), first_row)
-        ]
+        options = [empty] * (l * l)
+        for i, j, r, _, size in blocks:
+            options[i * l + j] = [piece(f, r) for f in enumerate_monic_units(K, size)]
         yield [i * l + j for i, j, *_ in blocks], itertools.product(*options)
 
 

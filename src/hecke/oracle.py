@@ -37,7 +37,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from hecke.gf import Field, _vector_codes
+from hecke.gf import Field, _vector_codes, enumerate_monic_units
 from hecke.guards import G_GUARD, check_guard, gl_order, u_order
 from hecke.hecke_index import (
     enumerate_m_mu,
@@ -482,8 +482,9 @@ def levi_embedding_check(K: Field, mu: tuple) -> dict:
     factor_sizes = [len(sc.basis) for sc in factor_sc]
     full_sc = structure_constants(K, mu)
     index_of = {v: k for k, v in enumerate(full_sc.basis)}
-    # Slot t of factor i's basis is the t-th 1-by-1 matrix of M_(mu_i).
-    units = [[a.entries[0][0] for a in enumerate_m_mu(K, (m,))] for m in mu]
+    # Slot t of factor i's basis is the t-th monic unit of degree mu_i: M_(mu_i)
+    # has the one degree matrix (mu_i), so it lists its 1-by-1 matrices in that order.
+    units = [enumerate_monic_units(K, m) for m in mu]
 
     def embed(tensor: tuple) -> int:
         l = len(mu)

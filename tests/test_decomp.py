@@ -12,7 +12,6 @@ from hecke.decomp import (
     h_hat,
     pieri_check,
     schur_jacobi_trudi,
-    shape_height,
     weight_space_dims,
 )
 from hecke.gf import Field
@@ -69,6 +68,11 @@ def test_h_hat_mu_2():
     table = dict(h_hat(F2, (2,)))
     assert table == {((X1, (2,)),): 1, ((QUAD, (1,)),): 1}
     assert sum(count**2 for count in table.values()) == 2
+
+
+def shape_height(shape) -> int:
+    """Largest number of rows over the labels of a label shape."""
+    return max((len(lam) for _, lam in shape), default=0)
 
 
 def test_h_hat_one_part_heights():

@@ -320,8 +320,12 @@ def test_irreducibles_against_brute_force():
 
 def test_monic_units_examples():
     assert set(enumerate_monic_units(F2, 2)) == {(1, 0, 1), (1, 1, 1)}
-    assert enumerate_monic_units(F3, 0) == [(1,)]
+    assert enumerate_monic_units(F3, 0) == ((1,),)
     assert set(enumerate_monic_units(F3, 1)) == {(1, 1), (2, 1)}
+
+
+def test_monic_units_are_listed_once_per_field_and_degree():
+    assert enumerate_monic_units(Field(3), 2) is enumerate_monic_units(Field(3), 2)
 
 
 @pytest.mark.parametrize("K", [F2, F3, F4], ids=["q2", "q3", "q4"])

@@ -23,6 +23,7 @@ from hecke.hecke_index import (
     monomial_to_obj,
     v_of_poly,
     v_of_matrix,
+    walk_m_mu,
 )
 from hecke.maps import monomial_from_obj, polymatrix_from_obj, validate_m_mu
 from hecke.matrices import MonomialMatrix, PolyMatrix
@@ -563,6 +564,20 @@ def test_walked_m_mu_equals_the_entrywise_product(K, top):
             walked = list(enumerate_m_mu(K, mu))
             assert walked == list(entrywise_m_mu(K, mu)), mu
             assert all(type(row) is tuple for a in walked for row in a.entries)
+
+
+def test_the_walk_lists_units_once_per_nonempty_block(monkeypatch):
+    calls = []
+
+    def counted(K, n):
+        calls.append(n)
+        return enumerate_monic_units(K, n)
+
+    monkeypatch.setattr(hecke_index, "enumerate_monic_units", counted)
+    walk = walk_m_mu(F2, (1, 1, 1), lambda f, r: f)
+    elements = [flat for _, choices in walk for flat in choices]
+    assert len(elements) == 6  # one per permutation matrix, each entry 1 or X + 1
+    assert calls == [1] * 18  # three blocks per matrix; no call for an entry of degree 0
 
 
 # -- serialization ---------------------------------------------------------------
