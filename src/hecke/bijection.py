@@ -4,8 +4,7 @@
 `bijection_check` walks M_mu through a -> v_a (hecke_index) and compares
 the image with the monomial matrices that pass the pattern test, listed by
 `enumerate_pattern_n_mu`; where |U| <= 27 it also compares the pattern test
-with the literal definition, hecke_index.is_in_n_mu_direct, which reads the
-matrices over F_q through the helpers at the end of this module.
+with the literal definition, hecke_index.is_in_n_mu_direct.
 `rsk_bijectivity_check` walks M_mu through the generalized RSK (rsk) and
 compares the image with the enumerated pairs of label families.
 
@@ -151,48 +150,3 @@ def rsk_bijectivity_check(K: Field, mu: tuple) -> dict:
         "image_equals_codomain": onto,
         "pass": shapes_ok and weights_ok and injective and onto,
     }
-
-
-# -- the literal membership test's matrices over F_q ------------------------------
-
-
-def mat_inv(K: Field, A: tuple) -> tuple:
-    n = len(A)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = K.inv(work[col][col])
-        work[col] = [K.mul(inv, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                c = work[r][col]
-                work[r] = [K.sub(x, K.mul(c, y)) for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def is_unipotent_upper(A: tuple) -> bool:
-    n = len(A)
-    return all(A[i][i] == 1 for i in range(n)) and all(
-        A[i][j] == 0 for i in range(n) for j in range(i)
-    )
-
-
-def monomial_to_matrix(K: Field, v: MonomialMatrix) -> tuple:
-    n = v.n
-    rows = [[0] * n for _ in range(n)]
-    for c in range(n):
-        rows[v.perm[c]][c] = v.entries[c]
-    return tuple(tuple(r) for r in rows)
-
-
-def psi_mu_eval(K: Field, u: tuple, mu: tuple):
-    """psi_mu(u), an oracle.Cyclotomic: the product of psi over the
-    superdiagonal entries at rows not in the boundary set of mu."""
-    from hecke.oracle import Cyclotomic, _psi_columns, _psi_exponent
-
-    if not is_unipotent_upper(u):
-        raise ValueError("psi_mu is only defined on unipotent upper-triangular matrices")
-    return Cyclotomic.root_power(K.p, _psi_exponent(K, u, _psi_columns(mu)))

@@ -3,10 +3,10 @@
 The two matrix types, MonomialMatrix and PolyMatrix, are in hecke.matrices.
 Only hecke.maps, which reads outside data, checks that a polynomial matrix
 is in M_mu; every function given a PolyMatrix relies on its caller.  The
-exhaustive witnesses of the bijection, and the matrix helpers of the literal
-membership test, are in hecke.bijection.  Only degree_matrices and
-m_mu_size read hecke.shapes, and each imports it when it runs: `map a_to_v`,
-`map v_to_a` and `verify cosets` load no shapes.
+exhaustive witnesses of the bijection are in hecke.bijection; the literal
+membership test reads its matrices over F_q and psi_mu from hecke.oracle.
+Only degree_matrices and m_mu_size read hecke.shapes, and each imports it
+when it runs: `map a_to_v`, `map v_to_a` and `verify cosets` load no shapes.
 """
 
 from __future__ import annotations
@@ -199,17 +199,19 @@ def is_in_n_mu_fast(v: MonomialMatrix, mu: tuple) -> bool:
 
 def is_in_n_mu_direct(K: Field, v: MonomialMatrix, mu: tuple) -> bool:
     """Literal membership check: conjugation by v preserves psi_mu wherever
-    it stays inside U.  Iterates over all of U; ground-truth oracle only."""
-    from hecke import bijection, oracle
+    it stays inside U.  Iterates over all of U; ground-truth oracle only.
+    v^-1 is the transpose of v with each entry inverted."""
+    from hecke import oracle
 
     n = v.n
     u_order(K.q, n)
-    vm = bijection.monomial_to_matrix(K, v)
-    vinv = bijection.mat_inv(K, vm)
+    cols = oracle._psi_columns(mu)
+    vm = oracle.monomial_to_matrix(K, v)
+    vinv = tuple(tuple(x and K.inv(x) for x in col) for col in zip(*vm))
     for u in oracle.enumerate_u(K, n):
         w = oracle.mat_mul(K, oracle.mat_mul(K, vm, u), vinv)
-        if bijection.is_unipotent_upper(w):
-            if bijection.psi_mu_eval(K, u, mu) != bijection.psi_mu_eval(K, w, mu):
+        if oracle.is_unipotent_upper(w):
+            if (oracle._psi_exponent(K, u, cols) - oracle._psi_exponent(K, w, cols)) % K.p:
                 return False
     return True
 

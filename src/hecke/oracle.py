@@ -145,6 +145,21 @@ def mat_mul(K: Field, A: tuple, B: tuple) -> tuple:
     return tuple(out)
 
 
+def monomial_to_matrix(K: Field, v: MonomialMatrix) -> tuple:
+    n = v.n
+    rows = [[0] * n for _ in range(n)]
+    for c in range(n):
+        rows[v.perm[c]][c] = v.entries[c]
+    return tuple(tuple(r) for r in rows)
+
+
+def is_unipotent_upper(A: tuple) -> bool:
+    n = len(A)
+    return all(A[i][i] == 1 for i in range(n)) and all(
+        A[i][j] == 0 for i in range(n) for j in range(i)
+    )
+
+
 def enumerate_u(K: Field, n: int) -> list:
     """All unipotent upper-triangular matrices, |U| = q^(n(n-1)/2): the
     product of the rows, row i being e_i followed by any tail."""

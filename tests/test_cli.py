@@ -332,6 +332,8 @@ PARSER_LINES = [  # help texts and argparse errors, each parsed by the full pars
     "enum m_mu --p 2",
     "verify cosets --p 2 --mu 1",
     "enum --p 2 m_mu --mu 1",
+    "enum m_mu --p 2 --mu 2,0",
+    "verify commutativity --p 2 --n x",
     "",
 ]
 
@@ -793,6 +795,76 @@ def test_verify_bijection(capsys):
     assert report["m_mu_count"] == report["n_mu_count"]
 
 
+def _wrong_at_identity(test):
+    """test, with its answer negated at the identity matrix alone."""
+
+    def wrong(*args):  # (v, mu) or (K, v, mu)
+        v = args[-2]
+        return test(*args) != (v == hecke_index.monomial_identity(v.n))
+
+    return wrong
+
+
+def _row_emptied(slot):
+    """structure_constants with the row of its table at slot(mu, basis) emptied."""
+
+    def breaks(constants):
+        def emptied(K, mu):
+            sc = constants(K, mu)
+            key = slot(tuple(mu), sc.basis)
+            return sc._replace(table={**sc.table, key: ()}) if key in sc.table else sc
+
+        return emptied
+
+    return breaks
+
+
+def _identity_square(mu, basis):
+    """T_1 T_1 in the full table of a Levi check; no slot in a factor's."""
+    if len(mu) > 1:
+        k = basis.index(hecke_index.monomial_identity(sum(mu)))
+        return k, k
+
+
+@pytest.mark.parametrize(
+    "line,layer,name,breaks",
+    [
+        ("verify basis --p 2 --mu 2", "oracle", "is_in_n_mu_fast", _wrong_at_identity),
+        (
+            "verify commutativity --p 2 --n 2",
+            "oracle",
+            "structure_constants",
+            _row_emptied(lambda mu, basis: (0, 1)),
+        ),
+        (
+            "verify levi --p 2 --mu 1,1",
+            "oracle",
+            "structure_constants",
+            _row_emptied(_identity_square),
+        ),
+        (
+            "verify bijection --p 2 --mu 2,1",
+            "hecke_index",
+            "is_in_n_mu_direct",
+            _wrong_at_identity,
+        ),
+    ],
+    ids=["basis", "commutativity", "levi", "bijection"],
+)
+def test_a_broken_fact_exits_1(monkeypatch, capsys, line, layer, name, breaks):
+    """Each check reports a counterexample, and main exits 1, when one seam it
+    reads is rebound to break one fact."""
+    module = importlib.import_module(f"hecke.{layer}")
+    monkeypatch.setattr(module, name, breaks(getattr(module, name)))
+    code, out, _ = run_cli(capsys, *line.split())
+    report = json.loads(out)
+    assert (code, report["pass"]) == (1, False)
+    if layer == "hecke_index":
+        assert (report["direct_test_ok"], report["membership_ok"]) == (False, True)
+    else:
+        assert "counterexample" in report
+
+
 def test_verify_pieri_single(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -853,18 +925,23 @@ def test_verify_bijection_where_n_factorial_is_over_the_guard(monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ("map", "rsk", "--p", "4"),
-        ("verify", "pieri", "--p", "4", "--nu", "1", "--add", "1", "--vars", "3"),
+        (("map", "rsk", "--p", "4"), "p = 4 is not prime"),
+        (
+            ("verify", "pieri", "--p", "4", "--nu", "1", "--add", "1", "--vars", "3"),
+            "p = 4 is not prime",
+        ),
+        (("map", "rsk", "--p", "1"), "p = 1 is not prime"),
+        (("map", "rsk", "--p", "0"), "p = 0 is not prime"),
     ],
-    ids=["map_rsk", "verify_pieri"],
+    ids=["map_rsk", "verify_pieri", "p1", "p0"],
 )
-def test_p_not_prime_exits_2(capsys, argv):
+def test_p_not_prime_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "p = 4 is not prime" in err
+    assert message in err
 
 
 def test_field_free_jobs_build_no_table(monkeypatch, tmp_path, capsys):
@@ -1345,6 +1422,11 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     lines = out_path.read_text().strip().splitlines()
     assert json.loads(lines[0]) == {"poly": "1+1*X^1"}
+    report_path = tmp_path / "report.json"
+    argv = ("verify", "bijection", "--p", "2", "--mu", "2,1", "--output", str(report_path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "")
+    assert json.loads(report_path.read_text())["pass"] is True
 
 
 def test_verify_stdout_byte_identical(capsys):
@@ -1723,10 +1805,10 @@ MOVED = {  # module -> (the names it holds alone, the modules that held them bef
         ("guards",),
     ),
     "bijection": (
-        ("enumerate_pattern_n_mu", "bijection_check", "rsk_bijectivity_check")
-        + ("mat_inv", "is_unipotent_upper", "monomial_to_matrix", "psi_mu_eval"),
+        ("enumerate_pattern_n_mu", "bijection_check", "rsk_bijectivity_check"),
         ("hecke_index", "rsk", "oracle"),
     ),
+    "oracle": (("monomial_to_matrix", "is_unipotent_upper"), ("bijection", "hecke_index")),
 }
 
 

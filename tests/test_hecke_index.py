@@ -509,9 +509,13 @@ def test_pinning_invariants(K, nmax):
             assert set(image) == set(filtered)
 
 
-@pytest.mark.parametrize("K", [F2, F3], ids=["q2", "q3"])
-def test_fast_test_equals_direct_definition(K):
-    for n in range(1, 4):
+@pytest.mark.parametrize(
+    "K,top", [(F2, 3), (F3, 3), (Field(2, 2), 2), (F5, 2)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_fast_test_equals_direct_definition(K, top):
+    # Over F_4 and F_5 some units are not their own inverses, so an entry of
+    # v^-1 left uninverted shows here; |U| <= 5 there at n <= 2.
+    for n in range(1, top + 1):
         for mu in compositions_of(n):
             for v in enumerate_n(K, n):
                 assert is_in_n_mu_fast(v, mu) == is_in_n_mu_direct(K, v, mu)
